@@ -41,7 +41,7 @@ def main():
         value = od.detect_consensus(record.final_state, 1e-6)
         print(f"{kind_name:20s} {value:>12.6f} {record.steps:>8d}")
         path = out / f"{scenario.name}.{kind_name}.csv"
-        od.write_trajectory(record, path)
+        od.write_trajectory_csv(record, path)
 
     values = {k: float(r.final_state.mean()) for k, r in records.items()}
     shift = values["stubborn_positive"] - values["degroot"]

@@ -80,7 +80,6 @@ from .scenario import (
     summary_to_dict,
     write_scenario,
     write_summary,
-    write_trajectory,
 )
 
 __version__ = "0.1.0"

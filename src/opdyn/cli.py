@@ -12,14 +12,8 @@ import sys
 from pathlib import Path
 from typing import Optional
 
-from .analysis import classify_limit, degroot_consensus_value, detect_consensus
-from .dynamics import (
-    DeGroot,
-    StopRule,
-    StubbornExtremist,
-    StubbornNeutral,
-    StubbornPositive,
-)
+from .analysis import classify_limit, degroot_consensus_value
+from .dynamics import DeGroot, StopRule, write_trajectory_csv
 from .errors import OpdynError
 from .graph import (
     StaticSchedule,
@@ -29,6 +23,7 @@ from .graph import (
     verify_repeated_joint_connectivity,
 )
 from .scenario import (
+    _KIND_NAMES,
     Scenario,
     build_schedule,
     initial_opinions,
@@ -37,14 +32,10 @@ from .scenario import (
     run_scenario,
     schedule_rjsc_status,
     write_summary,
-    write_trajectory,
 )
 
-_BASELINE_ALTERNATIVES = {
-    "stubborn_positive": StubbornPositive,
-    "stubborn_neutral": StubbornNeutral,
-    "stubborn_extremist": StubbornExtremist,
-}
+# Kinds a degroot scenario can be compared against.
+_ALTERNATIVES = sorted(name for name in _KIND_NAMES if name != "degroot")
 
 
 class _UsageError(OpdynError, ValueError):
@@ -83,7 +74,7 @@ def _cmd_simulate(args) -> int:
     record, summary = run_scenario(scenario, seed=args.seed, stop=_stop_override(scenario, args))
     out = _out_dir(args)
     stem = _stem(scenario)
-    write_trajectory(record, out / f"{stem}.trajectory.csv")
+    write_trajectory_csv(record, out / f"{stem}.trajectory.csv")
     write_summary(summary, out / f"{stem}.summary.json")
     if summary.consensus_value is not None:
         print(f"consensus {summary.consensus_value:.12g} at step {summary.steps}")
@@ -146,24 +137,30 @@ def _cmd_connectivity(args) -> int:
 
 def _cmd_compare(args) -> int:
     scenario = load_scenario_file(args.scenario)
-    baseline = DeGroot()
     if scenario.kind.name == "degroot":
-        against = _BASELINE_ALTERNATIVES[args.against]()
-        records = run_comparison(
-            scenario, baseline=against, seed=args.seed, stop=_stop_override(scenario, args))
+        baseline = _KIND_NAMES[args.against]()
     else:
-        records = run_comparison(
-            scenario, baseline=baseline, seed=args.seed, stop=_stop_override(scenario, args))
+        baseline = DeGroot()
+    records = run_comparison(
+        scenario, baseline=baseline, seed=args.seed, stop=_stop_override(scenario, args))
     out = _out_dir(args)
     stem = _stem(scenario)
-    values = {}
+    outcomes = []
+    limits = []
     for kind_name, record in records.items():
-        write_trajectory(record, out / f"{stem}.{kind_name}.csv")
-        values[kind_name] = detect_consensus(record.final_state, epsilon=float("inf"))
-    names = list(records)
-    diff = abs(values[names[0]] - values[names[1]])
-    print(f"{names[0]} -> {values[names[0]]:.12g} | {names[1]} -> {values[names[1]]:.12g} "
-          f"(difference {diff:.3e})")
+        write_trajectory_csv(record, out / f"{stem}.{kind_name}.csv")
+        if record.stop_reason == "consensus":
+            limits.append(float(record.final_state.mean()))
+            outcomes.append(f"{kind_name} -> consensus {limits[-1]:.12g} "
+                            f"at step {record.steps}")
+        else:
+            outcomes.append(f"{kind_name} -> no consensus: {record.stop_reason} "
+                            f"after {record.steps} steps, spread {record.spreads[-1]:.3e}")
+    if len(limits) == 2:
+        difference = f"difference {abs(limits[0] - limits[1]):.3e}"
+    else:
+        difference = "difference undefined: not both runs reached consensus"
+    print(f"{' | '.join(outcomes)} ({difference})")
     return 0
 
 
@@ -222,7 +219,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("compare", help="run plain averaging and the scenario kind on identical inputs")
     p.add_argument("scenario")
-    p.add_argument("--against", choices=sorted(_BASELINE_ALTERNATIVES), default="stubborn_positive",
+    p.add_argument("--against", choices=_ALTERNATIVES, default="stubborn_positive",
                    help="kind to compare when the scenario itself is degroot")
     _add_common(p, out=True, stop=True)
     p.set_defaults(handler=_cmd_compare)

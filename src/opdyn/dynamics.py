@@ -8,10 +8,20 @@ susceptibility ``f_i`` maps her own current opinion into [0, 1]:
     x_i(t+1) = x_i(t) + f_i(x_i(t)) * sum_j w_ij(t) * (x_j(t) - x_i(t))
 
 Equivalently ``x(t+1) = S(x(t), t) x(t)`` with the row-stochastic one-step
-matrix ``S = I - F + F W`` (``F`` diagonal of susceptibilities). The update
-is computed in the gap form above so that exact fixed points stay exact in
-floating point: a consensus vector never moves, a fully stubborn agent
-(f = 0) never moves.
+matrix ``S = I - F + F W`` (``F`` diagonal of susceptibilities). Because
+``W`` is row-stochastic, the gap sum equals ``(W d - d)_i`` for the shifted
+state ``d = x - x_1``, and the update is computed as that shifted
+matrix-vector product, then clamped to ``[min x, max x]``:
+
+  * shifting by ``x_1`` keeps exact fixed points exact in floating point:
+    a consensus vector never moves, a fully stubborn agent (f = 0) never
+    moves;
+  * the clamp makes "opinions stay in [-1, 1], the min never falls, the
+    max never rises" hold by construction, whatever order the BLAS sums in.
+
+Reruns with one version of opdyn (and one numpy/BLAS build) are
+bit-identical; trajectories agree with versions that used another
+arithmetic (the earlier n x n gap form) only to within rounding.
 
 Susceptibility kinds:
   * ``DeGroot``            f = 1 (classic averaging)
@@ -187,7 +197,11 @@ def susceptibility_profile(kind: SusceptibilityKind, x: np.ndarray) -> np.ndarra
     The clamp only matters for opinions that drifted past the interval by
     float rounding; on exact inputs the kinds already map into [0, 1].
     """
-    return np.clip(kind.values(x), 0.0, 1.0)
+    # np.minimum allocates, so the in-place maximum never writes into the
+    # array kind.values returned (a Custom fn may return x itself).
+    f = np.minimum(kind.values(x), 1.0)
+    np.maximum(f, 0.0, out=f)
+    return f
 
 
 # ---------------------------------------------------------------------------
@@ -215,19 +229,37 @@ def system_matrix(x, matrix: WeightMatrix, kind: SusceptibilityKind) -> np.ndarr
     return s
 
 
+def _advance(x: np.ndarray, w: np.ndarray, kind: SusceptibilityKind,
+             lo: float, hi: float) -> np.ndarray:
+    """The update kernel: ``x + f * (W d - d)`` with ``d = x - x[0]``,
+    clamped to ``[lo, hi]``, the min and max of ``x``.
+
+    Returns a new array; ``x`` is not modified.
+    """
+    f = susceptibility_profile(kind, x)
+    d = x - x[0]
+    u = w @ d
+    u -= d
+    u *= f
+    u += x
+    np.minimum(u, hi, out=u)
+    np.maximum(u, lo, out=u)
+    return u
+
+
 def step(x, matrix: WeightMatrix, kind: SusceptibilityKind) -> np.ndarray:
     """Advance opinions one step.
 
-    Uses the gap form ``x + f * sum_j w_ij (x_j - x_i)``, which keeps
-    consensus states and zero-susceptibility agents exactly fixed in
-    floating point, and agrees with ``system_matrix(x) @ x`` to within
-    rounding.
+    Computes the gap sum ``sum_j w_ij (x_j - x_i)`` as the shifted
+    matrix-vector product ``W d - d`` with ``d = x - x[0]``, and clamps
+    the result to ``[min x, max x]``. Consensus states and
+    zero-susceptibility agents stay exactly fixed in floating point, the
+    extremes never widen, and the result agrees with
+    ``system_matrix(x) @ x`` to within rounding.
     """
     xa = np.asarray(x, dtype=float)
     _check_dims(xa, matrix)
-    f = susceptibility_profile(kind, xa)
-    gaps = np.einsum("ij,ij->i", matrix.entries, xa[None, :] - xa[:, None])
-    return xa + f * gaps
+    return _advance(xa, matrix.entries, kind, xa.min(), xa.max())
 
 
 # ---------------------------------------------------------------------------
@@ -334,7 +366,6 @@ def simulate(
     # Fail fast on per-agent kinds of the wrong size.
     susceptibility_profile(kind, x)
 
-    values = kind.values
     target = stop.target
     mins: list[float] = []
     maxs: list[float] = []
@@ -347,7 +378,7 @@ def simulate(
         mins.append(mn)
         maxs.append(mx)
         if keep_states:
-            states.append(x.copy())
+            states.append(x)  # _advance returns a fresh array each step
         if mx - mn < stop.consensus_epsilon:
             reason = "consensus"
             break
@@ -362,13 +393,7 @@ def simulate(
         except ScheduleExhaustedError:
             reason = "schedule_exhausted"
             break
-        # In-place spelling of step(); same gap form, fewer temporaries.
-        f = np.clip(values(x), 0.0, 1.0)
-        gaps = x - x[:, None]
-        gaps *= w
-        u = gaps.sum(axis=1)
-        u *= f
-        x = x + u
+        x = _advance(x, w, kind, mn, mx)
         t += 1
 
     mins_a = np.array(mins)

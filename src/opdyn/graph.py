@@ -454,6 +454,11 @@ def random_strongly_connected_matrix(
     probability. Weights are drawn uniformly from [1, 2] on the support
     and rows are normalized; the matrix floor is the smallest realized
     nonzero weight.
+
+    Draw order from ``rng``: the cycle's shuffle, then one draw per
+    off-diagonal entry in row-major order (the extra arcs), then one draw
+    per support entry in row-major order (the weights). The two blocks
+    come from ``SplitMix64.random_block``.
     """
     if n < 2:
         raise PreconditionError("need at least 2 agents")
@@ -465,15 +470,10 @@ def random_strongly_connected_matrix(
     for k in range(n):
         a, b = order[k], order[(k + 1) % n]
         support[b, a] = True  # arc a -> b: b listens to a
-    for i in range(n):
-        for j in range(n):
-            if i != j and rng.random() < edge_probability:
-                support[i, j] = True
+    off_diagonal = ~np.eye(n, dtype=bool)
+    support[off_diagonal] |= rng.random_block(n * (n - 1)) < edge_probability
     entries = np.zeros((n, n))
-    for i in range(n):
-        for j in range(n):
-            if support[i, j]:
-                entries[i, j] = rng.uniform(1.0, 2.0)
+    entries[support] = 1.0 + rng.random_block(int(support.sum()))  # uniform(1, 2)
     entries /= entries.sum(axis=1, keepdims=True)
     beta = float(entries[entries > 0].min())
     return weight_matrix(entries, beta)

@@ -58,7 +58,6 @@ from .dynamics import (
     TrajectoryRecord,
     opinion_vector,
     simulate,
-    write_trajectory_csv,
 )
 from .errors import PreconditionError, SchemaError, ValidationError
 from .graph import (
@@ -547,7 +546,3 @@ def write_summary(summary: RunSummary, path) -> None:
     with open(path, "w", encoding="utf-8", newline="") as fh:
         json.dump(summary_to_dict(summary), fh, indent=2)
         fh.write("\n")
-
-
-def write_trajectory(record: TrajectoryRecord, path) -> None:
-    write_trajectory_csv(record, path)

@@ -42,6 +42,16 @@ def random_valid_matrix(n: int, rng: SplitMix64) -> od.WeightMatrix:
     return od.weight_matrix(entries, beta=float(entries[entries > 0].min()))
 
 
+def gap_form_step(x, matrix: od.WeightMatrix, kind: od.SusceptibilityKind) -> np.ndarray:
+    """Reference update in the agent-wise gap form, built on an n x n gap
+    array: ``x_i + f_i * sum_j w_ij (x_j - x_i)``. The library's kernel
+    sums in another order and must agree with this to within rounding."""
+    x = np.asarray(x, dtype=float)
+    f = np.clip(kind.values(x), 0.0, 1.0)
+    gaps = np.einsum("ij,ij->i", matrix.entries, x[None, :] - x[:, None])
+    return x + f * gaps
+
+
 def random_opinions(n: int, rng: SplitMix64, pin_extremes: bool = False) -> np.ndarray:
     """Uniform opinions; with ``pin_extremes``, some entries are set to
     exactly -1, 0, or +1 to exercise the boundary arithmetic."""

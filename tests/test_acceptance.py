@@ -355,7 +355,7 @@ def test_criterion_09_thirty_agent_comparison(tmp_path):
     for kind_name, record in records.items():
         assert record.spreads[-1] < 1e-9, f"{kind_name} spread {record.spreads[-1]:.2e}"
         paths[kind_name] = tmp_path / f"{kind_name}.csv"
-        od.write_trajectory(record, paths[kind_name])
+        od.write_trajectory_csv(record, paths[kind_name])
     first_rows = [p.read_text().splitlines()[1] for p in paths.values()]
     assert first_rows[0] == first_rows[1], "t=0 rows must match bit for bit"
     values = {k: float(r.final_state.mean()) for k, r in records.items()}
@@ -410,7 +410,7 @@ def test_criterion_10_determinism(tmp_path):
         for rerun in range(2):
             record, _ = od.run_scenario(scenario)
             path = tmp_path / f"{k}_{rerun}.csv"
-            od.write_trajectory(record, path)
+            od.write_trajectory_csv(record, path)
             digests.append(hashlib.sha256(path.read_bytes()).hexdigest())
         assert digests[0] == digests[1], f"scenario {k} not reproducible"
     # two of them exercised end to end through the command line as well

@@ -162,6 +162,38 @@ class TestCompareCommand:
         names = {p.name for p in out.iterdir()}
         assert any("stubborn_neutral" in n for n in names)
 
+    def test_max_steps_stop_is_not_reported_as_a_limit(self, tmp_path, capsys):
+        path = write_scenario(tmp_path, {
+            "schema": 1, "name": "capped", "n": 4, "beta": 0.25,
+            "x0": [1.0, 0.2, -0.5, 0.3],
+            "schedule": {"kind": "static", "matrix": QUARTER},
+            "susceptibility": "stubborn_positive",
+            "stop": {"max_steps": 3, "consensus_epsilon": 1e-9},
+        })
+        assert main(["compare", path, "--out", str(tmp_path / "cmp")]) == 0
+        printed = capsys.readouterr().out
+        degroot, positive = printed.split(" | ")
+        assert degroot.startswith("degroot -> consensus ")
+        assert "at step 1" in degroot
+        assert positive.startswith("stubborn_positive -> no consensus: max_steps after 3 steps")
+        assert "difference undefined" in positive
+
+    def test_against_choices_exclude_degroot(self, tmp_path, capsys):
+        path = write_scenario(tmp_path, {
+            "schema": 1, "n": 4, "beta": 0.25,
+            "x0": [0.9, 0.1, 0.4, 0.7],
+            "schedule": {"kind": "static", "matrix": QUARTER},
+            "susceptibility": "degroot",
+            "stop": {"max_steps": 50, "consensus_epsilon": 1e-9},
+        })
+        out = str(tmp_path / "cmp")
+        assert main(["compare", path, "--against", "degroot", "--out", out]) == 1
+        err = capsys.readouterr().err
+        assert "invalid choice" in err
+        for name in ("stubborn_extremist", "stubborn_neutral", "stubborn_positive"):
+            assert name in err
+        assert main(["compare", path, "--against", "stubborn_extremist", "--out", out]) == 0
+
 
 class TestOracleCommand:
     def test_prints_value(self, tmp_path, capsys):

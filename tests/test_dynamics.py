@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import opdyn as od
 from opdyn.errors import (
@@ -8,10 +10,12 @@ from opdyn.errors import (
     ShapeError,
     ValidationError,
 )
+from opdyn.rng import SplitMix64
 
 from _trials import (
     ALL_KINDS,
     NEVER,
+    gap_form_step,
     random_kind,
     random_opinions,
     random_valid_matrix,
@@ -154,6 +158,34 @@ class TestStep:
             kind = random_kind(n, rng)
             via_matrix = od.system_matrix(x, w, kind) @ x
             assert np.abs(od.step(x, w, kind) - via_matrix).max() <= 1e-12
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.data())
+    def test_kernel_matches_gap_form_and_keeps_fixed_points(self, data):
+        n = data.draw(st.integers(2, 9))
+        w = random_valid_matrix(n, SplitMix64(data.draw(st.integers(0, 2**64 - 1))))
+        unit = st.floats(-1.0, 1.0)
+        # drawn from a palette of at most n values, so ties at the extremes
+        # (where rounding can step past them) are common
+        palette = data.draw(st.lists(unit, min_size=1, max_size=n))
+        x = np.array(data.draw(st.lists(st.sampled_from(palette), min_size=n, max_size=n)))
+        kind = data.draw(st.one_of(
+            st.sampled_from(ALL_KINDS),
+            st.lists(st.floats(0.0, 1.0), min_size=n, max_size=n)
+            .map(lambda openness: od.Constant(tuple(openness)))))
+
+        out = od.step(x, w, kind)
+        assert np.abs(out - gap_form_step(x, w, kind)).max() <= 1e-12
+        assert out.min() >= x.min() and out.max() <= x.max()
+        stubborn = od.susceptibility_profile(kind, x) == 0.0
+        assert np.array_equal(out[stubborn], x[stubborn])
+        consensus = np.full(n, data.draw(unit))
+        assert np.array_equal(od.step(consensus, w, kind), consensus)
+        # simulate advances with the same kernel, bit for bit (it stops
+        # before the step only on an exact consensus, which out keeps)
+        one = od.simulate(x, od.StaticSchedule(w), kind,
+                          od.StopRule(max_steps=1, consensus_epsilon=np.nextafter(0.0, 1.0)))
+        assert np.array_equal(one.final_state, out)
 
     def test_interval_and_monotone_extremes_hold_along_trajectories(self):
         for trial in range(60):

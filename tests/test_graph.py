@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -10,6 +12,8 @@ from opdyn.errors import (
     ShapeError,
     ValidationError,
 )
+
+from opdyn.rng import SplitMix64
 
 from _trials import floyd_warshall_strongly_connected, trial_rng
 
@@ -250,6 +254,27 @@ class TestSchedules:
             od.PeriodicSchedule((od.uniform_complete_matrix(3), od.uniform_complete_matrix(4)))
 
 
+# Output of the generator when it drew every entry with a scalar random()
+# call: (n, edge_probability, seed) -> sha256 of the entries' bytes, beta,
+# and the generator's state afterwards.
+GENERATOR_PINS = [
+    (2, 0.3, 1, "5a43aec106794ecb0b2e8e9adbd4f10a9255430958422ead00477edb30b65253",
+     "0x1.efe6ea16111c0p-2", 6018027440424182932),
+    (3, 0.0, 7, "4d17a4c327617d7739bff1a4e36ff851e8b833cb0618a9ce3419e05378383c93",
+     "0x1.70e1c4afbb721p-2", 12036054880848365869),
+    (5, 1.0, 11, "dd436b09e590fc30b238fb7d0eb44a927383b722bd2f56132286d2ab277dc7c9",
+     "0x1.1b1b77e063051p-3", 5232703935550177296),
+    (8, 0.4, 12345, "c36eddffa493e0e00cba0e1b1ed21c08d62ecb01b474b8ca35a7304d75b35fec",
+     "0x1.6cb82f5fbde6fp-4", 5082720492201351361),
+    (30, 0.3, 2**64 - 1, "eef94365258e30e2c66122237b616fe37c7ef286dfb19f91918ab1774bb4c8ea",
+     "0x1.4b2b0782fc32ep-5", 6045075437724416166),
+    (100, 0.05, 42, "09414737c44cacbb3044d5b6b1afc4c97cb4023467a7302c647ea4b8ee06c5a1",
+     "0x1.bf16491345b80p-5", 9067380260794813842),
+    (1000, 0.003, 1, "5cc613b9efbdb0da2e1000107b3da12a6225cb9e015edfeef7e81f93dba864bc",
+     "0x1.d1ca309a86bb7p-5", 7824711803662175063),
+]
+
+
 class TestRandomMatrixGenerator:
     def test_valid_and_strongly_connected(self):
         for trial in range(30):
@@ -267,6 +292,15 @@ class TestRandomMatrixGenerator:
     def test_floor_is_smallest_nonzero_weight(self):
         w = od.random_strongly_connected_matrix(5, trial_rng(15, 0), 0.3)
         assert w.beta == w.entries[w.entries > 0].min()
+
+    @pytest.mark.parametrize("n,p,seed,entries_sha256,beta_hex,final_state", GENERATOR_PINS)
+    def test_output_is_pinned(self, n, p, seed, entries_sha256, beta_hex, final_state):
+        rng = SplitMix64(seed)
+        w = od.random_strongly_connected_matrix(n, rng, p)
+        digest = hashlib.sha256(np.ascontiguousarray(w.entries).tobytes()).hexdigest()
+        assert digest == entries_sha256
+        assert w.beta.hex() == beta_hex
+        assert rng._state == final_state
 
 
 class TestMatrixTextFormat:

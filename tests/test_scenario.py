@@ -188,7 +188,7 @@ class TestDeterminism:
         for tag in ("a", "b"):
             record, _ = od.run_scenario(scenario)
             path = tmp_path / f"{tag}.csv"
-            od.write_trajectory(record, path)
+            od.write_trajectory_csv(record, path)
             digests.append(hashlib.sha256(path.read_bytes()).hexdigest())
         assert digests[0] == digests[1]
 
@@ -233,7 +233,7 @@ class TestRunSummary:
         record, summary = od.run_scenario(scenario)
         assert summary.steps == 0
         csv_path = tmp_path / "t.csv"
-        od.write_trajectory(record, csv_path)
+        od.write_trajectory_csv(record, csv_path)
         lines = csv_path.read_text().splitlines()
         assert len(lines) == 2
         assert lines[1].startswith("0,")
