@@ -24,7 +24,7 @@ from .dynamics import (
     TrajectoryRecord,
     opinion_vector,
 )
-from .graph import WeightMatrix, graph_of_matrix, is_strongly_connected
+from .graph import WeightMatrix, is_strongly_connected
 
 LEMMA_SLACK = 1e-12
 RATE_SPREAD_FLOOR = 100.0 * np.finfo(float).eps
@@ -193,19 +193,20 @@ def stationary_weights(
 
     Power iteration on the transpose from the uniform vector; the positive
     diagonal of a valid matrix rules out periodicity, so the iteration
-    converges for every strongly connected input. Raises
-    ``ConvergenceError`` if the residual never reaches ``tol`` within the
-    iteration budget.
+    converges for every strongly connected input. The returned vector's
+    residual ``max |W^T c - c|`` is at most ``tol``; raises
+    ``ConvergenceError`` if no iterate gets there within the iteration
+    budget.
     """
-    if not is_strongly_connected(graph_of_matrix(matrix)):
+    if not is_strongly_connected(matrix.graph):
         raise PreconditionError("matrix graph is not strongly connected")
     w = matrix.entries
     c = np.full(matrix.n, 1.0 / matrix.n)
     for _ in range(max_iterations):
-        c = w.T @ c
-        c /= c.sum()
-        if float(np.abs(w.T @ c - c).max()) <= tol:
+        image = w.T @ c
+        if float(np.abs(image - c).max()) <= tol:
             return c
+        c = image / image.sum()
     raise ConvergenceError(
         f"left fixed vector residual stayed above {tol} after {max_iterations} iterations")
 

@@ -1,8 +1,9 @@
 """Command-line entry point.
 
 Exit codes: 0 on success, 1 on validation or precondition failure
-(including usage errors), 2 on I/O failure. Artifact paths are relative
-to ``--out`` (default ``./out``).
+(including usage errors) and when ``simulate`` finds a lemma violation in
+its trajectory (after writing its artifacts), 2 on I/O failure. Artifact
+paths are relative to ``--out`` (default ``./out``).
 """
 
 from __future__ import annotations
@@ -81,6 +82,13 @@ def _cmd_simulate(args) -> int:
     else:
         print(f"stopped: {summary.stop_reason} after {summary.steps} steps "
               f"(spread {record.spreads[-1]:.3e})")
+    lemmas = summary.lemmas
+    if not lemmas.ok:
+        step, clause = min((step, clause) for clause, step in (
+            ("interval_step", lemmas.interval_step), ("min_step", lemmas.min_step),
+            ("max_step", lemmas.max_step)) if step is not None)
+        print(f"error: lemma violation at step {step} ({clause})", file=sys.stderr)
+        return 1
     return 0
 
 
@@ -138,7 +146,10 @@ def _cmd_connectivity(args) -> int:
 def _cmd_compare(args) -> int:
     scenario = load_scenario_file(args.scenario)
     if scenario.kind.name == "degroot":
-        baseline = _KIND_NAMES[args.against]()
+        baseline = _KIND_NAMES[args.against or "stubborn_positive"]()
+    elif args.against is not None:
+        raise _UsageError(f"--against applies only to degroot scenarios; "
+                          f"this one is {scenario.kind.name}")
     else:
         baseline = DeGroot()
     records = run_comparison(
@@ -219,8 +230,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("compare", help="run plain averaging and the scenario kind on identical inputs")
     p.add_argument("scenario")
-    p.add_argument("--against", choices=_ALTERNATIVES, default="stubborn_positive",
-                   help="kind to compare when the scenario itself is degroot")
+    p.add_argument("--against", choices=_ALTERNATIVES, default=None,
+                   help="kind to compare a degroot scenario against "
+                        "(default stubborn_positive; a usage error for other kinds)")
     _add_common(p, out=True, stop=True)
     p.set_defaults(handler=_cmd_compare)
 

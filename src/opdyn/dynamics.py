@@ -418,8 +418,8 @@ def write_trajectory_csv(record: TrajectoryRecord, path) -> None:
         raise PreconditionError("trajectory was recorded without states; cannot write CSV")
     n = record.n
     header = "t," + ",".join(f"x_{i + 1}" for i in range(n)) + ",spread"
+    row = ",".join(["%d"] + ["%.17g"] * (n + 1)) + "\n"
     with open(path, "w", encoding="utf-8", newline="") as fh:
         fh.write(header + "\n")
-        for t in range(record.states.shape[0]):
-            row = ",".join(f"{v:.17g}" for v in record.states[t])
-            fh.write(f"{t},{row},{record.spreads[t]:.17g}\n")
+        for t, (state, spread) in enumerate(zip(record.states, record.spreads.tolist())):
+            fh.write(row % (t, *state.tolist(), spread))

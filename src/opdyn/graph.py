@@ -184,83 +184,80 @@ def load_weight_matrix(path, beta: float) -> WeightMatrix:
 # Directed graphs and connectivity
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True, eq=True)
+@dataclass(frozen=True, init=False, eq=False)
 class DirectedGraph:
-    """Vertices 0..n-1 with arcs as ordered pairs (source, target)."""
+    """Vertices 0..n-1 held as a read-only n x n boolean array:
+    ``adjacency[i, j]`` is True exactly for the arc ``i -> j``; ``arcs``
+    lists those arcs as (source, target) pairs."""
 
-    n: int
-    arcs: frozenset
+    adjacency: np.ndarray
 
-    def successors(self) -> list[list[int]]:
-        out: list[list[int]] = [[] for _ in range(self.n)]
-        for i, j in self.arcs:
-            out[i].append(j)
-        return out
+    def __init__(self, n: int, arcs: Iterable[tuple[int, int]]):
+        adjacency = np.zeros((n, n), dtype=bool)
+        for i, j in arcs:
+            if not (0 <= i < n and 0 <= j < n):
+                raise ShapeError(f"arc {(i, j)} leaves the vertices 0..{n - 1}")
+            adjacency[i, j] = True
+        adjacency.setflags(write=False)
+        object.__setattr__(self, "adjacency", adjacency)
+
+    @classmethod
+    def _of_adjacency(cls, adjacency: np.ndarray) -> "DirectedGraph":
+        """Graph on a fresh boolean array, taken without a copy and frozen."""
+        graph = object.__new__(cls)
+        adjacency.setflags(write=False)
+        object.__setattr__(graph, "adjacency", adjacency)
+        return graph
+
+    @property
+    def n(self) -> int:
+        return self.adjacency.shape[0]
+
+    @property
+    def arcs(self) -> frozenset:
+        return frozenset(map(tuple, np.argwhere(self.adjacency).tolist()))
+
+    def __eq__(self, other) -> bool:
+        return isinstance(other, DirectedGraph) and np.array_equal(
+            self.adjacency, other.adjacency)
 
 
 def graph_of_matrix(matrix) -> DirectedGraph:
     """Directed graph of an influence matrix under the information-flow
     convention: arc ``j -> i`` exactly when ``w_ij`` is nonzero."""
     arr = matrix.entries if isinstance(matrix, WeightMatrix) else _as_square(matrix)
-    rows, cols = np.nonzero(arr)
-    arcs = frozenset((int(j), int(i)) for i, j in zip(rows, cols))
-    return DirectedGraph(arr.shape[0], arcs)
+    return DirectedGraph._of_adjacency(arr.T != 0)
+
+
+def _reach(adjacency: np.ndarray, v: int) -> np.ndarray:
+    """Vertices reached from ``v``, itself included: breadth-first, one
+    numpy pass per level. On the transpose, the vertices that reach ``v``."""
+    reached = np.zeros(adjacency.shape[0], dtype=bool)
+    reached[v] = True
+    frontier = reached
+    while np.count_nonzero(frontier):
+        frontier = adjacency[frontier].any(axis=0) > reached  # new and not yet reached
+        reached |= frontier
+    return reached
 
 
 def strongly_connected_components(graph: DirectedGraph) -> list[frozenset]:
-    """Tarjan's algorithm, iterative to spare the recursion limit."""
-    adj = graph.successors()
-    index: dict[int, int] = {}
-    low: dict[int, int] = {}
-    on_stack: set[int] = set()
-    stack: list[int] = []
+    """Vertex sets of the components, in order of their smallest vertex."""
+    adjacency = graph.adjacency
+    assigned = np.zeros(graph.n, dtype=bool)
     components: list[frozenset] = []
-    counter = 0
-
-    for root in range(graph.n):
-        if root in index:
-            continue
-        index[root] = low[root] = counter
-        counter += 1
-        stack.append(root)
-        on_stack.add(root)
-        work = [(root, iter(adj[root]))]
-        while work:
-            v, children = work[-1]
-            advanced = False
-            for w in children:
-                if w not in index:
-                    index[w] = low[w] = counter
-                    counter += 1
-                    stack.append(w)
-                    on_stack.add(w)
-                    work.append((w, iter(adj[w])))
-                    advanced = True
-                    break
-                if w in on_stack:
-                    low[v] = min(low[v], index[w])
-            if advanced:
-                continue
-            work.pop()
-            if work:
-                parent = work[-1][0]
-                low[parent] = min(low[parent], low[v])
-            if low[v] == index[v]:
-                comp = set()
-                while True:
-                    w = stack.pop()
-                    on_stack.discard(w)
-                    comp.add(w)
-                    if w == v:
-                        break
-                components.append(frozenset(comp))
+    for v in range(graph.n):
+        if not assigned[v]:
+            component = _reach(adjacency, v) & _reach(adjacency.T, v)
+            assigned |= component
+            components.append(frozenset(np.flatnonzero(component).tolist()))
     return components
 
 
 def is_strongly_connected(graph: DirectedGraph) -> bool:
-    if graph.n <= 1:
-        return True
-    return len(strongly_connected_components(graph)) == 1
+    """Every vertex is reached from vertex 0 and reaches it."""
+    adjacency = graph.adjacency
+    return graph.n == 0 or bool(_reach(adjacency, 0).all() and _reach(adjacency.T, 0).all())
 
 
 def union_graph(graphs: Sequence[DirectedGraph]) -> DirectedGraph:
@@ -268,12 +265,12 @@ def union_graph(graphs: Sequence[DirectedGraph]) -> DirectedGraph:
     if not graphs:
         raise PreconditionError("union of an empty graph sequence")
     n = graphs[0].n
-    arcs: set = set()
+    adjacency = np.zeros((n, n), dtype=bool)
     for g in graphs:
         if g.n != n:
             raise ShapeError(f"vertex count mismatch: {g.n} != {n}")
-        arcs |= g.arcs
-    return DirectedGraph(n, frozenset(arcs))
+        adjacency |= g.adjacency
+    return DirectedGraph._of_adjacency(adjacency)
 
 
 # ---------------------------------------------------------------------------

@@ -96,8 +96,9 @@ def random_periodic_schedule(n: int, rng: SplitMix64) -> od.PeriodicSchedule:
     return od.PeriodicSchedule(tuple(mats))
 
 
-def floyd_warshall_strongly_connected(graph: od.DirectedGraph) -> bool:
-    """Independent reachability oracle: boolean transitive closure."""
+def floyd_warshall_closure(graph: od.DirectedGraph) -> np.ndarray:
+    """Independent reachability oracle: boolean reflexive-transitive
+    closure, ``reach[i, j]`` when a path runs from ``i`` to ``j``."""
     n = graph.n
     reach = np.zeros((n, n), dtype=bool)
     for i in range(n):
@@ -108,4 +109,20 @@ def floyd_warshall_strongly_connected(graph: od.DirectedGraph) -> bool:
         for i in range(n):
             if reach[i, k]:
                 reach[i] |= reach[k]
-    return bool(reach.all())
+    return reach
+
+
+def floyd_warshall_strongly_connected(graph: od.DirectedGraph) -> bool:
+    return bool(floyd_warshall_closure(graph).all())
+
+
+def write_trajectory_csv_by_value(record: od.TrajectoryRecord, path) -> None:
+    """Reference CSV writer that formats value by value; the library's
+    writer must produce the same bytes."""
+    n = record.n
+    header = "t," + ",".join(f"x_{i + 1}" for i in range(n)) + ",spread"
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        fh.write(header + "\n")
+        for t in range(record.states.shape[0]):
+            row = ",".join(f"{v:.17g}" for v in record.states[t])
+            fh.write(f"{t},{row},{record.spreads[t]:.17g}\n")

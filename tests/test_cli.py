@@ -4,6 +4,8 @@ import sys
 
 import pytest
 
+import opdyn.scenario
+from opdyn.analysis import LemmaReport
 from opdyn.cli import main
 
 
@@ -64,6 +66,17 @@ class TestSimulateCommand:
                      "--epsilon", "2.5"])
         assert code == 0
         assert "at step 0" in capsys.readouterr().out
+
+    def test_lemma_violation_exits_one_after_writing(self, dissenter_path, tmp_path,
+                                                      capsys, monkeypatch):
+        forged = LemmaReport(interval_step=None, min_step=3, max_step=2)
+        monkeypatch.setattr(opdyn.scenario, "check_lemmas", lambda record: forged)
+        out = tmp_path / "out"
+        assert main(["simulate", dissenter_path, "--out", str(out)]) == 1
+        assert (out / "dissenter.trajectory.csv").exists()
+        summary = json.loads((out / "dissenter.summary.json").read_text())
+        assert summary["lemma_checks"] == {"interval_step": None, "min_step": 3, "max_step": 2}
+        assert "lemma violation at step 2 (max_step)" in capsys.readouterr().err
 
     def test_missing_file_is_io_failure(self, tmp_path, capsys):
         code = main(["simulate", str(tmp_path / "absent.json"), "--out", str(tmp_path)])
@@ -193,6 +206,14 @@ class TestCompareCommand:
         for name in ("stubborn_extremist", "stubborn_neutral", "stubborn_positive"):
             assert name in err
         assert main(["compare", path, "--against", "stubborn_extremist", "--out", out]) == 0
+
+    def test_against_rejected_for_non_degroot_scenario(self, generated_path, tmp_path, capsys):
+        out = tmp_path / "cmp"
+        assert main(["compare", generated_path, "--against", "stubborn_neutral",
+                     "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert "--against" in err and "stubborn_positive" in err
+        assert not out.exists()
 
 
 class TestOracleCommand:

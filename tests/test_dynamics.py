@@ -20,6 +20,7 @@ from _trials import (
     random_opinions,
     random_valid_matrix,
     trial_rng,
+    write_trajectory_csv_by_value,
 )
 
 
@@ -316,6 +317,24 @@ class TestTrajectoryCsv:
         assert cells[0] == "0"
         assert float(cells[1]) == 1 / 3  # 17 significant digits round-trips
         assert float(cells[-1]) == rec.spreads[0]
+
+    def test_bytes_match_value_by_value_reference(self, tmp_path):
+        tiny = 5e-324
+        rows = [[-0.0, tiny, 1.0, -1.0], [1 / 3, -tiny, 0.0, -2 / 3],
+                [0.1, 0.7, -0.30000000000000004, 1.0]]
+        rng = trial_rng(40, 0)
+        rows += [random_opinions(4, rng, pin_extremes=True) for _ in range(50)]
+        records = [od.TrajectoryRecord.from_states(rows)]
+        w = od.uniform_complete_matrix(5)
+        records.append(od.simulate([1.0, -1.0, 0.25, -0.0, 0.5], od.StaticSchedule(w),
+                                   od.StubbornNeutral(), od.StopRule(max_steps=30)))
+        for k, rec in enumerate(records):
+            expected, written = tmp_path / f"ref{k}.csv", tmp_path / f"lib{k}.csv"
+            write_trajectory_csv_by_value(rec, expected)
+            od.write_trajectory_csv(rec, written)
+            assert written.read_bytes() == expected.read_bytes()
+        first_row = (tmp_path / "lib0.csv").read_text().splitlines()[1]
+        assert first_row == "0,-0,4.9406564584124654e-324,1,-1,2"
 
     def test_requires_states(self, tmp_path):
         w = od.uniform_complete_matrix(3)

@@ -15,7 +15,12 @@ from opdyn.errors import (
 
 from opdyn.rng import SplitMix64
 
-from _trials import floyd_warshall_strongly_connected, trial_rng
+from _trials import (
+    floyd_warshall_closure,
+    floyd_warshall_strongly_connected,
+    random_valid_matrix,
+    trial_rng,
+)
 
 
 def ring_matrix(n):
@@ -99,6 +104,17 @@ class TestGraphOfMatrix:
         g = od.graph_of_matrix(od.weight_matrix(entries, beta=0.3))
         assert g.arcs == frozenset({(0, 0), (1, 1), (2, 2), (1, 0)})
 
+    def test_adjacency_is_read_only_transposed_support(self):
+        for trial in range(20):
+            rng = trial_rng(11, trial)
+            m = random_valid_matrix(2 + rng.randrange(6), rng)
+            g = od.graph_of_matrix(m)
+            assert g.adjacency.dtype == bool
+            assert np.array_equal(g.adjacency, m.entries.T != 0)
+            assert od.DirectedGraph(g.n, g.arcs) == g
+            with pytest.raises(ValueError):
+                g.adjacency[0, 0] = False
+
 
 class TestStrongConnectivity:
     def test_complete_graph(self):
@@ -122,6 +138,29 @@ class TestStrongConnectivity:
                         arcs.add((i, j))
             g = od.DirectedGraph(n, frozenset(arcs))
             assert od.is_strongly_connected(g) == floyd_warshall_strongly_connected(g)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.data())
+    def test_matches_floyd_warshall_closure(self, data):
+        n = data.draw(st.integers(1, 10))
+        arc = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1))
+        arcs = data.draw(st.sets(arc, max_size=3 * n))
+        if data.draw(st.booleans()):
+            arcs |= {(i, i) for i in range(n)}
+        g = od.DirectedGraph(n, arcs)
+        assert g.n == n and g.arcs == arcs
+        assert od.is_strongly_connected(g) == floyd_warshall_strongly_connected(g)
+        reach = floyd_warshall_closure(g)
+        mutual = reach & reach.T
+        classes = {frozenset(np.flatnonzero(mutual[v]).tolist()) for v in range(n)}
+        comps = od.strongly_connected_components(g)
+        assert len(comps) == len(classes)
+        assert set(comps) == classes
+
+    def test_arc_outside_vertex_range_rejected(self):
+        for arc in ((0, 3), (3, 0), (-1, 0), (0, -1)):
+            with pytest.raises(ShapeError):
+                od.DirectedGraph(3, [(0, 1), arc])
 
     def test_components_partition_vertices(self):
         g = od.DirectedGraph(4, frozenset({(0, 1), (1, 0), (2, 3)}))
