@@ -21,8 +21,9 @@ def show_susceptibility_profiles():
     kinds = [od.DeGroot(), od.StubbornPositive(), od.StubbornNeutral(),
              od.StubbornExtremist()]
     print(f"{'x':>6} " + " ".join(f"{k.name:>18}" for k in kinds))
-    for x in grid:
-        row = " ".join(f"{od.susceptibility(k, 0, x):>18.3f}" for k in kinds)
+    profiles = np.column_stack([od.susceptibility_profile(k, grid) for k in kinds])
+    for x, fs in zip(grid, profiles):
+        row = " ".join(f"{f:>18.3f}" for f in fs)
         print(f"{x:>6.2f} {row}")
     print()
     print("stubborn_positive is immovable at +1 and fully open at -1;")

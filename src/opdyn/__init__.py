@@ -29,6 +29,7 @@ from .graph import (
     load_weight_matrix,
     parse_weight_matrix_text,
     random_strongly_connected_matrix,
+    schedule_rjsc_status,
     strongly_connected_components,
     uniform_complete_matrix,
     union_graph,
@@ -49,7 +50,6 @@ from .dynamics import (
     opinion_vector,
     simulate,
     step,
-    susceptibility,
     susceptibility_profile,
     system_matrix,
     write_trajectory_csv,
@@ -76,7 +76,6 @@ from .scenario import (
     load_scenario_file,
     run_comparison,
     run_scenario,
-    schedule_rjsc_status,
     summary_to_dict,
     write_scenario,
     write_summary,

@@ -61,7 +61,8 @@ def check_lemmas(record: TrajectoryRecord, slack: float = LEMMA_SLACK) -> LemmaR
     """
     if len(record.mins) < 1:
         raise PreconditionError("empty trajectory")
-    bad = np.nonzero((record.mins < -1.0 - slack) | (record.maxs > 1.0 + slack))[0]
+    inside = (record.mins >= -1.0 - slack) & (record.maxs <= 1.0 + slack)
+    bad = np.nonzero(~inside)[0]  # a NaN state is not inside
     interval_step = int(bad[0]) if bad.size else None
     dmin = np.nonzero(np.diff(record.mins) < -slack)[0]
     min_step = int(dmin[0] + 1) if dmin.size else None

@@ -20,6 +20,7 @@ from .graph import (
     StaticSchedule,
     find_window_parameters,
     parse_weight_matrix_text,
+    schedule_rjsc_status,
     validate_weight_matrix,
     verify_repeated_joint_connectivity,
 )
@@ -31,7 +32,6 @@ from .scenario import (
     load_scenario_file,
     run_comparison,
     run_scenario,
-    schedule_rjsc_status,
     write_summary,
 )
 

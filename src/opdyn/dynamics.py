@@ -79,9 +79,6 @@ class DeGroot:
     def values(self, x: np.ndarray) -> np.ndarray:
         return np.ones_like(x)
 
-    def at(self, i: int, x_i: float) -> float:
-        return 1.0
-
 
 @dataclass(frozen=True)
 class Constant:
@@ -105,9 +102,6 @@ class Constant:
                 f"openness has {len(self.openness)} agents, opinions have {x.shape[0]}")
         return np.array(self.openness)
 
-    def at(self, i: int, x_i: float) -> float:
-        return self.openness[i]
-
 
 @dataclass(frozen=True)
 class StubbornPositive:
@@ -115,9 +109,6 @@ class StubbornPositive:
 
     def values(self, x: np.ndarray) -> np.ndarray:
         return 0.5 * (1.0 - x)
-
-    def at(self, i: int, x_i: float) -> float:
-        return 0.5 * (1.0 - x_i)
 
 
 @dataclass(frozen=True)
@@ -127,9 +118,6 @@ class StubbornNeutral:
     def values(self, x: np.ndarray) -> np.ndarray:
         return x * x
 
-    def at(self, i: int, x_i: float) -> float:
-        return x_i * x_i
-
 
 @dataclass(frozen=True)
 class StubbornExtremist:
@@ -137,9 +125,6 @@ class StubbornExtremist:
 
     def values(self, x: np.ndarray) -> np.ndarray:
         return 1.0 - x * x
-
-    def at(self, i: int, x_i: float) -> float:
-        return 1.0 - x_i * x_i
 
 
 _PROBE_GRID = np.linspace(OPINION_MIN, OPINION_MAX, 2001)  # 1e-3 spacing
@@ -175,20 +160,10 @@ class Custom:
     def values(self, x: np.ndarray) -> np.ndarray:
         return np.asarray(self.fn(x), dtype=float)
 
-    def at(self, i: int, x_i: float) -> float:
-        return float(np.asarray(self.fn(np.array([x_i])), dtype=float)[0])
-
 
 SusceptibilityKind = Union[
     DeGroot, Constant, StubbornPositive, StubbornNeutral, StubbornExtremist, Custom,
 ]
-
-
-def susceptibility(kind: SusceptibilityKind, i: int, x_i: float) -> float:
-    """Openness of agent ``i`` at her current opinion."""
-    if not OPINION_MIN <= x_i <= OPINION_MAX:
-        raise DomainError(f"opinion {x_i!r} outside [-1, 1]")
-    return float(min(1.0, max(0.0, kind.at(i, float(x_i)))))
 
 
 def susceptibility_profile(kind: SusceptibilityKind, x: np.ndarray) -> np.ndarray:

@@ -310,10 +310,6 @@ class StaticSchedule:
     def pool(self) -> tuple[WeightMatrix, ...]:
         return (self.matrix,)
 
-    @property
-    def period(self) -> int:
-        return 1
-
     def matrix_at(self, t: int) -> WeightMatrix:
         _check_step(t, self.horizon)
         return self.matrix
@@ -338,10 +334,6 @@ class PeriodicSchedule:
     @property
     def pool(self) -> tuple[WeightMatrix, ...]:
         return self.matrices
-
-    @property
-    def period(self) -> int:
-        return len(self.matrices)
 
     def matrix_at(self, t: int) -> WeightMatrix:
         _check_step(t, self.horizon)
@@ -376,9 +368,28 @@ class RandomSchedule:
 GraphSchedule = Union[StaticSchedule, PeriodicSchedule, RandomSchedule]
 
 
-def _window_union(schedule: GraphSchedule, start: int, length: int) -> DirectedGraph:
-    return union_graph(
-        [schedule.matrix_at(t).graph for t in range(start, start + length)])
+def _jointly_connected(matrices: Iterable[WeightMatrix]) -> bool:
+    """Strong connectivity of the union of the matrices' graphs."""
+    return is_strongly_connected(union_graph([m.graph for m in matrices]))
+
+
+def schedule_rjsc_status(schedule: GraphSchedule) -> Optional[bool]:
+    """Repeated joint strong connectivity of a schedule, where decidable.
+
+    Static and periodic: every window of one period draws exactly the
+    cycled matrices, so the condition holds iff their union is strongly
+    connected. Random: True when every pool member is strongly connected
+    on its own (then even single-step windows verify); False when even the
+    pool union is not; None otherwise, since the property then depends on
+    the unbounded realization.
+    """
+    if not isinstance(schedule, RandomSchedule):
+        return _jointly_connected(schedule.pool)
+    if all(_jointly_connected((m,)) for m in schedule.pool):
+        return True
+    if not _jointly_connected(schedule.pool):
+        return False
+    return None
 
 
 def verify_repeated_joint_connectivity(
@@ -398,7 +409,8 @@ def verify_repeated_joint_connectivity(
     examined and the answer is exact for all time; for seeded-random and
     horizon-bounded schedules every window up to ``horizon`` (clipped to
     the schedule's own horizon) is examined and the answer certifies that
-    range only.
+    range only. A window's union depends only on the set of pool matrices
+    it draws, so each distinct set is checked once per call.
     """
     if p < 1 or q < 1:
         raise PreconditionError(f"window parameters must satisfy p,q >= 1, got p={p} q={q}")
@@ -410,14 +422,19 @@ def verify_repeated_joint_connectivity(
             f"horizon {last} shorter than the first window ending at {q + p - 1}")
 
     if isinstance(schedule, (StaticSchedule, PeriodicSchedule)) and schedule.horizon is None:
-        distinct = schedule.period // math.gcd(p, schedule.period)
-        starts: Iterable[int] = (q + k * p for k in range(distinct))
+        period = len(schedule.pool)
+        count = period // math.gcd(p, period)
     else:
         count = (last - (q + p - 1)) // p + 1
-        starts = (q + k * p for k in range(count))
 
-    return all(
-        is_strongly_connected(_window_union(schedule, s, p)) for s in starts)
+    connected: set[frozenset] = set()  # matrices compare by identity
+    for start in range(q, q + count * p, p):
+        drawn = frozenset(schedule.matrix_at(t) for t in range(start, start + p))
+        if drawn not in connected:
+            if not _jointly_connected(drawn):
+                return False
+            connected.add(drawn)
+    return True
 
 
 def find_window_parameters(

@@ -52,7 +52,7 @@ def indexed_choice(seed: int, step: int, n: int) -> int:
     """Stateless draw from range(n) for a given (seed, step) pair."""
     if n <= 0:
         raise ValueError("choice over an empty range")
-    return mix64((seed & _MASK) ^ mix64(((step & _MASK) + 1) * _GAMMA)) % n
+    return derive_seed(seed, step) % n
 
 
 class SplitMix64:

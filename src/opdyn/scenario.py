@@ -33,7 +33,7 @@ from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Optional
 
 import numpy as np
@@ -66,15 +66,16 @@ from .graph import (
     RandomSchedule,
     StaticSchedule,
     WeightMatrix,
-    is_strongly_connected,
     random_strongly_connected_matrix,
-    union_graph,
+    schedule_rjsc_status,
     validate_weight_matrix,
 )
 from .rng import SplitMix64, derive_seed
 
 SCHEMA_VERSION = 1
 DEFAULT_BETA = 1e-12
+
+_STOP_DEFAULTS = asdict(StopRule())  # a document's stop fields, in order
 
 _X0_STREAM = 0
 _SCHEDULE_STREAM = 1
@@ -256,13 +257,7 @@ def _normalize_document(doc: dict) -> dict:
         "x0": doc["x0"],
         "schedule": dict(doc["schedule"]),
         "susceptibility": doc["susceptibility"],
-        "stop": {
-            "max_steps": 10**6,
-            "consensus_epsilon": 1e-9,
-            "target": None,
-            "target_epsilon": None,
-            **(doc.get("stop") or {}),
-        },
+        "stop": {**_STOP_DEFAULTS, **(doc.get("stop") or {})},
         "seed": doc.get("seed", 0),
     }
     if "name" in doc:
@@ -406,28 +401,6 @@ def build_schedule(scenario: Scenario, seed: Optional[int] = None) -> GraphSched
         return PeriodicSchedule(scenario.matrices, horizon=scenario.horizon)
     return RandomSchedule(
         scenario.matrices, seed=derive_seed(active, _SCHEDULE_STREAM), horizon=scenario.horizon)
-
-
-def schedule_rjsc_status(schedule: GraphSchedule) -> Optional[bool]:
-    """Repeated joint strong connectivity of a schedule, where decidable.
-
-    Static: the matrix graph must be strongly connected. Periodic: window
-    unions over one period cover exactly the cycled matrices, so the
-    condition holds iff the union over the cycle is strongly connected.
-    Random: True when every pool member is strongly connected on its own
-    (then even single-step windows verify); False when even the pool
-    union is not; None otherwise, since the property then depends on the
-    unbounded realization.
-    """
-    if isinstance(schedule, StaticSchedule):
-        return is_strongly_connected(schedule.matrix.graph)
-    if isinstance(schedule, PeriodicSchedule):
-        return is_strongly_connected(union_graph([m.graph for m in schedule.matrices]))
-    if all(is_strongly_connected(m.graph) for m in schedule.pool):
-        return True
-    if not is_strongly_connected(union_graph([m.graph for m in schedule.pool])):
-        return False
-    return None
 
 
 @dataclass(frozen=True, eq=False)

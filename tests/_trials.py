@@ -6,6 +6,8 @@ reproduce exactly.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 import opdyn as od
@@ -94,6 +96,30 @@ def random_periodic_schedule(n: int, rng: SplitMix64) -> od.PeriodicSchedule:
     else:
         mats = [random_matrix(n, rng) for _ in range(2 + rng.randrange(2))]
     return od.PeriodicSchedule(tuple(mats))
+
+
+def verify_by_window(schedule: od.GraphSchedule, p: int, q: int, horizon: int) -> bool:
+    """Reference window check: the same window starts as
+    ``verify_repeated_joint_connectivity``, with a fresh union and a fresh
+    connectivity test for every window and nothing remembered between
+    windows."""
+    if p < 1 or q < 1:
+        raise od.PreconditionError(f"window parameters must satisfy p,q >= 1, got p={p} q={q}")
+    last = horizon
+    if schedule.horizon is not None:
+        last = min(last, schedule.horizon - 1)
+    if last < q + p - 1:
+        raise od.PreconditionError(f"horizon {last} shorter than the first window")
+    if not isinstance(schedule, od.RandomSchedule) and schedule.horizon is None:
+        period = len(schedule.pool)
+        count = period // math.gcd(p, period)
+    else:
+        count = (last - (q + p - 1)) // p + 1
+    starts = [q + k * p for k in range(count)]
+    return all(
+        od.is_strongly_connected(
+            od.union_graph([schedule.matrix_at(t).graph for t in range(s, s + p)]))
+        for s in starts)
 
 
 def floyd_warshall_closure(graph: od.DirectedGraph) -> np.ndarray:

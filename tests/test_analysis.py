@@ -21,9 +21,12 @@ class TestCheckLemmas:
             assert od.check_lemmas(rec).ok
 
     def test_forged_interval_violation(self):
-        rec = od.TrajectoryRecord.from_states([[0.5, 0.0], [1.5, 0.0]])
-        report = od.check_lemmas(rec)
-        assert report.interval_step == 1
+        for states in (
+            [[0.5, 0.0], [1.5, 0.0]],
+            [[0.5, -0.5], [np.nan, -0.5], [0.4, -0.4]],  # NaN is not inside [-1, 1]
+        ):
+            rec = od.TrajectoryRecord.from_states(states)
+            assert od.check_lemmas(rec).interval_step == 1
 
     def test_forged_min_decrease(self):
         rec = od.TrajectoryRecord.from_states([[0.2, 0.6], [0.1, 0.6], [0.1, 0.6]])

@@ -56,20 +56,15 @@ class TestSusceptibility:
         (od.DeGroot(), 0.3, 1.0),
     ])
     def test_endpoint_values(self, kind, x, expected):
-        assert od.susceptibility(kind, 0, x) == expected
+        assert od.susceptibility_profile(kind, np.array([x])).tolist() == [expected]
 
     def test_constant_is_per_agent(self):
         kind = od.Constant((0.2, 0.9))
-        assert od.susceptibility(kind, 0, 0.5) == 0.2
-        assert od.susceptibility(kind, 1, -0.5) == 0.9
+        assert od.susceptibility_profile(kind, np.array([0.5, -0.5])).tolist() == [0.2, 0.9]
 
     def test_constant_range_checked(self):
         with pytest.raises(ValidationError):
             od.Constant((0.5, 1.2))
-
-    def test_domain_error_outside_interval(self):
-        with pytest.raises(DomainError):
-            od.susceptibility(od.DeGroot(), 0, 1.01)
 
     def test_every_kind_maps_into_unit_interval(self):
         grid = np.linspace(-1.0, 1.0, 401)
@@ -79,7 +74,7 @@ class TestSusceptibility:
 
     def test_custom_probe_accepts_valid(self):
         kind = od.Custom(lambda x: 0.5 * (1.0 + x * x), label="half_plus")
-        assert od.susceptibility(kind, 0, 0.0) == 0.5
+        assert od.susceptibility_profile(kind, np.array([0.0])).tolist() == [0.5]
 
     def test_custom_probe_rejects_out_of_range(self):
         with pytest.raises(ValidationError):

@@ -18,8 +18,10 @@ from opdyn.rng import SplitMix64
 from _trials import (
     floyd_warshall_closure,
     floyd_warshall_strongly_connected,
+    half_cycle_matrices,
     random_valid_matrix,
     trial_rng,
+    verify_by_window,
 )
 
 
@@ -254,6 +256,56 @@ class TestRepeatedJointConnectivity:
         assert od.verify_repeated_joint_connectivity(sched, 2, 1, 100)
         with pytest.raises(PreconditionError):
             od.verify_repeated_joint_connectivity(sched, 4, 1, 100)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.data())
+    def test_matches_per_window_reference(self, data):
+        rng = trial_rng(12, data.draw(st.integers(0, 2**16), label="trial"))
+        n = data.draw(st.integers(2, 6), label="n")
+        candidates = [*half_cycle_matrices(n, rng), random_valid_matrix(n, rng)]
+        picks = data.draw(st.lists(st.integers(0, 2), min_size=1, max_size=3), label="pool")
+        pool = tuple(candidates[k] for k in picks)  # may hold one matrix object twice
+        kind = data.draw(st.sampled_from(["static", "periodic", "random"]), label="kind")
+        bound = data.draw(st.none() | st.integers(1, 40), label="schedule horizon")
+        if kind == "static":
+            schedule = od.StaticSchedule(pool[0], horizon=bound)
+        elif kind == "periodic":
+            schedule = od.PeriodicSchedule(pool, horizon=bound)
+        else:
+            seed = data.draw(st.integers(0, 2**64 - 1), label="seed")
+            schedule = od.RandomSchedule(pool, seed=seed, horizon=bound)
+        p = data.draw(st.integers(1, 4), label="p")
+        q = data.draw(st.integers(1, p), label="q")
+        horizon = data.draw(st.integers(1, 40), label="horizon")
+        try:
+            expected = verify_by_window(schedule, p, q, horizon)
+        except PreconditionError:
+            with pytest.raises(PreconditionError):
+                od.verify_repeated_joint_connectivity(schedule, p, q, horizon)
+        else:
+            assert od.verify_repeated_joint_connectivity(schedule, p, q, horizon) is expected
+
+        # On the pool cycled in order, one window of a whole period draws
+        # every member, and single-step windows draw each member alone.
+        cycle = od.PeriodicSchedule(schedule.pool)
+        k = len(cycle.pool)
+        whole, each = verify_by_window(cycle, k, 1, k), verify_by_window(cycle, 1, 1, k)
+        status = od.schedule_rjsc_status(schedule)
+        if kind == "random":
+            assert status is (True if each else None if whole else False)
+        else:
+            assert status is whole
+
+    def test_repeated_matrix_object_in_pool(self):
+        a, b = half_cycle_matrices(5, trial_rng(13, 0))
+        sched = od.PeriodicSchedule((a, a, b))
+        # windows from step 1: (a, b) then (a, a), which draws a alone
+        assert not od.verify_repeated_joint_connectivity(sched, 2, 1, 10)
+        assert od.verify_repeated_joint_connectivity(sched, 3, 1, 10)
+        for p in (1, 2, 3):
+            random_sched = od.RandomSchedule((a, a, b), seed=p)
+            assert od.verify_repeated_joint_connectivity(random_sched, p, 1, 30) is (
+                verify_by_window(random_sched, p, 1, 30))
 
     def test_search_finds_smallest_window(self):
         assert od.find_window_parameters(alternating_two_agent_schedule(), 20) == (2, 1)

@@ -1,7 +1,9 @@
+import hashlib
+
 import numpy as np
 import pytest
 
-from opdyn.rng import _BLOCK, SplitMix64
+from opdyn.rng import _BLOCK, SplitMix64, derive_seed, indexed_choice
 
 
 class TestRandomBlock:
@@ -24,3 +26,22 @@ class TestRandomBlock:
     def test_negative_size_rejected(self):
         with pytest.raises(ValueError):
             SplitMix64(0).random_block(-1)
+
+
+class TestIndexedChoice:
+    def test_draws_are_pinned(self):
+        # Recorded before indexed_choice was written through derive_seed.
+        assert [indexed_choice(s, t, n) for s, t, n in [
+            (0, 0, 3), (0, 1, 3), (1, 0, 7), (42, 999, 5), (2**64 - 1, 2**64 - 1, 1000),
+            (derive_seed(1, 1), 2000, 3), (7, 12345, 2**64 - 1),
+        ]] == [1, 1, 4, 4, 67, 2, 3719304745057761342]
+        seeds = [0, 1, 7, 42, 123456789, 2**63, 2**64 - 1, derive_seed(1, 1), derive_seed(7, 1)]
+        draws = [indexed_choice(s, t, n)
+                 for s in seeds for t in range(100) for n in (1, 2, 3, 5, 1000)]
+        assert hashlib.sha256(",".join(map(str, draws)).encode()).hexdigest() == (
+            "2219ff38838ef145d6a96f78a7b174a5c427b976cfc48f197a53d99a00bfb895")
+
+    @pytest.mark.parametrize("n", [0, -1])
+    def test_empty_range_rejected(self, n):
+        with pytest.raises(ValueError):
+            indexed_choice(1, 0, n)

@@ -1,5 +1,6 @@
 import hashlib
 import json
+from dataclasses import asdict
 
 import numpy as np
 import pytest
@@ -51,6 +52,7 @@ class TestLoadScenario:
         scenario = load(doc)
         assert scenario.stop.max_steps == 10**6
         assert scenario.stop.consensus_epsilon == 1e-9
+        assert scenario.document["stop"] == asdict(od.StopRule())
         assert scenario.seed == 0
         assert scenario.beta == 1e-12
         assert scenario.name is None
