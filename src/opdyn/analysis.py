@@ -201,10 +201,9 @@ def stationary_weights(
     """
     if not is_strongly_connected(matrix.graph):
         raise PreconditionError("matrix graph is not strongly connected")
-    w = matrix.entries
     c = np.full(matrix.n, 1.0 / matrix.n)
     for _ in range(max_iterations):
-        image = w.T @ c
+        image = matrix.rmatvec(c)
         if float(np.abs(image - c).max()) <= tol:
             return c
         c = image / image.sum()

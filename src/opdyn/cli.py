@@ -1,9 +1,10 @@
 """Command-line entry point.
 
 Exit codes: 0 on success, 1 on validation or precondition failure
-(including usage errors) and when ``simulate`` finds a lemma violation in
-its trajectory (after writing its artifacts), 2 on I/O failure. Artifact
-paths are relative to ``--out`` (default ``./out``).
+(including usage errors) and when ``simulate`` stops on a non-finite state
+or finds a lemma violation in its trajectory (after writing its
+artifacts), 2 on I/O failure. Artifact paths are relative to ``--out``
+(default ``./out``).
 """
 
 from __future__ import annotations
@@ -82,6 +83,10 @@ def _cmd_simulate(args) -> int:
     else:
         print(f"stopped: {summary.stop_reason} after {summary.steps} steps "
               f"(spread {record.spreads[-1]:.3e})")
+    if summary.stop_reason == "non_finite":
+        print(f"error: step {summary.steps + 1} produced a non-finite state; "
+              f"the artifacts end at step {summary.steps}", file=sys.stderr)
+        return 1
     lemmas = summary.lemmas
     if not lemmas.ok:
         step, clause = min((step, clause) for clause, step in (

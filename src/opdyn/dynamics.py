@@ -19,6 +19,14 @@ matrix-vector product, then clamped to ``[min x, max x]``:
   * the clamp makes "opinions stay in [-1, 1], the min never falls, the
     max never rises" hold by construction, whatever order the BLAS sums in.
 
+The product ``W d`` is ``WeightMatrix.matvec``: the dense array's, or,
+for a matrix of at least 400 agents with at most 0.04 n**2 nonzeros, a
+compressed-sparse-row product over the nonzeros alone, chosen once when
+the matrix is built. The CSR product sums in another order, so runs on
+such a matrix agree with the dense product only to within rounding
+(measured at most 4.4e-16 per entry of ``W d``); the shift and the
+clamp keep every guarantee above either way.
+
 Reruns with one version of opdyn (and one numpy/BLAS build) are
 bit-identical; trajectories agree with versions that used another
 arithmetic (the earlier n x n gap form) only to within rounding.
@@ -204,7 +212,7 @@ def system_matrix(x, matrix: WeightMatrix, kind: SusceptibilityKind) -> np.ndarr
     return s
 
 
-def _advance(x: np.ndarray, w: np.ndarray, kind: SusceptibilityKind,
+def _advance(x: np.ndarray, matrix: WeightMatrix, kind: SusceptibilityKind,
              lo: float, hi: float) -> np.ndarray:
     """The update kernel: ``x + f * (W d - d)`` with ``d = x - x[0]``,
     clamped to ``[lo, hi]``, the min and max of ``x``.
@@ -213,7 +221,7 @@ def _advance(x: np.ndarray, w: np.ndarray, kind: SusceptibilityKind,
     """
     f = susceptibility_profile(kind, x)
     d = x - x[0]
-    u = w @ d
+    u = matrix.matvec(d)
     u -= d
     u *= f
     u += x
@@ -234,7 +242,7 @@ def step(x, matrix: WeightMatrix, kind: SusceptibilityKind) -> np.ndarray:
     """
     xa = np.asarray(x, dtype=float)
     _check_dims(xa, matrix)
-    return _advance(xa, matrix.entries, kind, xa.min(), xa.max())
+    return _advance(xa, matrix, kind, xa.min(), xa.max())
 
 
 # ---------------------------------------------------------------------------
@@ -325,11 +333,14 @@ def simulate(
 ) -> TrajectoryRecord:
     """Iterate the opinion update until a stop condition fires.
 
-    Stop reasons, in the order they are checked at each recorded state:
-    ``"consensus"`` (spread below epsilon), ``"target"`` (all opinions
-    within target_epsilon of the predicted limit), ``"max_steps"``, and
-    ``"schedule_exhausted"`` for finite schedules that run out of matrices
-    before any other condition fires (reported, never silent).
+    Stop reasons, in the order they are checked at each new state:
+    ``"non_finite"`` (the step produced a NaN, say from a ``Custom``
+    susceptibility; that state is not recorded, and the final state is
+    the last finite one), ``"consensus"`` (spread below epsilon),
+    ``"target"`` (all opinions within target_epsilon of the predicted
+    limit), ``"max_steps"``, and ``"schedule_exhausted"`` for finite
+    schedules that run out of matrices before any other condition fires
+    (reported, never silent).
 
     The initial state is recorded as step 0, so an already-converged input
     yields a 0-transition record.
@@ -350,6 +361,10 @@ def simulate(
     while True:
         mn = float(x.min())
         mx = float(x.max())
+        if mx != mx:  # max propagates NaN, the one non-finite value the clamp lets through
+            reason = "non_finite"
+            x = finite
+            break
         mins.append(mn)
         maxs.append(mx)
         if keep_states:
@@ -364,11 +379,12 @@ def simulate(
             reason = "max_steps"
             break
         try:
-            w = schedule.matrix_at(t).entries
+            matrix = schedule.matrix_at(t)
         except ScheduleExhaustedError:
             reason = "schedule_exhausted"
             break
-        x = _advance(x, w, kind, mn, mx)
+        finite = x
+        x = _advance(x, matrix, kind, mn, mx)
         t += 1
 
     mins_a = np.array(mins)

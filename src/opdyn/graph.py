@@ -17,7 +17,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, Optional, Sequence, Union
+from typing import Iterable, NamedTuple, Optional, Sequence, Union
 
 import numpy as np
 
@@ -112,25 +112,87 @@ def validate_weight_matrix(entries, beta: float) -> ValidationReport:
     return ValidationReport(tuple(found))
 
 
+class _CSR(NamedTuple):
+    """Compressed sparse rows of a matrix (Saad, *Iterative Methods for
+    Sparse Linear Systems*, 2003, ch. 3): the nonzeros in row-major order
+    with their rows and columns, and the offset where each row starts."""
+
+    rows: np.ndarray
+    cols: np.ndarray
+    vals: np.ndarray
+    starts: np.ndarray
+
+
+# Storage is chosen once per matrix: a CSR copy is kept when the matrix has
+# at least _CSR_MIN_N agents and at most _CSR_MAX_DENSITY * n**2 nonzeros.
+# In single-thread matvec timings (README, "Reproducibility") the dense
+# product won or tied below _CSR_MIN_N at every density, and CSR never lost
+# inside these bounds.
+_CSR_MIN_N = 400
+_CSR_MAX_DENSITY = 0.04
+
+
+def _csr_or_none(arr: np.ndarray) -> Optional[_CSR]:
+    """A CSR copy of ``arr`` when sparse storage pays off, else None.
+
+    An all-zero row keeps one stored zero on its diagonal, so that every
+    row has an entry, as ``np.add.reduceat`` needs.
+    """
+    n = arr.shape[0]
+    if n < _CSR_MIN_N:
+        return None
+    support = arr != 0.0  # nonzero on a boolean array is several times faster
+    if np.count_nonzero(support) > _CSR_MAX_DENSITY * n * n:
+        return None
+    zero_diagonal = np.flatnonzero(arr.diagonal() == 0.0)
+    empty = zero_diagonal[~support[zero_diagonal].any(axis=1)]
+    support[empty, empty] = True
+    rows, cols = np.divmod(np.flatnonzero(support), n)
+    starts = np.searchsorted(rows, np.arange(n))
+    return _CSR(rows, cols, arr[rows, cols], starts)
+
+
 @dataclass(frozen=True, eq=False)
 class WeightMatrix:
     """Row-stochastic influence matrix with its declared weight floor.
 
     Construct through :func:`weight_matrix` to get invariants enforced;
     direct construction only checks squareness.
+
+    ``matvec`` and ``rmatvec`` compute ``W v`` and ``W^T v``. Construction
+    decides, once, whether they run on the dense ``entries`` or on a CSR
+    copy; a large sparse matrix gets the CSR copy, whose sums run in
+    another order and so agree with the dense products to within rounding.
     """
 
     entries: np.ndarray
     beta: float
 
     def __post_init__(self):
-        arr = _as_square(self.entries).copy()
+        arr = _as_square(self.entries)
+        # CSR first, so that its temporaries are gone before the copy exists.
+        object.__setattr__(self, "_csr", _csr_or_none(arr))
+        arr = arr.copy()
         arr.setflags(write=False)
         object.__setattr__(self, "entries", arr)
 
     @property
     def n(self) -> int:
         return self.entries.shape[0]
+
+    def matvec(self, v: np.ndarray) -> np.ndarray:
+        """``W v`` as a new array."""
+        csr = self._csr
+        if csr is None:
+            return self.entries @ v
+        return np.add.reduceat(csr.vals * v[csr.cols], csr.starts)
+
+    def rmatvec(self, v: np.ndarray) -> np.ndarray:
+        """``W^T v`` as a new array."""
+        csr = self._csr
+        if csr is None:
+            return self.entries.T @ v
+        return np.bincount(csr.cols, csr.vals * v[csr.rows], minlength=self.n)
 
     @cached_property
     def graph(self) -> "DirectedGraph":
@@ -369,20 +431,26 @@ GraphSchedule = Union[StaticSchedule, PeriodicSchedule, RandomSchedule]
 
 
 def _jointly_connected(matrices: Iterable[WeightMatrix]) -> bool:
-    """Strong connectivity of the union of the matrices' graphs."""
-    return is_strongly_connected(union_graph([m.graph for m in matrices]))
+    """Strong connectivity of the union of the matrices' graphs; a single
+    matrix's graph is swept as it is, without a union copy."""
+    graphs = [m.graph for m in matrices]
+    return is_strongly_connected(graphs[0] if len(graphs) == 1 else union_graph(graphs))
 
 
 def schedule_rjsc_status(schedule: GraphSchedule) -> Optional[bool]:
     """Repeated joint strong connectivity of a schedule, where decidable.
 
-    Static and periodic: every window of one period draws exactly the
-    cycled matrices, so the condition holds iff their union is strongly
-    connected. Random: True when every pool member is strongly connected
-    on its own (then even single-step windows verify); False when even the
-    pool union is not; None otherwise, since the property then depends on
-    the unbounded realization.
+    Bounded (finite ``horizon``): False, since the condition asks for
+    connected windows without end and a bounded schedule runs out of
+    matrices. Static and periodic: every window of one period draws
+    exactly the cycled matrices, so the condition holds iff their union is
+    strongly connected. Random: True when every pool member is strongly
+    connected on its own (then even single-step windows verify); False
+    when even the pool union is not; None otherwise, since the property
+    then depends on the unbounded realization.
     """
+    if schedule.horizon is not None:
+        return False
     if not isinstance(schedule, RandomSchedule):
         return _jointly_connected(schedule.pool)
     if all(_jointly_connected((m,)) for m in schedule.pool):
@@ -484,10 +552,10 @@ def random_strongly_connected_matrix(
     for k in range(n):
         a, b = order[k], order[(k + 1) % n]
         support[b, a] = True  # arc a -> b: b listens to a
-    off_diagonal = ~np.eye(n, dtype=bool)
-    support[off_diagonal] |= rng.random_block(n * (n - 1)) < edge_probability
+    support[~np.eye(n, dtype=bool)] |= rng.random_block(n * (n - 1)) < edge_probability
     entries = np.zeros((n, n))
     entries[support] = 1.0 + rng.random_block(int(support.sum()))  # uniform(1, 2)
+    del support  # freed before weight_matrix copies entries, where memory peaks
     entries /= entries.sum(axis=1, keepdims=True)
     beta = float(entries[entries > 0].min())
     return weight_matrix(entries, beta)

@@ -81,6 +81,11 @@ _X0_STREAM = 0
 _SCHEDULE_STREAM = 1
 _MATRIX_STREAM = 2
 
+# generate_initial draws its opinions in one numpy block from this many agents
+# on; below it, scalar draws cost less than the block's fixed numpy overhead
+# (measured 2-5 us against 12 us at n = 3-8; they cross near n = 24).
+_BLOCK_DRAW_MIN_N = 24
+
 _KIND_NAMES = {
     "degroot": DeGroot,
     "stubborn_positive": StubbornPositive,
@@ -108,6 +113,12 @@ def generate_initial(low: float, high: float, n: int, seed: int) -> np.ndarray:
         raise PreconditionError(f"need at least one agent, got {n}")
     if low == high:
         return np.full(n, float(low))
+    if n >= _BLOCK_DRAW_MIN_N:
+        out = low + (high - low) * SplitMix64(seed).random_block(n)  # as rng.uniform, draw by draw
+        if np.all((low < out) & (out < high)):
+            return out
+    # Draw one by one, rejecting endpoints: for few agents, or when a block
+    # hit an endpoint (then from a fresh generator, giving the same values).
     rng = SplitMix64(seed)
     out = np.empty(n)
     for i in range(n):

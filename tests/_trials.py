@@ -54,6 +54,12 @@ def gap_form_step(x, matrix: od.WeightMatrix, kind: od.SusceptibilityKind) -> np
     return x + f * gaps
 
 
+def nan_spike_kind() -> od.Custom:
+    """``x**2`` except NaN within 1e-5 of 0.3001, which falls between the
+    1e-3 probe points, so construction accepts it."""
+    return od.Custom(lambda x: np.where(np.abs(x - 0.3001) < 1e-5, np.nan, x * x), "nan_spike")
+
+
 def random_opinions(n: int, rng: SplitMix64, pin_extremes: bool = False) -> np.ndarray:
     """Uniform opinions; with ``pin_extremes``, some entries are set to
     exactly -1, 0, or +1 to exercise the boundary arithmetic."""

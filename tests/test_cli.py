@@ -8,6 +8,8 @@ import opdyn.scenario
 from opdyn.analysis import LemmaReport
 from opdyn.cli import main
 
+from _trials import nan_spike_kind
+
 
 QUARTER = [[0.25] * 4 for _ in range(4)]
 
@@ -77,6 +79,28 @@ class TestSimulateCommand:
         summary = json.loads((out / "dissenter.summary.json").read_text())
         assert summary["lemma_checks"] == {"interval_step": None, "min_step": 3, "max_step": 2}
         assert "lemma violation at step 2 (max_step)" in capsys.readouterr().err
+
+    def test_non_finite_state_exits_one_after_writing(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setitem(opdyn.scenario._KIND_NAMES, "stubborn_neutral", nan_spike_kind)
+        path = write_scenario(tmp_path, {
+            "schema": 1,
+            "name": "spike",
+            "n": 3,
+            "beta": 0.25,
+            "x0": [0.3001, -0.5, 0.9],
+            "schedule": {"kind": "static",
+                         "matrix": [[0.5, 0.25, 0.25], [0.25, 0.5, 0.25], [0.25, 0.25, 0.5]]},
+            "susceptibility": "stubborn_neutral",
+            "stop": {"max_steps": 20000, "consensus_epsilon": 1e-9},
+            "seed": 7,
+        })
+        out = tmp_path / "out"
+        assert main(["simulate", path, "--out", str(out)]) == 1
+        assert "step 1 produced a non-finite state" in capsys.readouterr().err
+        summary = json.loads((out / "spike.summary.json").read_text())
+        assert summary["stop_reason"] == "non_finite"
+        assert summary["final_state"] == [0.3001, -0.5, 0.9]
+        assert len((out / "spike.trajectory.csv").read_text().splitlines()) == 2
 
     def test_missing_file_is_io_failure(self, tmp_path, capsys):
         code = main(["simulate", str(tmp_path / "absent.json"), "--out", str(tmp_path)])

@@ -16,6 +16,7 @@ from _trials import (
     ALL_KINDS,
     NEVER,
     gap_form_step,
+    nan_spike_kind,
     random_kind,
     random_opinions,
     random_valid_matrix,
@@ -266,6 +267,35 @@ class TestSimulate:
                           od.StubbornExtremist(), od.StopRule(max_steps=50, consensus_epsilon=NEVER))
         assert rec.stop_reason == "schedule_exhausted"
         assert rec.steps == 3
+
+    def test_non_finite_state_stops_the_run(self):
+        x0 = np.array([0.3001, -0.5, 0.9])
+        rec = od.simulate(x0, od.StaticSchedule(od.uniform_complete_matrix(3)),
+                          nan_spike_kind(), od.StopRule(max_steps=20_000))
+        # the first step turns the state NaN; it is not recorded
+        assert rec.stop_reason == "non_finite"
+        assert rec.steps == 0
+        assert np.array_equal(rec.final_state, x0)
+        assert np.array_equal(rec.states, x0[None, :])
+        assert od.check_lemmas(rec).ok
+
+    def test_non_finite_stop_keeps_the_last_finite_state(self):
+        calls = []
+
+        def nan_from_sixth_step(x):
+            calls.append(None)  # construction probes once, simulate checks once
+            return np.full_like(x, np.nan) if len(calls) > 7 else x * x
+
+        w = od.random_strongly_connected_matrix(5, trial_rng(26, 0), 0.5)
+        x0 = np.array([0.9, -0.3, 0.1, -0.7, 0.44])
+        stop = od.StopRule(max_steps=100, consensus_epsilon=NEVER)
+        rec = od.simulate(x0, od.StaticSchedule(w), od.Custom(nan_from_sixth_step), stop)
+        assert rec.stop_reason == "non_finite"
+        assert rec.steps == 5
+        five = od.simulate(x0, od.StaticSchedule(w), od.StubbornNeutral(),
+                           od.StopRule(max_steps=5, consensus_epsilon=NEVER))
+        assert np.array_equal(rec.final_state, five.final_state)
+        assert np.array_equal(rec.states, five.states)
 
     def test_dimension_guards(self):
         w = od.uniform_complete_matrix(3)

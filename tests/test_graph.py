@@ -290,8 +290,12 @@ class TestRepeatedJointConnectivity:
         cycle = od.PeriodicSchedule(schedule.pool)
         k = len(cycle.pool)
         whole, each = verify_by_window(cycle, k, 1, k), verify_by_window(cycle, 1, 1, k)
+        # A bounded schedule runs out of matrices, so no unending sequence
+        # of connected windows exists.
         status = od.schedule_rjsc_status(schedule)
-        if kind == "random":
+        if bound is not None:
+            assert status is False
+        elif kind == "random":
             assert status is (True if each else None if whole else False)
         else:
             assert status is whole
@@ -313,6 +317,23 @@ class TestRepeatedJointConnectivity:
     def test_search_reports_absence(self):
         sched = od.StaticSchedule(od.weight_matrix(np.eye(3), beta=0.5))
         assert od.find_window_parameters(sched, 10) is None
+
+    def test_bounded_schedule_status_is_false(self):
+        a, b = half_cycle_matrices(6, trial_rng(16, 0))
+        assert od.schedule_rjsc_status(od.PeriodicSchedule((a, b))) is True
+        bounded = od.PeriodicSchedule((a, b), horizon=1)  # a run sees only a
+        assert od.schedule_rjsc_status(bounded) is False
+        rec = od.simulate(np.linspace(-0.5, 0.5, 6), bounded, od.DeGroot())
+        assert rec.stop_reason == "schedule_exhausted"
+
+    def test_single_matrix_is_swept_without_a_union(self, monkeypatch):
+        def no_union(graphs):
+            raise AssertionError("union built for a single matrix")
+
+        monkeypatch.setattr(od.graph, "union_graph", no_union)
+        assert od.schedule_rjsc_status(od.StaticSchedule(ring_matrix(5))) is True
+        identity = od.weight_matrix(np.eye(4), beta=0.5)
+        assert od.schedule_rjsc_status(od.StaticSchedule(identity)) is False
 
 
 class TestSchedules:

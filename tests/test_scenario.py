@@ -134,6 +134,25 @@ class TestGenerateInitial:
         assert a.shape == (30,)
         assert np.all((a > 0.0) & (a < 1.0))
 
+    # sha256 of x0's bytes, recorded from the draw-by-draw generator. The
+    # last interval holds one double, so endpoints come up: at n = 40 the
+    # block draw hits one and the draws are redone one by one.
+    @pytest.mark.parametrize("low,high,n,seed,x0_sha256", [
+        (0.0, 1.0, 30, 11, "589029ccb1720e73ebf5ee446a55fc378fccc8cbcc76ae86b51434b3a37e166d"),
+        (-1.0, 1.0, 1000, 1, "fbcf5f77c83cc888f0af5cc83116d7aa7a8db9bccfa1ec9a042f2868ddff8501"),
+        (0.05, 0.5, 1000, 2**64 - 1,
+         "40676727174977b0d84cadd6259810f19f07f6b764d5f3a5bfee63bb79b0e0d2"),
+        (-0.9, -0.1, 7, 12345, "c85d8dafc9e65afee6f8b50178cd0915feecd45fb6435817337e214d78a2989a"),
+        (0.25, 0.2500000000000001, 5, 3,
+         "54b08b36b35aea11da1c24cd73879e1eb96587bab12d24ce42a801fdf7e4115c"),
+        (0.25, 0.2500000000000001, 40, 3,
+         "64a3b8ec33565c6d4f07c4a4aaa266279c36d3a762cc62026b9a82a613706019"),
+    ])
+    def test_output_is_pinned(self, low, high, n, seed, x0_sha256):
+        x0 = od.generate_initial(low, high, n, seed)
+        assert hashlib.sha256(x0.tobytes()).hexdigest() == x0_sha256
+        assert np.all((low < x0) & (x0 < high))
+
     def test_degenerate_interval_gives_constant(self):
         assert np.array_equal(od.generate_initial(0.3, 0.3, 5, seed=1), np.full(5, 0.3))
         assert np.array_equal(od.generate_initial(-1.0, -1.0, 3, seed=1), np.full(3, -1.0))
