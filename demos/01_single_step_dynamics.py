@@ -35,7 +35,7 @@ def show_one_step_matrix():
     print("=" * 64)
     print("ONE-STEP MATRIX S = I - F + F W IS ALWAYS ROW-STOCHASTIC")
     print("=" * 64)
-    w = od.weight_matrix([[0.5, 0.5], [0.5, 0.5]], beta=0.5)
+    w = od.WeightMatrix([[0.5, 0.5], [0.5, 0.5]], beta=0.5)
     x = [1.0, -1.0]
     s = od.system_matrix(x, w, od.StubbornPositive())
     print(f"opinions x = {x}")

@@ -23,7 +23,7 @@ def split_ring_matrices(n):
         for k in arcs:
             entries[(k + 1) % n, k] = 1.0
         entries /= entries.sum(axis=1, keepdims=True)
-        halves.append(od.weight_matrix(entries, beta=0.5))
+        halves.append(od.WeightMatrix(entries, beta=0.5))
     return halves
 
 

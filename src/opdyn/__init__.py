@@ -26,16 +26,13 @@ from .graph import (
     find_window_parameters,
     graph_of_matrix,
     is_strongly_connected,
-    load_weight_matrix,
     parse_weight_matrix_text,
     random_strongly_connected_matrix,
     schedule_rjsc_status,
-    strongly_connected_components,
     uniform_complete_matrix,
     union_graph,
     validate_weight_matrix,
     verify_repeated_joint_connectivity,
-    weight_matrix,
 )
 from .dynamics import (
     Constant,

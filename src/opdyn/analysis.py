@@ -194,7 +194,9 @@ def stationary_weights(
 
     Power iteration on the transpose from the uniform vector; the positive
     diagonal of a valid matrix rules out periodicity, so the iteration
-    converges for every strongly connected input. The returned vector's
+    converges in the limit for every strongly connected input, but a
+    slowly mixing graph (a directed ring of several hundred agents) can
+    need more than ``max_iterations`` steps. The returned vector's
     residual ``max |W^T c - c|`` is at most ``tol``; raises
     ``ConvergenceError`` if no iterate gets there within the iteration
     budget.

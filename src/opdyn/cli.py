@@ -254,9 +254,6 @@ def main(argv=None) -> int:
     try:
         args = parser.parse_args(argv)
         return args.handler(args)
-    except _UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
     except OpdynError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -290,10 +290,14 @@ class TrajectoryRecord:
 
     mins: np.ndarray
     maxs: np.ndarray
-    spreads: np.ndarray
     final_state: np.ndarray
     stop_reason: str
     states: Optional[np.ndarray] = None
+
+    @property
+    def spreads(self) -> np.ndarray:
+        """Per-step spread ``maxs - mins``."""
+        return self.maxs - self.mins
 
     @property
     def steps(self) -> int:
@@ -317,7 +321,6 @@ class TrajectoryRecord:
         return cls(
             mins=arr.min(axis=1),
             maxs=arr.max(axis=1),
-            spreads=arr.max(axis=1) - arr.min(axis=1),
             final_state=arr[-1].copy(),
             stop_reason=stop_reason,
             states=arr.copy(),
@@ -387,12 +390,9 @@ def simulate(
         x = _advance(x, matrix, kind, mn, mx)
         t += 1
 
-    mins_a = np.array(mins)
-    maxs_a = np.array(maxs)
     return TrajectoryRecord(
-        mins=mins_a,
-        maxs=maxs_a,
-        spreads=maxs_a - mins_a,
+        mins=np.array(mins),
+        maxs=np.array(maxs),
         final_state=x,
         stop_reason=reason,
         states=np.array(states) if keep_states else None,

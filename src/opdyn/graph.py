@@ -67,14 +67,14 @@ class ValidationReport:
         return "\n".join(str(v) for v in self.violations)
 
 
-def _as_square(entries, what: str = "matrix") -> np.ndarray:
+def _as_square(entries) -> np.ndarray:
     arr = np.asarray(entries, dtype=float)
     if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
-        raise ShapeError(f"{what} must be square, got shape {arr.shape}")
+        raise ShapeError(f"matrix must be square, got shape {arr.shape}")
     if arr.shape[0] < 2:
-        raise ShapeError(f"{what} needs at least 2 agents, got {arr.shape[0]}")
+        raise ShapeError(f"matrix needs at least 2 agents, got {arr.shape[0]}")
     if not np.all(np.isfinite(arr)):
-        raise ShapeError(f"{what} contains non-finite entries")
+        raise ShapeError("matrix contains non-finite entries")
     return arr
 
 
@@ -90,26 +90,29 @@ def validate_weight_matrix(entries, beta: float) -> ValidationReport:
     A non-square or non-finite input is a structural problem and raises
     ``ShapeError`` instead of being reported.
     """
+    return _checked(entries, beta)[1]
+
+
+def _checked(entries, beta: float) -> tuple[np.ndarray, ValidationReport]:
+    """``entries`` as a float array, checked by ``_as_square``, and its
+    report against the rules of :func:`validate_weight_matrix`."""
     if beta <= 0:
         raise PreconditionError(f"beta must be positive, got {beta}")
     arr = _as_square(entries)
-    n = arr.shape[0]
     found: list[Violation] = []
     row_sums = arr.sum(axis=1)
-    for i in range(n):
-        if abs(row_sums[i] - 1.0) > ROW_SUM_TOL:
-            found.append(Violation(
-                "row_sum", (i,), f"row sums to {row_sums[i]!r}, expected 1"))
+    for i in np.flatnonzero(np.abs(row_sums - 1.0) > ROW_SUM_TOL).tolist():
+        found.append(Violation(
+            "row_sum", (i,), f"row sums to {row_sums[i]!r}, expected 1"))
     bad = (arr != 0.0) & (arr < beta)
     for i, j in zip(*np.nonzero(bad)):
         found.append(Violation(
             "entry_floor", (int(i), int(j)),
             f"nonzero entry {arr[i, j]!r} below floor {beta!r}"))
-    for i in range(n):
-        if arr[i, i] == 0.0:
-            found.append(Violation(
-                "zero_diagonal", (i,), "agent must keep a self-weight"))
-    return ValidationReport(tuple(found))
+    for i in np.flatnonzero(arr.diagonal() == 0.0).tolist():
+        found.append(Violation(
+            "zero_diagonal", (i,), "agent must keep a self-weight"))
+    return arr, ValidationReport(tuple(found))
 
 
 class _CSR(NamedTuple):
@@ -133,10 +136,9 @@ _CSR_MAX_DENSITY = 0.04
 
 
 def _csr_or_none(arr: np.ndarray) -> Optional[_CSR]:
-    """A CSR copy of ``arr`` when sparse storage pays off, else None.
-
-    An all-zero row keeps one stored zero on its diagonal, so that every
-    row has an entry, as ``np.add.reduceat`` needs.
+    """A CSR copy of the valid matrix ``arr`` when sparse storage pays
+    off, else None. Every row holds its positive diagonal entry, so no
+    segment that ``np.add.reduceat`` sums is empty.
     """
     n = arr.shape[0]
     if n < _CSR_MIN_N:
@@ -144,9 +146,6 @@ def _csr_or_none(arr: np.ndarray) -> Optional[_CSR]:
     support = arr != 0.0  # nonzero on a boolean array is several times faster
     if np.count_nonzero(support) > _CSR_MAX_DENSITY * n * n:
         return None
-    zero_diagonal = np.flatnonzero(arr.diagonal() == 0.0)
-    empty = zero_diagonal[~support[zero_diagonal].any(axis=1)]
-    support[empty, empty] = True
     rows, cols = np.divmod(np.flatnonzero(support), n)
     starts = np.searchsorted(rows, np.arange(n))
     return _CSR(rows, cols, arr[rows, cols], starts)
@@ -156,8 +155,11 @@ def _csr_or_none(arr: np.ndarray) -> Optional[_CSR]:
 class WeightMatrix:
     """Row-stochastic influence matrix with its declared weight floor.
 
-    Construct through :func:`weight_matrix` to get invariants enforced;
-    direct construction only checks squareness.
+    Construction raises ``PreconditionError`` unless ``beta > 0``,
+    ``ShapeError`` on a non-square or non-finite input, and
+    ``ValidationError``, naming every violation, unless the entries obey
+    the rules of :func:`validate_weight_matrix`; so every instance is
+    valid. ``entries`` is kept as a read-only float copy.
 
     ``matvec`` and ``rmatvec`` compute ``W v`` and ``W^T v``. Construction
     decides, once, whether they run on the dense ``entries`` or on a CSR
@@ -169,7 +171,9 @@ class WeightMatrix:
     beta: float
 
     def __post_init__(self):
-        arr = _as_square(self.entries)
+        arr, report = _checked(self.entries, self.beta)
+        if not report.ok:
+            raise ValidationError(f"invalid weight matrix:\n{report}")
         # CSR first, so that its temporaries are gone before the copy exists.
         object.__setattr__(self, "_csr", _csr_or_none(arr))
         arr = arr.copy()
@@ -199,17 +203,9 @@ class WeightMatrix:
         return graph_of_matrix(self)
 
 
-def weight_matrix(entries, beta: float) -> WeightMatrix:
-    """Validate and wrap an influence matrix; raises on any violation."""
-    report = validate_weight_matrix(entries, beta)
-    if not report.ok:
-        raise ValidationError(f"invalid weight matrix:\n{report}")
-    return WeightMatrix(np.asarray(entries, dtype=float), beta)
-
-
 def uniform_complete_matrix(n: int) -> WeightMatrix:
     """All-to-all listening with equal weights 1/n."""
-    return weight_matrix(np.full((n, n), 1.0 / n), beta=1.0 / n)
+    return WeightMatrix(np.full((n, n), 1.0 / n), beta=1.0 / n)
 
 
 def parse_weight_matrix_text(text: str) -> np.ndarray:
@@ -235,11 +231,6 @@ def parse_weight_matrix_text(text: str) -> np.ndarray:
         except ValueError:
             raise ValidationError(f"row {k} contains a non-numeric entry")
     return np.array(rows, dtype=float)
-
-
-def load_weight_matrix(path, beta: float) -> WeightMatrix:
-    with open(path, "r", encoding="utf-8") as fh:
-        return weight_matrix(parse_weight_matrix_text(fh.read()), beta)
 
 
 # ---------------------------------------------------------------------------
@@ -301,19 +292,6 @@ def _reach(adjacency: np.ndarray, v: int) -> np.ndarray:
         frontier = adjacency[frontier].any(axis=0) > reached  # new and not yet reached
         reached |= frontier
     return reached
-
-
-def strongly_connected_components(graph: DirectedGraph) -> list[frozenset]:
-    """Vertex sets of the components, in order of their smallest vertex."""
-    adjacency = graph.adjacency
-    assigned = np.zeros(graph.n, dtype=bool)
-    components: list[frozenset] = []
-    for v in range(graph.n):
-        if not assigned[v]:
-            component = _reach(adjacency, v) & _reach(adjacency.T, v)
-            assigned |= component
-            components.append(frozenset(np.flatnonzero(component).tolist()))
-    return components
 
 
 def is_strongly_connected(graph: DirectedGraph) -> bool:
@@ -555,7 +533,7 @@ def random_strongly_connected_matrix(
     support[~np.eye(n, dtype=bool)] |= rng.random_block(n * (n - 1)) < edge_probability
     entries = np.zeros((n, n))
     entries[support] = 1.0 + rng.random_block(int(support.sum()))  # uniform(1, 2)
-    del support  # freed before weight_matrix copies entries, where memory peaks
+    del support  # freed before WeightMatrix copies entries, where memory peaks
     entries /= entries.sum(axis=1, keepdims=True)
     beta = float(entries[entries > 0].min())
-    return weight_matrix(entries, beta)
+    return WeightMatrix(entries, beta)

@@ -160,10 +160,12 @@ def _parse_matrix(raw, n: int, beta: float, path: str) -> WeightMatrix:
     arr = np.asarray(raw, dtype=float)
     if arr.shape != (n, n):
         raise SchemaError(path, f"expected a {n}x{n} matrix, got shape {arr.shape}")
-    report = validate_weight_matrix(arr, beta)
-    if not report.ok:
-        raise SchemaError(path, f"matrix violates weight rules: {report}")
-    return WeightMatrix(arr, beta)
+    try:
+        return WeightMatrix(arr, beta)
+    except ValidationError:
+        # the report alone, without the constructor's headline
+        report = validate_weight_matrix(arr, beta)
+        raise SchemaError(path, f"matrix violates weight rules: {report}") from None
 
 
 def _parse_x0(raw, n: int, path: str = "x0"):

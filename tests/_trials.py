@@ -41,7 +41,32 @@ def random_valid_matrix(n: int, rng: SplitMix64) -> od.WeightMatrix:
             if i != j and rng.random() < 0.4:
                 entries[i, j] = 1.0 + rng.random()
     entries /= entries.sum(axis=1, keepdims=True)
-    return od.weight_matrix(entries, beta=float(entries[entries > 0].min()))
+    return od.WeightMatrix(entries, beta=float(entries[entries > 0].min()))
+
+
+def reference_violations(entries, beta: float) -> tuple[od.Violation, ...]:
+    """Reference validator: the weight rules checked with per-row Python
+    loops, violations in clause order (row sums, entry floor, zero
+    diagonal), each clause in row-major order. The library's vectorized
+    ``validate_weight_matrix`` must report the same violations."""
+    arr = np.asarray(entries, dtype=float)
+    n = arr.shape[0]
+    found: list[od.Violation] = []
+    row_sums = arr.sum(axis=1)
+    for i in range(n):
+        if abs(row_sums[i] - 1.0) > od.graph.ROW_SUM_TOL:
+            found.append(od.Violation(
+                "row_sum", (i,), f"row sums to {row_sums[i]!r}, expected 1"))
+    bad = (arr != 0.0) & (arr < beta)
+    for i, j in zip(*np.nonzero(bad)):
+        found.append(od.Violation(
+            "entry_floor", (int(i), int(j)),
+            f"nonzero entry {arr[i, j]!r} below floor {beta!r}"))
+    for i in range(n):
+        if arr[i, i] == 0.0:
+            found.append(od.Violation(
+                "zero_diagonal", (i,), "agent must keep a self-weight"))
+    return tuple(found)
 
 
 def gap_form_step(x, matrix: od.WeightMatrix, kind: od.SusceptibilityKind) -> np.ndarray:
@@ -89,7 +114,7 @@ def half_cycle_matrices(n: int, rng: SplitMix64) -> list[od.WeightMatrix]:
             a, b = order[k], order[(k + 1) % n]
             entries[b, a] = 1.0 + rng.random()
         entries /= entries.sum(axis=1, keepdims=True)
-        mats.append(od.weight_matrix(entries, beta=float(entries[entries > 0].min())))
+        mats.append(od.WeightMatrix(entries, beta=float(entries[entries > 0].min())))
     return mats
 
 
@@ -155,6 +180,7 @@ def write_trajectory_csv_by_value(record: od.TrajectoryRecord, path) -> None:
     header = "t," + ",".join(f"x_{i + 1}" for i in range(n)) + ",spread"
     with open(path, "w", encoding="utf-8", newline="") as fh:
         fh.write(header + "\n")
+        spreads = record.spreads
         for t in range(record.states.shape[0]):
             row = ",".join(f"{v:.17g}" for v in record.states[t])
-            fh.write(f"{t},{row},{record.spreads[t]:.17g}\n")
+            fh.write(f"{t},{row},{spreads[t]:.17g}\n")

@@ -40,7 +40,7 @@ class TestCheckLemmas:
 
     def test_empty_rejected(self):
         rec = od.TrajectoryRecord(
-            mins=np.array([]), maxs=np.array([]), spreads=np.array([]),
+            mins=np.array([]), maxs=np.array([]),
             final_state=np.zeros(2), stop_reason="forged")
         with pytest.raises(PreconditionError):
             od.check_lemmas(rec)
@@ -210,7 +210,7 @@ class TestStationaryWeights:
         assert od.degroot_consensus_value(w, x0) == pytest.approx(np.mean(x0), abs=1e-12)
 
     def test_not_strongly_connected_rejected(self):
-        w = od.weight_matrix([[1.0, 0.0], [0.5, 0.5]], beta=0.5)
+        w = od.WeightMatrix([[1.0, 0.0], [0.5, 0.5]], beta=0.5)
         with pytest.raises(PreconditionError):
             od.degroot_consensus_value(w, [0.4, -0.4])
 
@@ -241,7 +241,7 @@ class TestStationaryWeights:
         for i, d in enumerate(deltas):
             entries[i, i] = 1.0 - d
             entries[i, (i - 1) % 3] = d
-        w = od.weight_matrix(entries, beta=min(deltas))
+        w = od.WeightMatrix(entries, beta=min(deltas))
         with pytest.raises(ConvergenceError):
             od.stationary_weights(w, max_iterations=3)
 

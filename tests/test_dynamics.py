@@ -96,7 +96,7 @@ class TestSystemMatrix:
         assert np.array_equal(s, np.eye(3))
 
     def test_stubborn_positive_two_agent_case(self):
-        w = od.weight_matrix([[0.5, 0.5], [0.5, 0.5]], beta=0.5)
+        w = od.WeightMatrix([[0.5, 0.5], [0.5, 0.5]], beta=0.5)
         s = od.system_matrix([1.0, -1.0], w, od.StubbornPositive())
         assert np.array_equal(s, [[1.0, 0.0], [0.5, 0.5]])
 
@@ -131,7 +131,7 @@ class TestStep:
             assert np.array_equal(od.step(x, w, kind), x)
 
     def test_stubborn_positive_two_agent_step(self):
-        w = od.weight_matrix([[0.5, 0.5], [0.5, 0.5]], beta=0.5)
+        w = od.WeightMatrix([[0.5, 0.5], [0.5, 0.5]], beta=0.5)
         assert np.array_equal(od.step([1.0, -1.0], w, od.StubbornPositive()), [1.0, 0.0])
 
     def test_pinned_agents_stay_exactly(self):
@@ -226,7 +226,7 @@ class TestSimulate:
         assert rec.states.shape == (1, 3)
 
     def test_stubborn_positive_monotone_toward_pinned_agent(self):
-        w = od.weight_matrix([[0.5, 0.5], [0.5, 0.5]], beta=0.5)
+        w = od.WeightMatrix([[0.5, 0.5], [0.5, 0.5]], beta=0.5)
         rec = od.simulate([1.0, -1.0], od.StaticSchedule(w), od.StubbornPositive(),
                           od.StopRule(max_steps=50, consensus_epsilon=NEVER))
         assert np.all(rec.states[:, 0] == 1.0)
@@ -247,7 +247,7 @@ class TestSimulate:
         assert rec.spreads[-1] < rec.spreads[0] * 0.02
 
     def test_target_stop(self):
-        w = od.weight_matrix([[0.5, 0.5], [0.5, 0.5]], beta=0.5)
+        w = od.WeightMatrix([[0.5, 0.5], [0.5, 0.5]], beta=0.5)
         rec = od.simulate([1.0, -1.0], od.StaticSchedule(w), od.StubbornPositive(),
                           od.StopRule(max_steps=10**6, consensus_epsilon=NEVER,
                                       target=1.0, target_epsilon=1e-3))

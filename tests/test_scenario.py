@@ -303,20 +303,20 @@ class TestComparison:
 class TestRjscStatus:
     def test_static_cases(self):
         assert od.schedule_rjsc_status(od.StaticSchedule(od.uniform_complete_matrix(3))) is True
-        eye = od.weight_matrix(np.eye(3), beta=0.5)
+        eye = od.WeightMatrix(np.eye(3), beta=0.5)
         assert od.schedule_rjsc_status(od.StaticSchedule(eye)) is False
 
     def test_periodic_union_decides(self):
-        w_a = od.weight_matrix([[1.0, 0.0], [0.5, 0.5]], beta=0.5)
-        w_b = od.weight_matrix([[0.5, 0.5], [0.0, 1.0]], beta=0.5)
+        w_a = od.WeightMatrix([[1.0, 0.0], [0.5, 0.5]], beta=0.5)
+        w_b = od.WeightMatrix([[0.5, 0.5], [0.0, 1.0]], beta=0.5)
         assert od.schedule_rjsc_status(od.PeriodicSchedule((w_a, w_b))) is True
         assert od.schedule_rjsc_status(od.PeriodicSchedule((w_a, w_a))) is False
 
     def test_random_pool_rules(self):
         sc = od.uniform_complete_matrix(2)
-        w_a = od.weight_matrix([[1.0, 0.0], [0.5, 0.5]], beta=0.5)
-        w_b = od.weight_matrix([[0.5, 0.5], [0.0, 1.0]], beta=0.5)
-        eye = od.weight_matrix(np.eye(2), beta=0.5)
+        w_a = od.WeightMatrix([[1.0, 0.0], [0.5, 0.5]], beta=0.5)
+        w_b = od.WeightMatrix([[0.5, 0.5], [0.0, 1.0]], beta=0.5)
+        eye = od.WeightMatrix(np.eye(2), beta=0.5)
         assert od.schedule_rjsc_status(od.RandomSchedule((sc, sc), seed=1)) is True
         assert od.schedule_rjsc_status(od.RandomSchedule((eye, eye), seed=1)) is False
         assert od.schedule_rjsc_status(od.RandomSchedule((w_a, w_b), seed=1)) is None
