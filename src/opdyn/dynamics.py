@@ -11,7 +11,9 @@ Equivalently ``x(t+1) = S(x(t), t) x(t)`` with the row-stochastic one-step
 matrix ``S = I - F + F W`` (``F`` diagonal of susceptibilities). Because
 ``W`` is row-stochastic, the gap sum equals ``(W d - d)_i`` for the shifted
 state ``d = x - x_1``, and the update is computed as that shifted
-matrix-vector product, then clamped to ``[min x, max x]``:
+matrix-vector product, clamped to ``[min x, max x]`` on the steps where
+rounding carries it past them. The kernel's own min and max of the output
+decide that, and drive the loop's stop tests:
 
   * shifting by ``x_1`` keeps exact fixed points exact in floating point:
     a consensus vector never moves, a fully stubborn agent (f = 0) never
@@ -29,7 +31,10 @@ clamp keep every guarantee above either way.
 
 Reruns with one version of opdyn (and one numpy/BLAS build) are
 bit-identical; trajectories agree with versions that used another
-arithmetic (the earlier n x n gap form) only to within rounding.
+arithmetic (the earlier n x n gap form) only to within rounding. The
+earlier kernel that clamped every step gave the same bits but could flip
+a zero's sign (``-0.0`` became ``+0.0`` when ``max x`` was ``0.0``); no
+step creates ``-0.0``, so only an initial state holding one shows this.
 
 Susceptibility kinds:
   * ``DeGroot``            f = 1 (classic averaging)
@@ -70,7 +75,7 @@ def opinion_vector(values) -> np.ndarray:
     bad = np.nonzero((arr < OPINION_MIN) | (arr > OPINION_MAX))[0]
     if bad.size:
         k = int(bad[0])
-        raise DomainError(f"x0[{k}]: value {arr[k]!r} outside [-1, 1]")
+        raise DomainError(f"x0[{k}]: value {float(arr[k])!r} outside [-1, 1]")
     out = arr.copy()
     out.setflags(write=False)
     return out
@@ -103,12 +108,15 @@ class Constant:
             if not 0.0 <= v <= 1.0:
                 raise ValidationError(f"openness[{k}]: value {v!r} outside [0, 1]")
         object.__setattr__(self, "openness", vals)
+        arr = np.array(vals)
+        arr.setflags(write=False)
+        object.__setattr__(self, "_values", arr)
 
     def values(self, x: np.ndarray) -> np.ndarray:
         if len(self.openness) != x.shape[0]:
             raise ShapeError(
                 f"openness has {len(self.openness)} agents, opinions have {x.shape[0]}")
-        return np.array(self.openness)
+        return self._values
 
 
 @dataclass(frozen=True)
@@ -145,6 +153,7 @@ class Custom:
     ``fn`` must be vectorized over a float array. Construction probes the
     function on a 1e-3 grid over [-1, 1] and rejects it unless every value
     lands in [0, 1]; there is no way to run an unchecked function.
+    ``values`` clips to [0, 1], as the range between probe points is unproved.
     """
 
     fn: Callable[[np.ndarray], np.ndarray]
@@ -159,14 +168,18 @@ class Custom:
         if probe.min() < 0.0 or probe.max() > 1.0:
             raise ValidationError(
                 f"custom susceptibility leaves [0, 1] on the probe grid "
-                f"(min {probe.min()!r}, max {probe.max()!r})")
+                f"(min {float(probe.min())!r}, max {float(probe.max())!r})")
 
     @property
     def name(self) -> str:
         return self.label
 
     def values(self, x: np.ndarray) -> np.ndarray:
-        return np.asarray(self.fn(x), dtype=float)
+        # np.minimum copies, so the in-place maximum never writes into what fn
+        # returned (fn may return x itself)
+        f = np.minimum(np.asarray(self.fn(x), dtype=float), 1.0)
+        np.maximum(f, 0.0, out=f)
+        return f
 
 
 SusceptibilityKind = Union[
@@ -175,16 +188,11 @@ SusceptibilityKind = Union[
 
 
 def susceptibility_profile(kind: SusceptibilityKind, x: np.ndarray) -> np.ndarray:
-    """Vectorized susceptibilities, clamped to [0, 1].
-
-    The clamp only matters for opinions that drifted past the interval by
-    float rounding; on exact inputs the kinds already map into [0, 1].
+    """Vectorized susceptibilities ``f(x)``, in [0, 1] for opinions in [-1, 1]:
+    the built-in kinds map into it exactly (rounding is monotone) and
+    ``Custom`` clips. The result may be read-only.
     """
-    # np.minimum allocates, so the in-place maximum never writes into the
-    # array kind.values returned (a Custom fn may return x itself).
-    f = np.minimum(kind.values(x), 1.0)
-    np.maximum(f, 0.0, out=f)
-    return f
+    return kind.values(x)
 
 
 # ---------------------------------------------------------------------------
@@ -213,36 +221,44 @@ def system_matrix(x, matrix: WeightMatrix, kind: SusceptibilityKind) -> np.ndarr
 
 
 def _advance(x: np.ndarray, matrix: WeightMatrix, kind: SusceptibilityKind,
-             lo: float, hi: float) -> np.ndarray:
-    """The update kernel: ``x + f * (W d - d)`` with ``d = x - x[0]``,
-    clamped to ``[lo, hi]``, the min and max of ``x``.
+             lo: float, hi: float) -> tuple[np.ndarray, float, float, bool]:
+    """The update kernel: ``u = x + f * (W d - d)`` with ``d = x - x[0]``,
+    clamped to ``[lo, hi]`` (the min and max of ``x``) only if it leaves it.
 
-    Returns a new array; ``x`` is not modified.
+    Returns ``(u, min u, max u, clamped)``; ``x`` is not modified. A NaN
+    step fails both range tests and comes back unclamped, extremes NaN.
     """
-    f = susceptibility_profile(kind, x)
+    f = kind.values(x)
     d = x - x[0]
     u = matrix.matvec(d)
     u -= d
     u *= f
     u += x
-    np.minimum(u, hi, out=u)
-    np.maximum(u, lo, out=u)
-    return u
+    mn, mx = float(u.min()), float(u.max())
+    if mn < lo or mx > hi:
+        np.minimum(u, hi, out=u)
+        np.maximum(u, lo, out=u)
+        return u, min(max(mn, lo), hi), max(min(mx, hi), lo), True
+    return u, mn, mx, False
 
 
 def step(x, matrix: WeightMatrix, kind: SusceptibilityKind) -> np.ndarray:
     """Advance opinions one step.
 
     Computes the gap sum ``sum_j w_ij (x_j - x_i)`` as the shifted
-    matrix-vector product ``W d - d`` with ``d = x - x[0]``, and clamps
-    the result to ``[min x, max x]``. Consensus states and
+    matrix-vector product ``W d - d`` with ``d = x - x[0]``, clamped to
+    ``[min x, max x]`` where rounding steps past them. Consensus states and
     zero-susceptibility agents stay exactly fixed in floating point, the
     extremes never widen, and the result agrees with
-    ``system_matrix(x) @ x`` to within rounding.
+    ``system_matrix(x) @ x`` to within rounding. Raises ``DomainError``
+    unless every opinion is in [-1, 1], where the kinds are defined.
     """
     xa = np.asarray(x, dtype=float)
     _check_dims(xa, matrix)
-    return _advance(xa, matrix, kind, xa.min(), xa.max())
+    lo, hi = float(xa.min()), float(xa.max())
+    if not (OPINION_MIN <= lo and hi <= OPINION_MAX):
+        raise DomainError(f"opinions span [{lo!r}, {hi!r}], outside [-1, 1]")
+    return _advance(xa, matrix, kind, lo, hi)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -286,6 +302,7 @@ class TrajectoryRecord:
     ``states`` holds one row per recorded step (row 0 is the initial
     state); it is None when the simulation ran with ``keep_states=False``,
     in which case only the diagnostics and the final state remain.
+    ``clamp_steps`` counts the steps on which the kernel's clamp fired.
     """
 
     mins: np.ndarray
@@ -293,6 +310,7 @@ class TrajectoryRecord:
     final_state: np.ndarray
     stop_reason: str
     states: Optional[np.ndarray] = None
+    clamp_steps: int = 0
 
     @property
     def spreads(self) -> np.ndarray:
@@ -360,11 +378,10 @@ def simulate(
     maxs: list[float] = []
     states: list[np.ndarray] = []
     reason = "max_steps"
-    t = 0
+    t = clamp_steps = 0
+    mn, mx = float(x.min()), float(x.max())
     while True:
-        mn = float(x.min())
-        mx = float(x.max())
-        if mx != mx:  # max propagates NaN, the one non-finite value the clamp lets through
+        if mx != mx:  # max propagates NaN, the one non-finite value a step can yield
             reason = "non_finite"
             x = finite
             break
@@ -375,7 +392,8 @@ def simulate(
         if mx - mn < stop.consensus_epsilon:
             reason = "consensus"
             break
-        if target is not None and float(np.abs(x - target).max()) < stop.target_epsilon:
+        # max |x_i - target|, bit for bit: rounding is monotone and sign-symmetric
+        if target is not None and max(mx - target, target - mn) < stop.target_epsilon:
             reason = "target"
             break
         if t == stop.max_steps:
@@ -387,7 +405,8 @@ def simulate(
             reason = "schedule_exhausted"
             break
         finite = x
-        x = _advance(x, matrix, kind, mn, mx)
+        x, mn, mx, clamped = _advance(x, matrix, kind, mn, mx)
+        clamp_steps += clamped
         t += 1
 
     return TrajectoryRecord(
@@ -396,6 +415,7 @@ def simulate(
         final_state=x,
         stop_reason=reason,
         states=np.array(states) if keep_states else None,
+        clamp_steps=clamp_steps,
     )
 
 

@@ -103,12 +103,12 @@ def _checked(entries, beta: float) -> tuple[np.ndarray, ValidationReport]:
     row_sums = arr.sum(axis=1)
     for i in np.flatnonzero(np.abs(row_sums - 1.0) > ROW_SUM_TOL).tolist():
         found.append(Violation(
-            "row_sum", (i,), f"row sums to {row_sums[i]!r}, expected 1"))
+            "row_sum", (i,), f"row sums to {float(row_sums[i])!r}, expected 1"))
     bad = (arr != 0.0) & (arr < beta)
     for i, j in zip(*np.nonzero(bad)):
         found.append(Violation(
             "entry_floor", (int(i), int(j)),
-            f"nonzero entry {arr[i, j]!r} below floor {beta!r}"))
+            f"nonzero entry {float(arr[i, j])!r} below floor {float(beta)!r}"))
     for i in np.flatnonzero(arr.diagonal() == 0.0).tolist():
         found.append(Violation(
             "zero_diagonal", (i,), "agent must keep a self-weight"))

@@ -32,13 +32,13 @@ def random_matrix(n: int, rng: SplitMix64, edge_probability: float = 0.4) -> od.
     return od.random_strongly_connected_matrix(n, rng, edge_probability)
 
 
-def random_valid_matrix(n: int, rng: SplitMix64) -> od.WeightMatrix:
+def random_valid_matrix(n: int, rng: SplitMix64, edge_probability: float = 0.4) -> od.WeightMatrix:
     """Valid weight matrix with arbitrary support (not necessarily
     strongly connected): self-loops plus independent extra arcs."""
     entries = np.eye(n)
     for i in range(n):
         for j in range(n):
-            if i != j and rng.random() < 0.4:
+            if i != j and rng.random() < edge_probability:
                 entries[i, j] = 1.0 + rng.random()
     entries /= entries.sum(axis=1, keepdims=True)
     return od.WeightMatrix(entries, beta=float(entries[entries > 0].min()))
@@ -56,12 +56,12 @@ def reference_violations(entries, beta: float) -> tuple[od.Violation, ...]:
     for i in range(n):
         if abs(row_sums[i] - 1.0) > od.graph.ROW_SUM_TOL:
             found.append(od.Violation(
-                "row_sum", (i,), f"row sums to {row_sums[i]!r}, expected 1"))
+                "row_sum", (i,), f"row sums to {float(row_sums[i])!r}, expected 1"))
     bad = (arr != 0.0) & (arr < beta)
     for i, j in zip(*np.nonzero(bad)):
         found.append(od.Violation(
             "entry_floor", (int(i), int(j)),
-            f"nonzero entry {arr[i, j]!r} below floor {beta!r}"))
+            f"nonzero entry {float(arr[i, j])!r} below floor {float(beta)!r}"))
     for i in range(n):
         if arr[i, i] == 0.0:
             found.append(od.Violation(
@@ -79,10 +79,85 @@ def gap_form_step(x, matrix: od.WeightMatrix, kind: od.SusceptibilityKind) -> np
     return x + f * gaps
 
 
+def reference_simulate(x0, schedule: od.GraphSchedule, kind: od.SusceptibilityKind,
+                       stop: od.StopRule, keep_states: bool = True) -> od.TrajectoryRecord:
+    """Reference loop: the simulation loop and kernel as they were before
+    the kernel reported its own extremes, verbatim. Each state's min and max
+    are taken at the top of the loop, the susceptibilities are clipped to
+    [0, 1], every step is clamped to the previous extremes, and the target
+    stop tests ``max |x - target|``. ``clamp_steps`` counts the recorded
+    steps whose unclamped update left those extremes. ``simulate`` must
+    match this bit for bit, up to the sign of a zero."""
+    x = od.opinion_vector(x0).copy()
+    target = stop.target
+    mins: list[float] = []
+    maxs: list[float] = []
+    states: list[np.ndarray] = []
+    reason = "max_steps"
+    t = clamp_steps = 0
+    fired = False
+    while True:
+        mn = float(x.min())
+        mx = float(x.max())
+        if mx != mx:
+            reason = "non_finite"
+            x = finite
+            break
+        clamp_steps += fired
+        mins.append(mn)
+        maxs.append(mx)
+        if keep_states:
+            states.append(x)
+        if mx - mn < stop.consensus_epsilon:
+            reason = "consensus"
+            break
+        if target is not None and float(np.abs(x - target).max()) < stop.target_epsilon:
+            reason = "target"
+            break
+        if t == stop.max_steps:
+            reason = "max_steps"
+            break
+        try:
+            matrix = schedule.matrix_at(t)
+        except od.ScheduleExhaustedError:
+            reason = "schedule_exhausted"
+            break
+        finite = x
+        f = np.minimum(kind.values(x), 1.0)
+        np.maximum(f, 0.0, out=f)
+        d = x - x[0]
+        u = matrix.matvec(d)
+        u -= d
+        u *= f
+        u += x
+        fired = bool(np.any(u < mn) or np.any(u > mx))
+        np.minimum(u, mx, out=u)
+        np.maximum(u, mn, out=u)
+        x = u
+        t += 1
+    return od.TrajectoryRecord(
+        mins=np.array(mins),
+        maxs=np.array(maxs),
+        final_state=x,
+        stop_reason=reason,
+        states=np.array(states) if keep_states else None,
+        clamp_steps=clamp_steps,
+    )
+
+
+SPIKE_AT = 0.3001  # between the 1e-3 probe points of a Custom kind
+
+
 def nan_spike_kind() -> od.Custom:
-    """``x**2`` except NaN within 1e-5 of 0.3001, which falls between the
-    1e-3 probe points, so construction accepts it."""
-    return od.Custom(lambda x: np.where(np.abs(x - 0.3001) < 1e-5, np.nan, x * x), "nan_spike")
+    """``x**2`` except NaN within 1e-5 of ``SPIKE_AT``, which falls between
+    the 1e-3 probe points, so construction accepts it."""
+    return od.Custom(lambda x: np.where(np.abs(x - SPIKE_AT) < 1e-5, np.nan, x * x), "nan_spike")
+
+
+def overshoot_spike_kind() -> od.Custom:
+    """``x**2`` except 1.5 within 1e-5 of ``SPIKE_AT``: it passes the range
+    probe, and only clipping keeps its values in [0, 1]."""
+    return od.Custom(lambda x: np.where(np.abs(x - SPIKE_AT) < 1e-5, 1.5, x * x), "overshoot")
 
 
 def random_opinions(n: int, rng: SplitMix64, pin_extremes: bool = False) -> np.ndarray:

@@ -121,6 +121,16 @@ class TestValidateCommand:
         assert main(["validate", str(path), "--beta", "0.25"]) == 1
         assert "row_sum" in capsys.readouterr().out
 
+    def test_violations_print_plain_numbers(self, tmp_path, capsys):
+        path = tmp_path / "w.txt"
+        path.write_text("3\n0.5 0.5 0.05\n0.5 0 0.5\n0.2 0.3 0.5\n")
+        assert main(["validate", str(path), "--beta", "0.1"]) == 1
+        out = capsys.readouterr().out
+        assert "row sums to 1.05, expected 1" in out
+        assert "nonzero entry 0.05 below floor 0.1" in out
+        assert "zero_diagonal" in out
+        assert "np.float64(" not in out
+
     def test_scenario_document(self, dissenter_path, capsys):
         assert main(["validate", dissenter_path]) == 0
         assert "valid scenario" in capsys.readouterr().out

@@ -15,14 +15,37 @@ from opdyn.rng import SplitMix64
 from _trials import (
     ALL_KINDS,
     NEVER,
+    SPIKE_AT,
     gap_form_step,
     nan_spike_kind,
+    overshoot_spike_kind,
     random_kind,
     random_opinions,
+    random_periodic_schedule,
     random_valid_matrix,
+    reference_simulate,
     trial_rng,
     write_trajectory_csv_by_value,
 )
+
+UNIT = st.floats(-1.0, 1.0)
+CUSTOM_KINDS = (nan_spike_kind(), overshoot_spike_kind())
+# Palette entries: signed zeros, the interval's ends and the Custom spike
+# point come up often, next to arbitrary opinions.
+PALETTE_VALUE = st.one_of(st.sampled_from((-1.0, -0.0, 0.0, 1.0, SPIKE_AT)), UNIT)
+
+
+def palette_opinions(data, n: int) -> np.ndarray:
+    """n opinions that take each of 2 to n palette values; small palettes
+    make ties at the extremes (where rounding can step past them) common."""
+    palette = data.draw(st.lists(PALETTE_VALUE, min_size=2, max_size=n, unique=True))
+    rest = st.lists(st.sampled_from(palette), min_size=n - len(palette), max_size=n - len(palette))
+    return np.array(data.draw(st.permutations(palette + data.draw(rest))))
+
+
+def has_negative_zero(x) -> bool:
+    x = np.asarray(x)
+    return bool(np.any((x == 0.0) & np.signbit(x)))
 
 
 class TestOpinionVector:
@@ -62,6 +85,9 @@ class TestSusceptibility:
     def test_constant_is_per_agent(self):
         kind = od.Constant((0.2, 0.9))
         assert od.susceptibility_profile(kind, np.array([0.5, -0.5])).tolist() == [0.2, 0.9]
+        # built once, read-only, and handed out as is
+        f = kind.values(np.zeros(2))
+        assert f is kind.values(np.ones(2)) and not f.flags.writeable
 
     def test_constant_range_checked(self):
         with pytest.raises(ValidationError):
@@ -76,6 +102,12 @@ class TestSusceptibility:
     def test_custom_probe_accepts_valid(self):
         kind = od.Custom(lambda x: 0.5 * (1.0 + x * x), label="half_plus")
         assert od.susceptibility_profile(kind, np.array([0.0])).tolist() == [0.5]
+
+    def test_custom_values_are_clipped_between_probe_points(self):
+        x = np.array([SPIKE_AT, 0.5])
+        assert overshoot_spike_kind().values(x).tolist() == [1.0, 0.25]
+        below = od.Custom(lambda v: np.where(np.abs(v - SPIKE_AT) < 1e-5, -0.5, v * v))
+        assert below.values(x).tolist() == [0.0, 0.25]
 
     def test_custom_probe_rejects_out_of_range(self):
         with pytest.raises(ValidationError):
@@ -161,11 +193,7 @@ class TestStep:
     def test_kernel_matches_gap_form_and_keeps_fixed_points(self, data):
         n = data.draw(st.integers(2, 9))
         w = random_valid_matrix(n, SplitMix64(data.draw(st.integers(0, 2**64 - 1))))
-        unit = st.floats(-1.0, 1.0)
-        # drawn from a palette of at most n values, so ties at the extremes
-        # (where rounding can step past them) are common
-        palette = data.draw(st.lists(unit, min_size=1, max_size=n))
-        x = np.array(data.draw(st.lists(st.sampled_from(palette), min_size=n, max_size=n)))
+        x = palette_opinions(data, n)
         kind = data.draw(st.one_of(
             st.sampled_from(ALL_KINDS),
             st.lists(st.floats(0.0, 1.0), min_size=n, max_size=n)
@@ -176,13 +204,33 @@ class TestStep:
         assert out.min() >= x.min() and out.max() <= x.max()
         stubborn = od.susceptibility_profile(kind, x) == 0.0
         assert np.array_equal(out[stubborn], x[stubborn])
-        consensus = np.full(n, data.draw(unit))
+        consensus = np.full(n, data.draw(UNIT))
         assert np.array_equal(od.step(consensus, w, kind), consensus)
         # simulate advances with the same kernel, bit for bit (it stops
         # before the step only on an exact consensus, which out keeps)
         one = od.simulate(x, od.StaticSchedule(w), kind,
                           od.StopRule(max_steps=1, consensus_epsilon=np.nextafter(0.0, 1.0)))
         assert np.array_equal(one.final_state, out)
+
+    def test_rejects_opinions_outside_the_interval(self):
+        w = od.uniform_complete_matrix(2)
+        for x in ([1.5, 0.0], [0.0, -1.0 - 1e-12], [np.nan, 0.0]):
+            with pytest.raises(DomainError):
+                od.step(x, w, od.StubbornPositive())
+        assert od.step([1.0, -1.0], w, od.StubbornPositive()).tolist() == [1.0, 0.0]
+
+    def test_negative_zero_keeps_its_sign(self):
+        # A stubborn-neutral agent at -0.0 has f = 0 and does not move; the
+        # kernel does not clamp here, so the zero keeps its sign (a clamp to
+        # max x = +0.0, as the reference loop does every step, turns it +0.0).
+        w = od.uniform_complete_matrix(3)
+        x = np.array([-0.0, 0.0, -0.5])
+        out = od.step(x, w, od.StubbornNeutral())
+        assert np.signbit(out[0]) and not np.signbit(out[1])
+        ref = reference_simulate(x, od.StaticSchedule(w), od.StubbornNeutral(),
+                                 od.StopRule(max_steps=1, consensus_epsilon=NEVER))
+        assert not np.signbit(ref.final_state[0])
+        assert np.array_equal(ref.final_state, out)
 
     def test_interval_and_monotone_extremes_hold_along_trajectories(self):
         for trial in range(60):
@@ -296,6 +344,67 @@ class TestSimulate:
                            od.StopRule(max_steps=5, consensus_epsilon=NEVER))
         assert np.array_equal(rec.final_state, five.final_state)
         assert np.array_equal(rec.states, five.states)
+
+    def test_clamp_steps_counts_the_fired_clamp(self):
+        # Agent 2 listens only to tied minimum opinions; the shifted product
+        # rounds her a hair below 0.01 and the clamp puts her back.
+        w = od.WeightMatrix([[1.0, 0.0, 0.0], [0.0, 0.34, 0.66], [0.5, 0.0, 0.5]], beta=0.34)
+        x0 = [0.43, 0.01, 0.01]
+        stop = od.StopRule(max_steps=50)
+        rec = od.simulate(x0, od.StaticSchedule(w), od.DeGroot(), stop)
+        assert rec.clamp_steps > 0
+        assert rec.states[1, 1] == 0.01
+        assert rec.clamp_steps == reference_simulate(x0, od.StaticSchedule(w), od.DeGroot(),
+                                                     stop).clamp_steps
+        untied = od.simulate([0.43, 0.01, 0.2], od.StaticSchedule(w), od.DeGroot(), stop)
+        assert untied.clamp_steps == 0
+
+    @settings(max_examples=400, deadline=None)
+    @given(st.data())
+    def test_matches_reference_loop_bit_for_bit(self, data):
+        n = data.draw(st.integers(2, 8))
+        rng = SplitMix64(data.draw(st.integers(0, 2**64 - 1)))
+        x0 = palette_opinions(data, n)
+        kind = data.draw(st.one_of(
+            st.sampled_from(ALL_KINDS + CUSTOM_KINDS),
+            st.lists(st.floats(0.0, 1.0), min_size=n, max_size=n)
+            .map(lambda openness: od.Constant(tuple(openness)))))
+        # sparse rows make agents that hear only tied extremes, whose update
+        # rounding can carry past them, so the clamp fires
+        density = data.draw(st.sampled_from((0.4, 0.15)))
+        horizon = data.draw(st.none() | st.integers(1, 120))
+        form = data.draw(st.sampled_from(("static", "periodic", "random")))
+        if form == "static":
+            schedule = od.StaticSchedule(random_valid_matrix(n, rng, density), horizon=horizon)
+        elif form == "periodic":
+            schedule = od.PeriodicSchedule(random_periodic_schedule(n, rng).matrices,
+                                           horizon=horizon)
+        else:
+            pool = tuple(random_valid_matrix(n, rng, density) for _ in range(3))
+            schedule = od.RandomSchedule(pool, seed=rng.randrange(2**32), horizon=horizon)
+        target = data.draw(st.none() | PALETTE_VALUE)
+        stop = od.StopRule(
+            max_steps=data.draw(st.integers(1, 300)),
+            consensus_epsilon=data.draw(st.sampled_from((NEVER, 1e-9, 1e-3))),
+            target=target,
+            target_epsilon=None if target is None else data.draw(st.sampled_from((1e-3, 0.1, 0.6))))
+        keep = data.draw(st.booleans())
+
+        got = od.simulate(x0, schedule, kind, stop, keep_states=keep)
+        want = reference_simulate(x0, schedule, kind, stop, keep_states=keep)
+        assert (got.stop_reason, got.steps, got.clamp_steps) == \
+            (want.stop_reason, want.steps, want.clamp_steps)
+        pairs = [(got.mins, want.mins), (got.maxs, want.maxs),
+                 (got.final_state, want.final_state)]
+        if keep:
+            pairs.append((got.states, want.states))
+        else:
+            assert got.states is None and want.states is None
+        for a, b in pairs:
+            if has_negative_zero(x0):  # the one documented difference: a zero's sign
+                assert np.array_equal(a, b)
+            else:
+                assert a.shape == b.shape and a.tobytes() == b.tobytes()
 
     def test_dimension_guards(self):
         w = od.uniform_complete_matrix(3)
