@@ -32,9 +32,9 @@ def main():
     first, second = split_ring_matrices(n)
     print("single-snapshot connectivity:")
     for label, m in (("first half", first), ("second half", second)):
-        print(f"  {label}: strongly connected = {od.is_strongly_connected(m.graph)}")
-    union = od.union_graph([first.graph, second.graph])
-    print(f"  union:      strongly connected = {od.is_strongly_connected(union)}\n")
+        print(f"  {label}: strongly connected = {od.is_strongly_connected(m)}")
+    union = od.is_strongly_connected(first, second)
+    print(f"  union:      strongly connected = {union}\n")
 
     schedule = od.PeriodicSchedule((first, second))
     for p in (1, 2, 4):

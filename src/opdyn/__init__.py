@@ -15,7 +15,6 @@ from .errors import (
 )
 from .rng import SplitMix64, derive_seed
 from .graph import (
-    DirectedGraph,
     GraphSchedule,
     PeriodicSchedule,
     RandomSchedule,
@@ -24,13 +23,11 @@ from .graph import (
     Violation,
     WeightMatrix,
     find_window_parameters,
-    graph_of_matrix,
     is_strongly_connected,
     parse_weight_matrix_text,
     random_strongly_connected_matrix,
     schedule_rjsc_status,
     uniform_complete_matrix,
-    union_graph,
     validate_weight_matrix,
     verify_repeated_joint_connectivity,
 )

@@ -192,16 +192,18 @@ def stationary_weights(
     """Normalized left fixed vector ``c`` of a strongly connected matrix:
     ``c @ W == c``, ``c.sum() == 1``, entrywise positive.
 
-    Power iteration on the transpose from the uniform vector; the positive
-    diagonal of a valid matrix rules out periodicity, so the iteration
-    converges in the limit for every strongly connected input, but a
-    slowly mixing graph (a directed ring of several hundred agents) can
-    need more than ``max_iterations`` steps. The returned vector's
+    Raises ``PreconditionError`` unless ``is_strongly_connected(matrix)``,
+    which decides it from the matrix's own products, as the iteration
+    does. Power iteration on the transpose from the uniform vector; the
+    positive diagonal of a valid matrix rules out periodicity, so the
+    iteration converges in the limit for every strongly connected input,
+    but a slowly mixing graph (a directed ring of several hundred agents)
+    can need more than ``max_iterations`` steps. The returned vector's
     residual ``max |W^T c - c|`` is at most ``tol``; raises
     ``ConvergenceError`` if no iterate gets there within the iteration
     budget.
     """
-    if not is_strongly_connected(matrix.graph):
+    if not is_strongly_connected(matrix):
         raise PreconditionError("matrix graph is not strongly connected")
     c = np.full(matrix.n, 1.0 / matrix.n)
     for _ in range(max_iterations):

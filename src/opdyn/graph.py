@@ -1,11 +1,12 @@
-"""Time-varying directed influence graphs.
+"""Time-varying directed influence graphs, held as their weight matrices.
 
 An influence matrix ``W`` is row-stochastic: ``w_ij`` is the weight agent
-``i`` places on agent ``j``'s opinion. Arc direction in the derived graph
-follows information flow, which is the TRANSPOSE of the adjacency-matrix
-habit: ``w_ij > 0`` means agent ``j``'s opinion reaches agent ``i``, so the
-graph has the arc ``j -> i``. Every agent listens to herself, so a valid
-matrix has a positive diagonal and the derived graph has all self-arcs.
+``i`` places on agent ``j``'s opinion. Its graph follows information
+flow, which is the TRANSPOSE of the adjacency-matrix habit: ``w_ij > 0``
+means agent ``j``'s opinion reaches agent ``i``, the arc ``j -> i``. Every
+agent listens to herself, so a valid matrix has a positive diagonal and
+its graph has all self-arcs. No separate graph object exists: strong
+connectivity is decided by products with the matrices themselves.
 
 Validity of a matrix is judged against a declared floor ``beta``: every
 nonzero weight must be at least ``beta``. The floor is a user-supplied
@@ -16,8 +17,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
-from typing import Iterable, NamedTuple, Optional, Sequence, Union
+from typing import NamedTuple, Optional, Sequence, Union
 
 import numpy as np
 
@@ -96,7 +96,7 @@ def validate_weight_matrix(entries, beta: float) -> ValidationReport:
 def _checked(entries, beta: float) -> tuple[np.ndarray, ValidationReport]:
     """``entries`` as a float array, checked by ``_as_square``, and its
     report against the rules of :func:`validate_weight_matrix`."""
-    if beta <= 0:
+    if not beta > 0:  # NaN too
         raise PreconditionError(f"beta must be positive, got {beta}")
     arr = _as_square(entries)
     found: list[Violation] = []
@@ -165,6 +165,7 @@ class WeightMatrix:
     decides, once, whether they run on the dense ``entries`` or on a CSR
     copy; a large sparse matrix gets the CSR copy, whose sums run in
     another order and so agree with the dense products to within rounding.
+    :func:`is_strongly_connected` runs on the same products.
     """
 
     entries: np.ndarray
@@ -198,10 +199,6 @@ class WeightMatrix:
             return self.entries.T @ v
         return np.bincount(csr.cols, csr.vals * v[csr.rows], minlength=self.n)
 
-    @cached_property
-    def graph(self) -> "DirectedGraph":
-        return graph_of_matrix(self)
-
 
 def uniform_complete_matrix(n: int) -> WeightMatrix:
     """All-to-all listening with equal weights 1/n."""
@@ -234,98 +231,58 @@ def parse_weight_matrix_text(text: str) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# Directed graphs and connectivity
+# Strong connectivity
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True, init=False, eq=False)
-class DirectedGraph:
-    """Vertices 0..n-1 held as a read-only n x n boolean array:
-    ``adjacency[i, j]`` is True exactly for the arc ``i -> j``; ``arcs``
-    lists those arcs as (source, target) pairs."""
-
-    adjacency: np.ndarray
-
-    def __init__(self, n: int, arcs: Iterable[tuple[int, int]]):
-        adjacency = np.zeros((n, n), dtype=bool)
-        for i, j in arcs:
-            if not (0 <= i < n and 0 <= j < n):
-                raise ShapeError(f"arc {(i, j)} leaves the vertices 0..{n - 1}")
-            adjacency[i, j] = True
-        adjacency.setflags(write=False)
-        object.__setattr__(self, "adjacency", adjacency)
-
-    @classmethod
-    def _of_adjacency(cls, adjacency: np.ndarray) -> "DirectedGraph":
-        """Graph on a fresh boolean array, taken without a copy and frozen."""
-        graph = object.__new__(cls)
-        adjacency.setflags(write=False)
-        object.__setattr__(graph, "adjacency", adjacency)
-        return graph
-
-    @property
-    def n(self) -> int:
-        return self.adjacency.shape[0]
-
-    @property
-    def arcs(self) -> frozenset:
-        return frozenset(map(tuple, np.argwhere(self.adjacency).tolist()))
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, DirectedGraph) and np.array_equal(
-            self.adjacency, other.adjacency)
+def _check_same_shape(matrices: Sequence[WeightMatrix]) -> int:
+    if not matrices:
+        raise PreconditionError("need at least one matrix")
+    n = matrices[0].n
+    for m in matrices:
+        if m.n != n:
+            raise ShapeError("all matrices must share one agent count")
+    return n
 
 
-def graph_of_matrix(matrix) -> DirectedGraph:
-    """Directed graph of an influence matrix under the information-flow
-    convention: arc ``j -> i`` exactly when ``w_ij`` is nonzero."""
-    arr = matrix.entries if isinstance(matrix, WeightMatrix) else _as_square(matrix)
-    return DirectedGraph._of_adjacency(arr.T != 0)
+def _reaches_all(products: Sequence, n: int) -> bool:
+    """Whether breadth-first levels from vertex 0 reach all ``n`` vertices;
+    each level is where the sum of ``products`` of the reached set's
+    indicator is positive."""
+    reached = np.zeros(n, dtype=bool)
+    reached[0] = True
+    count = 1
+    while count < n:
+        reached = sum(product(reached) for product in products) > 0
+        grown = np.count_nonzero(reached)
+        if grown == count:
+            return False
+        count = grown
+    return True
 
 
-def _reach(adjacency: np.ndarray, v: int) -> np.ndarray:
-    """Vertices reached from ``v``, itself included: breadth-first, one
-    numpy pass per level. On the transpose, the vertices that reach ``v``."""
-    reached = np.zeros(adjacency.shape[0], dtype=bool)
-    reached[v] = True
-    frontier = reached
-    while np.count_nonzero(frontier):
-        frontier = adjacency[frontier].any(axis=0) > reached  # new and not yet reached
-        reached |= frontier
-    return reached
+def is_strongly_connected(*matrices: WeightMatrix) -> bool:
+    """Strong connectivity of the union of the matrices' graphs.
 
-
-def is_strongly_connected(graph: DirectedGraph) -> bool:
-    """Every vertex is reached from vertex 0 and reaches it."""
-    adjacency = graph.adjacency
-    return graph.n == 0 or bool(_reach(adjacency, 0).all() and _reach(adjacency.T, 0).all())
-
-
-def union_graph(graphs: Sequence[DirectedGraph]) -> DirectedGraph:
-    """Union of arc sets over graphs sharing one vertex set."""
-    if not graphs:
-        raise PreconditionError("union of an empty graph sequence")
-    n = graphs[0].n
-    adjacency = np.zeros((n, n), dtype=bool)
-    for g in graphs:
-        if g.n != n:
-            raise ShapeError(f"vertex count mismatch: {g.n} != {n}")
-        adjacency |= g.adjacency
-    return DirectedGraph._of_adjacency(adjacency)
+    Entry ``i`` of ``W r`` is positive exactly when agent ``i`` listens to
+    an agent marked in the 0/1 vector ``r``, and entry ``j`` of ``W^T r``
+    exactly when a marked agent listens to ``j``. So repeated products
+    from vertex 0's indicator, one breadth-first level each, find the
+    agents that vertex 0's opinion reaches (``matvec``) and those whose
+    opinions reach it (``rmatvec``); the union is strongly connected when
+    both are everyone (Horn & Johnson, *Matrix Analysis*, sec. 6.2). The
+    test is exact in floating point: weights are nonnegative, so a sum is
+    positive exactly where some term is, and the positive diagonal keeps
+    every reached vertex reached. Raises ``PreconditionError`` when given
+    no matrix and ``ShapeError`` when the agent counts differ.
+    """
+    n = _check_same_shape(matrices)
+    return (_reaches_all([m.matvec for m in matrices], n)
+            and _reaches_all([m.rmatvec for m in matrices], n))
 
 
 # ---------------------------------------------------------------------------
 # Schedules: the rule producing W(t) for each step t
 # ---------------------------------------------------------------------------
-
-def _check_same_shape(matrices: Sequence[WeightMatrix]) -> int:
-    if not matrices:
-        raise PreconditionError("schedule needs at least one matrix")
-    n = matrices[0].n
-    for m in matrices:
-        if m.n != n:
-            raise ShapeError("all schedule matrices must share one agent count")
-    return n
-
 
 def _check_step(t: int, horizon: Optional[int]) -> None:
     if t < 0:
@@ -408,13 +365,6 @@ class RandomSchedule:
 GraphSchedule = Union[StaticSchedule, PeriodicSchedule, RandomSchedule]
 
 
-def _jointly_connected(matrices: Iterable[WeightMatrix]) -> bool:
-    """Strong connectivity of the union of the matrices' graphs; a single
-    matrix's graph is swept as it is, without a union copy."""
-    graphs = [m.graph for m in matrices]
-    return is_strongly_connected(graphs[0] if len(graphs) == 1 else union_graph(graphs))
-
-
 def schedule_rjsc_status(schedule: GraphSchedule) -> Optional[bool]:
     """Repeated joint strong connectivity of a schedule, where decidable.
 
@@ -430,10 +380,10 @@ def schedule_rjsc_status(schedule: GraphSchedule) -> Optional[bool]:
     if schedule.horizon is not None:
         return False
     if not isinstance(schedule, RandomSchedule):
-        return _jointly_connected(schedule.pool)
-    if all(_jointly_connected((m,)) for m in schedule.pool):
+        return is_strongly_connected(*schedule.pool)
+    if all(is_strongly_connected(m) for m in schedule.pool):
         return True
-    if not _jointly_connected(schedule.pool):
+    if not is_strongly_connected(*schedule.pool):
         return False
     return None
 
@@ -477,7 +427,7 @@ def verify_repeated_joint_connectivity(
     for start in range(q, q + count * p, p):
         drawn = frozenset(schedule.matrix_at(t) for t in range(start, start + p))
         if drawn not in connected:
-            if not _jointly_connected(drawn):
+            if not is_strongly_connected(*drawn):
                 return False
             connected.add(drawn)
     return True

@@ -103,9 +103,10 @@ def generate_initial(low: float, high: float, n: int, seed: int) -> np.ndarray:
 
     Endpoint draws are rejected because the limit theory is sensitive to
     exact endpoints; a degenerate interval [c, c] is special-cased to the
-    constant vector. Deterministic given the seed.
+    constant vector. An interval with no double strictly inside it raises
+    ``PreconditionError``. Deterministic given the seed.
     """
-    if low > high:
+    if not low <= high:  # NaN too
         raise PreconditionError(f"empty interval ({low}, {high})")
     if low < -1.0 or high > 1.0:
         raise PreconditionError(f"interval ({low}, {high}) not contained in [-1, 1]")
@@ -113,6 +114,8 @@ def generate_initial(low: float, high: float, n: int, seed: int) -> np.ndarray:
         raise PreconditionError(f"need at least one agent, got {n}")
     if low == high:
         return np.full(n, float(low))
+    if np.nextafter(low, high) == high:
+        raise PreconditionError(f"no double lies strictly inside ({low!r}, {high!r})")
     if n >= _BLOCK_DRAW_MIN_N:
         out = low + (high - low) * SplitMix64(seed).random_block(n)  # as rng.uniform, draw by draw
         if np.all((low < out) & (out < high)):
@@ -187,7 +190,7 @@ def _parse_x0(raw, n: int, path: str = "x0"):
             raise SchemaError(f"{path}.uniform", "expected [low, high]")
         low = _as_number(pair[0], f"{path}.uniform[0]")
         high = _as_number(pair[1], f"{path}.uniform[1]")
-        if low > high:
+        if not low <= high:  # NaN too
             raise SchemaError(f"{path}.uniform", f"empty interval ({low}, {high})")
         if low < -1.0 or high > 1.0:
             raise SchemaError(f"{path}.uniform", f"interval ({low}, {high}) not within [-1, 1]")
@@ -303,7 +306,7 @@ def load_scenario(text: str) -> Scenario:
     if n < 2:
         raise SchemaError("n", f"need at least 2 agents, got {n}")
     beta = _as_number(doc.get("beta", DEFAULT_BETA), "beta")
-    if beta <= 0:
+    if not beta > 0:  # NaN too
         raise SchemaError("beta", f"must be positive, got {beta}")
     name = doc.get("name")
     if name is not None and not isinstance(name, str):

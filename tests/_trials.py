@@ -207,8 +207,8 @@ def random_periodic_schedule(n: int, rng: SplitMix64) -> od.PeriodicSchedule:
 def verify_by_window(schedule: od.GraphSchedule, p: int, q: int, horizon: int) -> bool:
     """Reference window check: the same window starts as
     ``verify_repeated_joint_connectivity``, with a fresh union and a fresh
-    connectivity test for every window and nothing remembered between
-    windows."""
+    Floyd-Warshall closure for every window and nothing remembered
+    between windows."""
     if p < 1 or q < 1:
         raise od.PreconditionError(f"window parameters must satisfy p,q >= 1, got p={p} q={q}")
     last = horizon
@@ -223,29 +223,41 @@ def verify_by_window(schedule: od.GraphSchedule, p: int, q: int, horizon: int) -
         count = (last - (q + p - 1)) // p + 1
     starts = [q + k * p for k in range(count)]
     return all(
-        od.is_strongly_connected(
-            od.union_graph([schedule.matrix_at(t).graph for t in range(s, s + p)]))
+        floyd_warshall_strongly_connected(
+            arc_support([schedule.matrix_at(t) for t in range(s, s + p)]))
         for s in starts)
 
 
-def floyd_warshall_closure(graph: od.DirectedGraph) -> np.ndarray:
-    """Independent reachability oracle: boolean reflexive-transitive
+def arc_support(matrices) -> np.ndarray:
+    """Boolean arc array of the union of the matrices' graphs under the
+    information-flow convention: ``support[j, i]`` when ``w_ij != 0``."""
+    return np.logical_or.reduce([m.entries.T != 0 for m in matrices])
+
+
+def matrix_of_arcs(n: int, arcs, scale: float = 1.0) -> od.WeightMatrix:
+    """Valid matrix whose graph holds the arcs ``(j, i)``, meaning agent
+    ``i`` listens to ``j``, plus every self-loop: weight 1 on the diagonal
+    and ``scale`` on each arc, rows normalised."""
+    entries = np.eye(n)
+    for j, i in arcs:
+        if i != j:
+            entries[i, j] = scale
+    entries /= entries.sum(axis=1, keepdims=True)
+    return od.WeightMatrix(entries, beta=float(entries[entries > 0].min()))
+
+
+def floyd_warshall_closure(support: np.ndarray) -> np.ndarray:
+    """Independent reachability oracle on a boolean arc array
+    (``support[i, j]`` for the arc ``i -> j``): the reflexive-transitive
     closure, ``reach[i, j]`` when a path runs from ``i`` to ``j``."""
-    n = graph.n
-    reach = np.zeros((n, n), dtype=bool)
-    for i in range(n):
-        reach[i, i] = True
-    for i, j in graph.arcs:
-        reach[i, j] = True
-    for k in range(n):
-        for i in range(n):
-            if reach[i, k]:
-                reach[i] |= reach[k]
+    reach = support | np.eye(support.shape[0], dtype=bool)
+    for k in range(reach.shape[0]):
+        reach |= reach[:, k, None] & reach[k]  # paths through k
     return reach
 
 
-def floyd_warshall_strongly_connected(graph: od.DirectedGraph) -> bool:
-    return bool(floyd_warshall_closure(graph).all())
+def floyd_warshall_strongly_connected(support: np.ndarray) -> bool:
+    return bool(floyd_warshall_closure(support).all())
 
 
 def write_trajectory_csv_by_value(record: od.TrajectoryRecord, path) -> None:

@@ -131,6 +131,12 @@ class TestValidateCommand:
         assert "zero_diagonal" in out
         assert "np.float64(" not in out
 
+    def test_nan_beta_rejected(self, tmp_path, capsys):
+        path = tmp_path / "w.txt"
+        path.write_text("2\n0.99 0.01\n0.5 0.5\n")
+        assert main(["validate", str(path), "--beta", "nan"]) == 1
+        assert "beta must be positive" in capsys.readouterr().err
+
     def test_scenario_document(self, dissenter_path, capsys):
         assert main(["validate", dissenter_path]) == 0
         assert "valid scenario" in capsys.readouterr().out

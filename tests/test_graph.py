@@ -16,8 +16,10 @@ from opdyn.errors import (
 from opdyn.rng import SplitMix64
 
 from _trials import (
+    arc_support,
     floyd_warshall_strongly_connected,
     half_cycle_matrices,
+    matrix_of_arcs,
     random_valid_matrix,
     reference_violations,
     trial_rng,
@@ -78,6 +80,13 @@ class TestValidateWeightMatrix:
         with pytest.raises(PreconditionError):
             od.validate_weight_matrix(np.eye(2), beta=0.0)
 
+    def test_nan_beta_rejected(self):
+        entries = [[0.99, 0.01], [0.5, 0.5]]  # below any floor worth declaring
+        with pytest.raises(PreconditionError):
+            od.validate_weight_matrix(entries, beta=float("nan"))
+        with pytest.raises(PreconditionError):
+            od.WeightMatrix(entries, beta=float("nan"))
+
     def test_constructor_raises_on_invalid(self):
         with pytest.raises(ValidationError):
             od.WeightMatrix([[0.5, 0.5], [0.6, 0.6]], beta=0.1)
@@ -116,114 +125,100 @@ class TestValidateWeightMatrix:
             w.entries[0, 0] = 0.9
 
 
-class TestGraphOfMatrix:
-    def test_full_support_gives_complete_graph(self):
-        for n in range(2, 8):
-            g = od.graph_of_matrix(od.uniform_complete_matrix(n))
-            assert g.arcs == frozenset((i, j) for i in range(n) for j in range(n))
-
-    def test_identity_gives_self_arcs_only(self):
-        g = od.graph_of_matrix(np.eye(3))
-        assert g.arcs == frozenset((i, i) for i in range(3))
-
-    def test_arc_direction_is_information_flow(self):
-        # agent 0 listens to agent 1 (w_01 > 0), so the arc runs 1 -> 0
-        entries = np.eye(3)
-        entries[0, 0] = 0.7
-        entries[0, 1] = 0.3
-        g = od.graph_of_matrix(od.WeightMatrix(entries, beta=0.3))
-        assert g.arcs == frozenset({(0, 0), (1, 1), (2, 2), (1, 0)})
-
-    def test_adjacency_is_read_only_transposed_support(self):
-        for trial in range(20):
-            rng = trial_rng(11, trial)
-            m = random_valid_matrix(2 + rng.randrange(6), rng)
-            g = od.graph_of_matrix(m)
-            assert g.adjacency.dtype == bool
-            assert np.array_equal(g.adjacency, m.entries.T != 0)
-            assert od.DirectedGraph(g.n, g.arcs) == g
-            with pytest.raises(ValueError):
-                g.adjacency[0, 0] = False
-
-
 class TestStrongConnectivity:
     def test_complete_graph(self):
-        assert od.is_strongly_connected(od.graph_of_matrix(od.uniform_complete_matrix(4)))
+        assert od.is_strongly_connected(od.uniform_complete_matrix(4))
 
     def test_disconnected_self_arcs(self):
-        g = od.DirectedGraph(2, frozenset({(0, 0), (1, 1)}))
-        assert not od.is_strongly_connected(g)
+        assert not od.is_strongly_connected(od.WeightMatrix(np.eye(2), beta=0.5))
 
     def test_directed_ring(self):
-        assert od.is_strongly_connected(ring_matrix(3).graph)
+        assert od.is_strongly_connected(ring_matrix(3))
+        ring = ring_matrix(400)
+        assert ring._csr is not None
+        assert od.is_strongly_connected(ring)
+        broken = matrix_of_arcs(400, [(i, i + 1) for i in range(399)])  # no arc 399 -> 0
+        assert broken._csr is not None
+        assert not od.is_strongly_connected(broken)
 
     def test_matches_reachability_oracle_on_random_graphs(self):
         for trial in range(300):
             rng = trial_rng(10, trial)
             n = 2 + rng.randrange(5)
-            arcs = {(i, i) for i in range(n)}
-            for i in range(n):
-                for j in range(n):
-                    if i != j and rng.random() < 0.3:
-                        arcs.add((i, j))
-            g = od.DirectedGraph(n, frozenset(arcs))
-            assert od.is_strongly_connected(g) == floyd_warshall_strongly_connected(g)
+            arcs = [(i, j) for i in range(n) for j in range(n)
+                    if i != j and rng.random() < 0.3]
+            m = matrix_of_arcs(n, arcs)
+            assert od.is_strongly_connected(m) == floyd_warshall_strongly_connected(
+                arc_support([m]))
 
     @settings(max_examples=200, deadline=None)
     @given(st.data())
     def test_matches_floyd_warshall_closure(self, data):
-        n = data.draw(st.integers(1, 10))
-        arc = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1))
-        arcs = data.draw(st.sets(arc, max_size=3 * n))
-        if data.draw(st.booleans()):
-            arcs |= {(i, i) for i in range(n)}
-        g = od.DirectedGraph(n, arcs)
-        assert g.n == n and g.arcs == arcs
-        assert od.is_strongly_connected(g) == floyd_warshall_strongly_connected(g)
-
-    def test_arc_outside_vertex_range_rejected(self):
-        for arc in ((0, 3), (3, 0), (-1, 0), (0, -1)):
-            with pytest.raises(ShapeError):
-                od.DirectedGraph(3, [(0, 1), arc])
+        count = data.draw(st.integers(1, 3), label="matrices")
+        if data.draw(st.integers(0, 7), label="size class") == 0:
+            # Large and sparse, so every matrix takes the CSR path: a path
+            # through the agents in a random order, closed or not, plus a
+            # few random arcs.
+            n = data.draw(st.integers(400, 440), label="n")
+            rng = trial_rng(17, data.draw(st.integers(0, 2**16), label="trial"))
+            order = list(range(n))
+            rng.shuffle(order)
+            arcs = list(zip(order, order[1:] + order[:1]))[:n - rng.randrange(2)]
+            arcs += [(rng.randrange(n), rng.randrange(n)) for _ in range(rng.randrange(n // 2))]
+            owners = [rng.randrange(count) for _ in arcs]
+        else:
+            n = data.draw(st.integers(2, 10), label="n")
+            arc = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1))
+            arcs = data.draw(st.lists(arc, max_size=3 * n), label="arcs")
+            if data.draw(st.booleans(), label="with a ring"):  # closed or one arc short
+                order = data.draw(st.permutations(range(n)), label="ring order")
+                arcs += list(zip(order, order[1:] + order[:1]))[data.draw(st.integers(0, 1)):]
+            owners = data.draw(st.lists(st.integers(0, count - 1), min_size=len(arcs),
+                                        max_size=len(arcs)), label="owners")
+        scale = data.draw(st.sampled_from((1.0, 1e-3, 1e-300)), label="arc weight")
+        ms = [matrix_of_arcs(n, [a for a, k in zip(arcs, owners) if k == owner], scale)
+              for owner in range(count)]
+        if n >= 400:
+            assert all(m._csr is not None for m in ms)
+        expected = floyd_warshall_strongly_connected(arc_support(ms))
+        assert od.is_strongly_connected(*ms) is expected
+        assert od.is_strongly_connected(*reversed(ms)) is expected
 
 
 class TestUnionGraph:
-    def test_forward_and_backward_rings(self):
-        fwd = od.DirectedGraph(3, frozenset({(0, 1), (1, 2), (2, 0)}))
-        bwd = od.DirectedGraph(3, frozenset({(1, 0), (2, 1), (0, 2)}))
-        assert od.union_graph([fwd, bwd]).arcs == fwd.arcs | bwd.arcs
-
-    def test_self_union_is_identity(self):
-        g = ring_matrix(4).graph
-        assert od.union_graph([g, g]) == g
+    """Strong connectivity of the union of several matrices' graphs."""
 
     def test_two_single_arcs_become_strongly_connected(self):
-        a = od.DirectedGraph(2, frozenset({(0, 0), (1, 1), (0, 1)}))
-        b = od.DirectedGraph(2, frozenset({(0, 0), (1, 1), (1, 0)}))
-        assert od.is_strongly_connected(od.union_graph([a, b]))
+        a, b = alternating_two_agent_schedule().matrices
+        assert not od.is_strongly_connected(a) and not od.is_strongly_connected(b)
+        assert od.is_strongly_connected(a, b)
 
     def test_vertex_count_mismatch(self):
         with pytest.raises(ShapeError):
-            od.union_graph([od.DirectedGraph(2, frozenset()), od.DirectedGraph(3, frozenset())])
+            od.is_strongly_connected(od.uniform_complete_matrix(2), od.uniform_complete_matrix(3))
 
     def test_empty_sequence(self):
         with pytest.raises(PreconditionError):
-            od.union_graph([])
+            od.is_strongly_connected()
 
     @settings(max_examples=60, deadline=None)
     @given(st.data())
     def test_commutative_associative_idempotent(self, data):
+        # The mean of two valid matrices is a valid matrix whose graph is
+        # the union of theirs, so it stands for a union taken first.
         n = data.draw(st.integers(2, 5))
         arc = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1))
-        graphs = [
-            od.DirectedGraph(n, frozenset(data.draw(st.sets(arc, max_size=8))))
-            for _ in range(3)
-        ]
-        a, b, c = graphs
-        assert od.union_graph([a, b]) == od.union_graph([b, a])
-        assert od.union_graph([od.union_graph([a, b]), c]) == od.union_graph(
-            [a, od.union_graph([b, c])])
-        assert od.union_graph([a, a]) == a
+        a, b, c = (matrix_of_arcs(n, data.draw(st.sets(arc, max_size=8))) for _ in range(3))
+
+        def joined(x, y):
+            entries = (x.entries + y.entries) / 2
+            return od.WeightMatrix(entries, beta=float(entries[entries > 0].min()))
+
+        verdict = od.is_strongly_connected(a, b, c)
+        assert od.is_strongly_connected(a, b) == od.is_strongly_connected(b, a)
+        assert od.is_strongly_connected(joined(a, b), c) == verdict
+        assert od.is_strongly_connected(a, joined(b, c)) == verdict
+        assert od.is_strongly_connected(a, a) == od.is_strongly_connected(a)
 
 
 def alternating_two_agent_schedule():
@@ -342,15 +337,6 @@ class TestRepeatedJointConnectivity:
         rec = od.simulate(np.linspace(-0.5, 0.5, 6), bounded, od.DeGroot())
         assert rec.stop_reason == "schedule_exhausted"
 
-    def test_single_matrix_is_swept_without_a_union(self, monkeypatch):
-        def no_union(graphs):
-            raise AssertionError("union built for a single matrix")
-
-        monkeypatch.setattr(od.graph, "union_graph", no_union)
-        assert od.schedule_rjsc_status(od.StaticSchedule(ring_matrix(5))) is True
-        identity = od.WeightMatrix(np.eye(4), beta=0.5)
-        assert od.schedule_rjsc_status(od.StaticSchedule(identity)) is False
-
 
 class TestSchedules:
     def test_periodic_cycles_in_order(self):
@@ -410,7 +396,7 @@ class TestRandomMatrixGenerator:
             n = 2 + rng.randrange(9)
             w = od.random_strongly_connected_matrix(n, rng, edge_probability=0.2)
             assert od.validate_weight_matrix(w.entries, w.beta).ok
-            assert od.is_strongly_connected(w.graph)
+            assert od.is_strongly_connected(w)
 
     def test_deterministic_in_seed(self):
         a = od.random_strongly_connected_matrix(6, trial_rng(14, 0), 0.3)

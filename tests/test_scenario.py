@@ -111,6 +111,19 @@ class TestLoadScenario:
         with pytest.raises(SchemaError, match="uniform"):
             load(doc)
 
+    def test_nan_interval_rejected(self):
+        for pair in ([float("nan"), 0.5], [0.0, float("nan")]):
+            with pytest.raises(SchemaError) as caught:
+                load(dissenter_document(x0={"uniform": pair}))
+            assert caught.value.path == "x0.uniform"
+
+    def test_nan_beta_rejected(self):
+        entries = [[0.97, 0.01, 0.01, 0.01]] + QUARTER[1:]  # below any floor worth declaring
+        doc = dissenter_document(beta=float("nan"), schedule={"kind": "static", "matrix": entries})
+        with pytest.raises(SchemaError) as caught:
+            load(doc)
+        assert caught.value.path == "beta"
+
     def test_bad_json_reports_top_level(self):
         with pytest.raises(SchemaError, match=r"\$"):
             od.load_scenario("{not json")
@@ -167,6 +180,15 @@ class TestGenerateInitial:
             od.generate_initial(0.5, 0.1, 3, seed=0)
         with pytest.raises(PreconditionError):
             od.generate_initial(-1.5, 0.0, 3, seed=0)
+        for low, high in ((float("nan"), 0.5), (0.0, float("nan"))):
+            with pytest.raises(PreconditionError):
+                od.generate_initial(low, high, 3, seed=0)
+
+    def test_interval_without_interior_rejected(self):
+        # no double lies strictly between two neighbouring doubles
+        for n in (3, 40):  # scalar and block draws
+            with pytest.raises(PreconditionError, match="strictly inside"):
+                od.generate_initial(0.5, np.nextafter(0.5, 1.0), n, seed=1)
 
 
 class TestRoundTrip:
