@@ -21,7 +21,7 @@ def show_susceptibility_profiles():
     kinds = [od.DeGroot(), od.StubbornPositive(), od.StubbornNeutral(),
              od.StubbornExtremist()]
     print(f"{'x':>6} " + " ".join(f"{k.name:>18}" for k in kinds))
-    profiles = np.column_stack([od.susceptibility_profile(k, grid) for k in kinds])
+    profiles = np.column_stack([k.values(grid) for k in kinds])
     for x, fs in zip(grid, profiles):
         row = " ".join(f"{f:>18.3f}" for f in fs)
         print(f"{x:>6.2f} {row}")

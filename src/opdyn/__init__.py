@@ -44,7 +44,6 @@ from .dynamics import (
     opinion_vector,
     simulate,
     step,
-    susceptibility_profile,
     system_matrix,
     write_trajectory_csv,
 )
@@ -56,7 +55,6 @@ from .analysis import (
     check_lemmas,
     classify_limit,
     degroot_consensus_value,
-    detect_consensus,
     estimate_rate,
     stationary_weights,
 )

@@ -28,6 +28,8 @@ from .graph import WeightMatrix, is_strongly_connected
 
 LEMMA_SLACK = 1e-12
 RATE_SPREAD_FLOOR = 100.0 * np.finfo(float).eps
+STATIONARY_TOL = 1e-12
+STATIONARY_MAX_ITERATIONS = 200_000
 
 
 # ---------------------------------------------------------------------------
@@ -38,7 +40,8 @@ RATE_SPREAD_FLOOR = 100.0 * np.finfo(float).eps
 class LemmaReport:
     """First violating step index per clause, or None when clean.
 
-    ``interval_step``: a state left [-1, 1] (beyond slack) at that index.
+    ``interval_step``: a state left [-1, 1] (beyond ``LEMMA_SLACK``) at
+    that index.
     ``min_step``: the running minimum decreased entering that index.
     ``max_step``: the running maximum increased entering that index.
     """
@@ -52,8 +55,9 @@ class LemmaReport:
         return self.interval_step is None and self.min_step is None and self.max_step is None
 
 
-def check_lemmas(record: TrajectoryRecord, slack: float = LEMMA_SLACK) -> LemmaReport:
-    """Check interval invariance and monotone extremes on a trajectory.
+def check_lemmas(record: TrajectoryRecord) -> LemmaReport:
+    """Check interval invariance and monotone extremes on a trajectory,
+    each clause up to ``LEMMA_SLACK``.
 
     Any trajectory produced by ``simulate`` passes; the checks exist to
     catch forged or externally loaded records and to act as a regression
@@ -61,24 +65,14 @@ def check_lemmas(record: TrajectoryRecord, slack: float = LEMMA_SLACK) -> LemmaR
     """
     if len(record.mins) < 1:
         raise PreconditionError("empty trajectory")
-    inside = (record.mins >= -1.0 - slack) & (record.maxs <= 1.0 + slack)
+    inside = (record.mins >= -1.0 - LEMMA_SLACK) & (record.maxs <= 1.0 + LEMMA_SLACK)
     bad = np.nonzero(~inside)[0]  # a NaN state is not inside
     interval_step = int(bad[0]) if bad.size else None
-    dmin = np.nonzero(np.diff(record.mins) < -slack)[0]
+    dmin = np.nonzero(np.diff(record.mins) < -LEMMA_SLACK)[0]
     min_step = int(dmin[0] + 1) if dmin.size else None
-    dmax = np.nonzero(np.diff(record.maxs) > slack)[0]
+    dmax = np.nonzero(np.diff(record.maxs) > LEMMA_SLACK)[0]
     max_step = int(dmax[0] + 1) if dmax.size else None
     return LemmaReport(interval_step, min_step, max_step)
-
-
-def detect_consensus(x, epsilon: float) -> Optional[float]:
-    """Mean opinion if the spread is below epsilon, else None."""
-    if not epsilon > 0.0:
-        raise PreconditionError("epsilon must be positive")
-    arr = np.asarray(x, dtype=float)
-    if float(arr.max() - arr.min()) < epsilon:
-        return float(arr.mean())
-    return None
 
 
 # ---------------------------------------------------------------------------
@@ -184,11 +178,7 @@ def classify_limit(x0, kind: SusceptibilityKind, rjsc: bool) -> LimitClassificat
 # Fixed-graph averaging oracle
 # ---------------------------------------------------------------------------
 
-def stationary_weights(
-    matrix: WeightMatrix,
-    tol: float = 1e-12,
-    max_iterations: int = 200_000,
-) -> np.ndarray:
+def stationary_weights(matrix: WeightMatrix) -> np.ndarray:
     """Normalized left fixed vector ``c`` of a strongly connected matrix:
     ``c @ W == c``, ``c.sum() == 1``, entrywise positive.
 
@@ -198,21 +188,22 @@ def stationary_weights(
     positive diagonal of a valid matrix rules out periodicity, so the
     iteration converges in the limit for every strongly connected input,
     but a slowly mixing graph (a directed ring of several hundred agents)
-    can need more than ``max_iterations`` steps. The returned vector's
-    residual ``max |W^T c - c|`` is at most ``tol``; raises
-    ``ConvergenceError`` if no iterate gets there within the iteration
-    budget.
+    can need more than ``STATIONARY_MAX_ITERATIONS`` steps. The returned
+    vector's residual ``max |W^T c - c|`` is at most ``STATIONARY_TOL``;
+    raises ``ConvergenceError`` if no iterate gets there within the
+    iteration budget.
     """
     if not is_strongly_connected(matrix):
         raise PreconditionError("matrix graph is not strongly connected")
     c = np.full(matrix.n, 1.0 / matrix.n)
-    for _ in range(max_iterations):
+    for _ in range(STATIONARY_MAX_ITERATIONS):
         image = matrix.rmatvec(c)
-        if float(np.abs(image - c).max()) <= tol:
+        if float(np.abs(image - c).max()) <= STATIONARY_TOL:
             return c
         c = image / image.sum()
     raise ConvergenceError(
-        f"left fixed vector residual stayed above {tol} after {max_iterations} iterations")
+        f"left fixed vector residual stayed above {STATIONARY_TOL} "
+        f"after {STATIONARY_MAX_ITERATIONS} iterations")
 
 
 def degroot_consensus_value(matrix: WeightMatrix, x0) -> float:

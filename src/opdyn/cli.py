@@ -10,9 +10,9 @@ artifacts), 2 on I/O failure. Artifact paths are relative to ``--out``
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import sys
 from pathlib import Path
-from typing import Optional
 
 from .analysis import classify_limit, degroot_consensus_value
 from .dynamics import DeGroot, StopRule, write_trajectory_csv
@@ -49,16 +49,11 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(message)
 
 
-def _stop_override(scenario: Scenario, args) -> Optional[StopRule]:
-    if args.epsilon is None and args.max_steps is None:
-        return None
-    base = scenario.stop
-    return StopRule(
-        max_steps=args.max_steps if args.max_steps is not None else base.max_steps,
-        consensus_epsilon=args.epsilon if args.epsilon is not None else base.consensus_epsilon,
-        target=base.target,
-        target_epsilon=base.target_epsilon,
-    )
+def _stop_override(scenario: Scenario, args) -> StopRule:
+    """The scenario's stop rule with the --max-steps and --epsilon overrides."""
+    overrides = {"max_steps": args.max_steps, "consensus_epsilon": args.epsilon}
+    return dataclasses.replace(
+        scenario.stop, **{field: v for field, v in overrides.items() if v is not None})
 
 
 def _stem(scenario: Scenario) -> str:

@@ -43,10 +43,15 @@ Susceptibility kinds:
   * ``StubbornNeutral``    f = x**2       (immovable at 0, fully open at +-1)
   * ``StubbornExtremist``  f = 1 - x**2   (immovable at +-1; no limit theory)
   * ``Custom``             any vectorized f, range-checked on a fine grid
+
+Each kind's ``values(x)`` gives the susceptibilities ``f(x)``, vectorized,
+in [0, 1] for opinions in [-1, 1]: the built-in kinds map into it exactly
+(rounding is monotone) and ``Custom`` clips. The result may be read-only.
 """
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 from typing import Callable, Optional, Union
 
@@ -187,14 +192,6 @@ SusceptibilityKind = Union[
 ]
 
 
-def susceptibility_profile(kind: SusceptibilityKind, x: np.ndarray) -> np.ndarray:
-    """Vectorized susceptibilities ``f(x)``, in [0, 1] for opinions in [-1, 1]:
-    the built-in kinds map into it exactly (rounding is monotone) and
-    ``Custom`` clips. The result may be read-only.
-    """
-    return kind.values(x)
-
-
 # ---------------------------------------------------------------------------
 # One-step operators
 # ---------------------------------------------------------------------------
@@ -213,7 +210,7 @@ def system_matrix(x, matrix: WeightMatrix, kind: SusceptibilityKind) -> np.ndarr
     """
     xa = np.asarray(x, dtype=float)
     _check_dims(xa, matrix)
-    f = susceptibility_profile(kind, xa)
+    f = kind.values(xa)
     s = f[:, None] * matrix.entries
     idx = np.arange(matrix.n)
     s[idx, idx] += 1.0 - f
@@ -269,6 +266,8 @@ def step(x, matrix: WeightMatrix, kind: SusceptibilityKind) -> np.ndarray:
 class StopRule:
     """When to stop a simulation.
 
+    ``max_steps`` caps the transitions; it is an integer of at least 1
+    (a bool is not), since the loop stops when the step count equals it.
     ``consensus_epsilon`` stops on spread (max - min) falling below it.
     ``target``/``target_epsilon`` stop once every opinion is within
     ``target_epsilon`` of a predicted limit; useful near the extremes,
@@ -282,6 +281,8 @@ class StopRule:
     target_epsilon: Optional[float] = None
 
     def __post_init__(self):
+        if isinstance(self.max_steps, bool) or not isinstance(self.max_steps, numbers.Integral):
+            raise ValidationError(f"max_steps must be an integer, got {self.max_steps!r}")
         if self.max_steps < 1:
             raise ValidationError(f"max_steps must be >= 1, got {self.max_steps}")
         if not self.consensus_epsilon > 0.0:
@@ -371,7 +372,7 @@ def simulate(
     if x.shape[0] != schedule.n:
         raise ShapeError(f"{x.shape[0]} opinions against a {schedule.n}-agent schedule")
     # Fail fast on per-agent kinds of the wrong size.
-    susceptibility_profile(kind, x)
+    kind.values(x)
 
     target = stop.target
     mins: list[float] = []

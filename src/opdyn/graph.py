@@ -438,8 +438,11 @@ def find_window_parameters(
 ) -> Optional[tuple[int, int]]:
     """Exhaustive convenience search for a verifying (p, q), smallest p
     first. Returns None when no pair up to ``max_p`` (default: horizon)
-    verifies. Quadratic in ``max_p``; intended for desk-scale schedules."""
-    cap = min(max_p or horizon, horizon)
+    verifies; raises ``PreconditionError`` when ``max_p`` is below 1.
+    Quadratic in ``max_p``; intended for desk-scale schedules."""
+    if max_p is not None and max_p < 1:
+        raise PreconditionError(f"max_p must be >= 1, got {max_p}")
+    cap = horizon if max_p is None else min(max_p, horizon)
     for p in range(1, cap + 1):
         for q in range(1, p + 1):
             try:
@@ -455,7 +458,7 @@ def find_window_parameters(
 # ---------------------------------------------------------------------------
 
 def random_strongly_connected_matrix(
-    n: int, rng: SplitMix64, edge_probability: float = 0.3,
+    n: int, rng: SplitMix64, edge_probability: float,
 ) -> WeightMatrix:
     """Random row-stochastic matrix whose graph is strongly connected.
 

@@ -19,7 +19,8 @@ graph schedule, the susceptibility kind, the stop rule, and a seed:
 Schedules: ``static`` (one ``matrix``, or ``generated`` with an
 ``edge_probability`` for a seeded random strongly connected matrix),
 ``periodic`` (``matrices`` cycled in order), ``random`` (uniform seeded
-draws from ``pool``); any of them may carry a finite ``horizon``.
+draws from ``pool``); any of them may carry a finite ``horizon``, and
+none takes another kind's field.
 Susceptibility is one of the kind names, or
 ``{"kind": "constant", "openness": [...]}`` for per-agent fixed openness.
 
@@ -44,7 +45,6 @@ from .analysis import (
     RateEstimate,
     check_lemmas,
     classify_limit,
-    detect_consensus,
     estimate_rate,
 )
 from .dynamics import (
@@ -93,10 +93,27 @@ _KIND_NAMES = {
     "stubborn_extremist": StubbornExtremist,
 }
 
+# The matrix fields each schedule kind takes, besides "kind" and "horizon".
+_SCHEDULE_FIELDS = {
+    "static": {"matrix", "generated"},
+    "periodic": {"matrices"},
+    "random": {"pool"},
+}
+
 
 # ---------------------------------------------------------------------------
 # Seeded generation
 # ---------------------------------------------------------------------------
+
+def _check_interval(low: float, high: float) -> None:
+    """Raise ``PreconditionError`` unless opinions can be drawn from (low, high)."""
+    if not low <= high:  # NaN too
+        raise PreconditionError(f"empty interval ({low}, {high})")
+    if low < -1.0 or high > 1.0:
+        raise PreconditionError(f"interval ({low}, {high}) not contained in [-1, 1]")
+    if low < high and np.nextafter(low, high) == high:
+        raise PreconditionError(f"no double lies strictly inside ({low!r}, {high!r})")
+
 
 def generate_initial(low: float, high: float, n: int, seed: int) -> np.ndarray:
     """Seeded i.i.d. opinions, uniform over the OPEN interval (low, high).
@@ -106,16 +123,11 @@ def generate_initial(low: float, high: float, n: int, seed: int) -> np.ndarray:
     constant vector. An interval with no double strictly inside it raises
     ``PreconditionError``. Deterministic given the seed.
     """
-    if not low <= high:  # NaN too
-        raise PreconditionError(f"empty interval ({low}, {high})")
-    if low < -1.0 or high > 1.0:
-        raise PreconditionError(f"interval ({low}, {high}) not contained in [-1, 1]")
+    _check_interval(low, high)
     if n < 1:
         raise PreconditionError(f"need at least one agent, got {n}")
     if low == high:
         return np.full(n, float(low))
-    if np.nextafter(low, high) == high:
-        raise PreconditionError(f"no double lies strictly inside ({low!r}, {high!r})")
     if n >= _BLOCK_DRAW_MIN_N:
         out = low + (high - low) * SplitMix64(seed).random_block(n)  # as rng.uniform, draw by draw
         if np.all((low < out) & (out < high)):
@@ -190,10 +202,10 @@ def _parse_x0(raw, n: int, path: str = "x0"):
             raise SchemaError(f"{path}.uniform", "expected [low, high]")
         low = _as_number(pair[0], f"{path}.uniform[0]")
         high = _as_number(pair[1], f"{path}.uniform[1]")
-        if not low <= high:  # NaN too
-            raise SchemaError(f"{path}.uniform", f"empty interval ({low}, {high})")
-        if low < -1.0 or high > 1.0:
-            raise SchemaError(f"{path}.uniform", f"interval ({low}, {high}) not within [-1, 1]")
+        try:
+            _check_interval(low, high)
+        except PreconditionError as exc:
+            raise SchemaError(f"{path}.uniform", str(exc)) from None
         return None, (low, high)
     raise SchemaError(path, "expected a list of opinions or a generator object")
 
@@ -245,7 +257,6 @@ class Scenario:
     """A fully validated experiment definition."""
 
     n: int
-    beta: float
     seed: int
     name: Optional[str]
     x0_values: Optional[np.ndarray]
@@ -320,9 +331,12 @@ def load_scenario(text: str) -> Scenario:
     sched = doc["schedule"]
     if not isinstance(sched, dict):
         raise SchemaError("schedule", "expected an object")
-    _require_keys(sched, {"kind", "matrix", "matrices", "pool", "generated", "horizon"},
-                  {"kind"}, "schedule")
+    if "kind" not in sched:
+        raise SchemaError("schedule.kind", "missing required field")
     sched_kind = sched["kind"]
+    if not isinstance(sched_kind, str) or sched_kind not in _SCHEDULE_FIELDS:
+        raise SchemaError("schedule.kind", f"unknown kind {sched_kind!r}")
+    _require_keys(sched, {"kind", "horizon", *_SCHEDULE_FIELDS[sched_kind]}, set(), "schedule")
     horizon = None
     if sched.get("horizon") is not None:
         horizon = _as_int(sched["horizon"], "schedule.horizon")
@@ -343,27 +357,19 @@ def load_scenario(text: str) -> Scenario:
             generated_p = _as_number(gen.get("edge_probability", 0.3), "schedule.generated.edge_probability")
             if not 0.0 <= generated_p <= 1.0:
                 raise SchemaError("schedule.generated.edge_probability", "must lie in [0, 1]")
-    elif sched_kind == "periodic":
-        raw_list = sched.get("matrices")
-        if not isinstance(raw_list, list) or not raw_list:
-            raise SchemaError("schedule.matrices", "expected a nonempty list of matrices")
-        matrices = tuple(
-            _parse_matrix(m, n, beta, f"schedule.matrices[{k}]") for k, m in enumerate(raw_list))
-    elif sched_kind == "random":
-        raw_list = sched.get("pool")
-        if not isinstance(raw_list, list) or not raw_list:
-            raise SchemaError("schedule.pool", "expected a nonempty list of matrices")
-        matrices = tuple(
-            _parse_matrix(m, n, beta, f"schedule.pool[{k}]") for k, m in enumerate(raw_list))
     else:
-        raise SchemaError("schedule.kind", f"unknown kind {sched_kind!r}")
+        (key,) = _SCHEDULE_FIELDS[sched_kind]
+        raw_list = sched.get(key)
+        if not isinstance(raw_list, list) or not raw_list:
+            raise SchemaError(f"schedule.{key}", "expected a nonempty list of matrices")
+        matrices = tuple(
+            _parse_matrix(m, n, beta, f"schedule.{key}[{k}]") for k, m in enumerate(raw_list))
 
     kind = _parse_kind(doc["susceptibility"], n)
     stop = _parse_stop(doc.get("stop"))
 
     return Scenario(
         n=n,
-        beta=beta,
         seed=seed,
         name=name,
         x0_values=x0_values,
@@ -443,16 +449,16 @@ def run_scenario(
 
     ``seed`` overrides the document seed; ``stop`` overrides the stop
     rule. The summary's consensus value is present exactly when the run
-    stopped on consensus.
+    stopped on consensus: the mean of the final state, whose spread the
+    stop rule has already found below epsilon.
     """
-    active_stop = stop or scenario.stop
     x0 = initial_opinions(scenario, seed)
     schedule = build_schedule(scenario, seed)
     rjsc = schedule_rjsc_status(schedule)
-    record = simulate(x0, schedule, scenario.kind, active_stop, keep_states=keep_states)
+    record = simulate(x0, schedule, scenario.kind, stop or scenario.stop, keep_states=keep_states)
     consensus = None
     if record.stop_reason == "consensus":
-        consensus = detect_consensus(record.final_state, active_stop.consensus_epsilon)
+        consensus = float(record.final_state.mean())
     try:
         rate = estimate_rate(record)
     except PreconditionError:

@@ -46,23 +46,6 @@ class TestCheckLemmas:
             od.check_lemmas(rec)
 
 
-class TestDetectConsensus:
-    def test_agreeing_population(self):
-        assert od.detect_consensus([0.3, 0.3, 0.3], 1e-9) == pytest.approx(0.3)
-
-    def test_split_population(self):
-        assert od.detect_consensus([1.0, -1.0], 1e-9) is None
-
-    def test_after_single_averaging_step(self):
-        w = od.uniform_complete_matrix(4)
-        x1 = od.step([1.0, -1.0, -1.0, -1.0], w, od.StubbornNeutral())
-        assert od.detect_consensus(x1, 1e-9) == -0.5
-
-    def test_epsilon_positive(self):
-        with pytest.raises(PreconditionError):
-            od.detect_consensus([0.0], 0.0)
-
-
 class TestClassifyLimit:
     def test_stubborn_positive_pinned_one(self):
         result = od.classify_limit([0.2, 1.0, -0.7], od.StubbornPositive(), rjsc=True)
@@ -234,7 +217,7 @@ class TestStationaryWeights:
             assert np.abs(w.entries.T @ c - c).max() <= 1e-12
             assert c.sum() == pytest.approx(1.0, abs=1e-12)
 
-    def test_iteration_budget_failure_signal(self):
+    def test_iteration_budget_failure_signal(self, monkeypatch):
         # ring with tiny, unequal listening rates: mixing needs ~1e6 steps
         deltas = (1e-6, 2e-6, 3e-6)
         entries = np.zeros((3, 3))
@@ -242,8 +225,9 @@ class TestStationaryWeights:
             entries[i, i] = 1.0 - d
             entries[i, (i - 1) % 3] = d
         w = od.WeightMatrix(entries, beta=min(deltas))
+        monkeypatch.setattr(od.analysis, "STATIONARY_MAX_ITERATIONS", 3)
         with pytest.raises(ConvergenceError):
-            od.stationary_weights(w, max_iterations=3)
+            od.stationary_weights(w)
 
 
 class TestEstimateRate:

@@ -188,6 +188,21 @@ class TestConnectivityCommand:
         assert main(["connectivity", path, "--search", "--horizon", "10"]) == 0
         assert "p=2, q=1" in capsys.readouterr().out
 
+    def test_search_cap_below_one_exits_one(self, tmp_path, capsys):
+        path = write_scenario(tmp_path, {
+            "schema": 1, "n": 2,
+            "x0": [0.5, -0.5],
+            "schedule": {"kind": "periodic", "matrices": [
+                [[1.0, 0.0], [0.5, 0.5]],
+                [[0.5, 0.5], [0.0, 1.0]],
+            ]},
+            "susceptibility": "degroot",
+        })
+        assert main(["connectivity", path, "--search", "--p", "1", "--horizon", "10"]) == 1
+        assert "no verifying window" in capsys.readouterr().out
+        assert main(["connectivity", path, "--search", "--p", "0", "--horizon", "10"]) == 1
+        assert "max_p must be >= 1" in capsys.readouterr().err
+
     def test_requires_window_or_search(self, dissenter_path, capsys):
         assert main(["connectivity", dissenter_path, "--horizon", "10"]) == 1
 

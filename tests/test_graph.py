@@ -325,6 +325,13 @@ class TestRepeatedJointConnectivity:
     def test_search_finds_smallest_window(self):
         assert od.find_window_parameters(alternating_two_agent_schedule(), 20) == (2, 1)
 
+    def test_search_honours_its_cap(self):
+        sched = alternating_two_agent_schedule()
+        assert od.find_window_parameters(sched, 20, max_p=1) is None
+        for cap in (0, -1):
+            with pytest.raises(PreconditionError, match="max_p"):
+                od.find_window_parameters(sched, 20, max_p=cap)
+
     def test_search_reports_absence(self):
         sched = od.StaticSchedule(od.WeightMatrix(np.eye(3), beta=0.5))
         assert od.find_window_parameters(sched, 10) is None

@@ -54,7 +54,7 @@ class TestLoadScenario:
         assert scenario.stop.consensus_epsilon == 1e-9
         assert scenario.document["stop"] == asdict(od.StopRule())
         assert scenario.seed == 0
-        assert scenario.beta == 1e-12
+        assert scenario.document["beta"] == 1e-12
         assert scenario.name is None
 
     def test_x0_entry_out_of_range_names_index(self):
@@ -116,6 +116,25 @@ class TestLoadScenario:
             with pytest.raises(SchemaError) as caught:
                 load(dissenter_document(x0={"uniform": pair}))
             assert caught.value.path == "x0.uniform"
+
+    def test_interval_without_interior_rejected(self):
+        doc = dissenter_document(x0={"uniform": [0.5, float(np.nextafter(0.5, 1.0))]})
+        with pytest.raises(SchemaError, match="strictly inside") as caught:
+            load(doc)
+        assert caught.value.path == "x0.uniform"
+
+    def test_schedule_fields_of_another_kind_rejected(self):
+        for schedule, path in (
+            ({"kind": "periodic", "matrices": [QUARTER], "pool": [QUARTER]}, "schedule.pool"),
+            ({"kind": "random", "pool": [QUARTER], "matrix": QUARTER}, "schedule.matrix"),
+            ({"kind": "static", "matrix": QUARTER, "matrices": "not even a list"},
+             "schedule.matrices"),
+            ({"kind": "static", "generated": {}, "horizon": 5, "pool": [QUARTER]},
+             "schedule.pool"),
+        ):
+            with pytest.raises(SchemaError, match="unknown field") as caught:
+                load(dissenter_document(schedule=schedule))
+            assert caught.value.path == path
 
     def test_nan_beta_rejected(self):
         entries = [[0.97, 0.01, 0.01, 0.01]] + QUARTER[1:]  # below any floor worth declaring

@@ -28,7 +28,7 @@ ROOT = Path(__file__).resolve().parent.parent
 
 def dense_form_step(x: np.ndarray, matrix: od.WeightMatrix, kind) -> np.ndarray:
     """The library's update with the product taken on the dense array."""
-    f = od.susceptibility_profile(kind, x)
+    f = kind.values(x)
     d = x - x[0]
     return np.clip(x + f * (matrix.entries @ d - d), x.min(), x.max())
 
@@ -68,7 +68,7 @@ class TestCsrProduct:
         assert np.abs(out - dense_form_step(x, w, kind)).max() <= 1e-12
         assert np.abs(out - gap_form_step(x, w, kind)).max() <= 1e-12
         assert out.min() >= x.min() and out.max() <= x.max()
-        stubborn = od.susceptibility_profile(kind, x) == 0.0
+        stubborn = kind.values(x) == 0.0
         assert np.array_equal(out[stubborn], x[stubborn])
         consensus = np.full(n, palette[0])
         assert np.array_equal(od.step(consensus, w, kind), consensus)
