@@ -27,6 +27,13 @@ def split_ring_matrices(n):
     return halves
 
 
+def outcome(record):
+    """The consensus value if the run stopped on consensus, else its stop reason."""
+    if record.consensus_value is None:
+        return f"no consensus ({record.stop_reason})"
+    return f"consensus {record.consensus_value:+.6f}"
+
+
 def main():
     n = 6
     first, second = split_ring_matrices(n)
@@ -45,9 +52,8 @@ def main():
     x0 = od.generate_initial(-1.0, 1.0, n, seed=77)
     record = od.simulate(x0, schedule, od.StubbornPositive(),
                          od.StopRule(max_steps=100_000, consensus_epsilon=1e-9))
-    value = float(record.final_state.mean())
     print(f"stubborn positives on the alternating schedule:")
-    print(f"  x(0) spread {record.spreads[0]:.3f} -> consensus {value:+.6f} "
+    print(f"  x(0) spread {record.spreads[0]:.3f} -> {outcome(record)} "
           f"after {record.steps} steps")
 
     rate = od.estimate_rate(record)
@@ -58,7 +64,7 @@ def main():
     random_schedule = od.RandomSchedule((first, second), seed=99)
     record = od.simulate(x0, random_schedule, od.StubbornPositive(),
                          od.StopRule(max_steps=100_000, consensus_epsilon=1e-9))
-    print(f"  consensus {float(record.final_state.mean()):+.6f} after {record.steps} steps "
+    print(f"  {outcome(record)} after {record.steps} steps "
           f"(draws are a pure function of (seed, step), so reruns are identical)")
 
 

@@ -38,14 +38,18 @@ def main():
     out.mkdir(exist_ok=True)
     print(f"{'kind':20s} {'consensus':>12s} {'steps':>8s}")
     for kind_name, record in records.items():
-        value = float(record.final_state.mean())
-        print(f"{kind_name:20s} {value:>12.6f} {record.steps:>8d}")
+        value = record.consensus_value
+        shown = record.stop_reason if value is None else f"{value:.6f}"
+        print(f"{kind_name:20s} {shown:>12s} {record.steps:>8d}")
         path = out / f"{scenario.name}.{kind_name}.csv"
         od.write_trajectory_csv(record, path)
 
-    values = {k: float(r.final_state.mean()) for k, r in records.items()}
-    shift = values["stubborn_positive"] - values["degroot"]
-    print(f"\nreluctance near +1 shifted the consensus by {shift:+.4f}")
+    values = {k: r.consensus_value for k, r in records.items()}
+    if None in values.values():
+        print("\nno shift to report: not both runs reached consensus")
+    else:
+        shift = values["stubborn_positive"] - values["degroot"]
+        print(f"\nreluctance near +1 shifted the consensus by {shift:+.4f}")
     print(f"trajectory CSVs written to {out}/ "
           f"(identical t=0 rows, diverging afterwards)")
 

@@ -5,6 +5,8 @@ Exit codes: 0 on success, 1 on validation or precondition failure
 or finds a lemma violation in its trajectory (after writing its
 artifacts), 2 on I/O failure. Artifact paths are relative to ``--out``
 (default ``./out``).
+``--seed``, ``--epsilon`` and ``--max-steps`` replace the scenario's
+fields, so they change its ``scenario_id`` (an unnamed scenario's stem).
 """
 
 from __future__ import annotations
@@ -15,7 +17,7 @@ import sys
 from pathlib import Path
 
 from .analysis import classify_limit, degroot_consensus_value
-from .dynamics import DeGroot, StopRule, write_trajectory_csv
+from .dynamics import DeGroot, write_trajectory_csv
 from .errors import OpdynError
 from .graph import (
     StaticSchedule,
@@ -27,6 +29,7 @@ from .graph import (
 )
 from .scenario import (
     _KIND_NAMES,
+    DEFAULT_BETA,
     Scenario,
     build_schedule,
     initial_opinions,
@@ -49,30 +52,28 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(message)
 
 
-def _stop_override(scenario: Scenario, args) -> StopRule:
-    """The scenario's stop rule with the --max-steps and --epsilon overrides."""
-    overrides = {"max_steps": args.max_steps, "consensus_epsilon": args.epsilon}
-    return dataclasses.replace(
-        scenario.stop, **{field: v for field, v in overrides.items() if v is not None})
+def _load(args) -> Scenario:
+    """The command's scenario with its --seed, --epsilon and --max-steps applied."""
+    scenario = load_scenario_file(args.scenario)
+    stop = {field: value for field in ("max_steps", "consensus_epsilon")
+            if (value := getattr(args, field, None)) is not None}
+    seed = scenario.seed if args.seed is None else args.seed
+    return dataclasses.replace(scenario, seed=seed, stop=dataclasses.replace(scenario.stop, **stop))
 
 
-def _stem(scenario: Scenario) -> str:
-    return scenario.name if scenario.name else scenario.scenario_id
-
-
-def _out_dir(args) -> Path:
+def _out_prefix(args, scenario: Scenario) -> str:
+    """``--out``, created, joined with the scenario's name, or its id if unnamed."""
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    return out
+    return str(out / (scenario.name or scenario.scenario_id))
 
 
 def _cmd_simulate(args) -> int:
-    scenario = load_scenario_file(args.scenario)
-    record, summary = run_scenario(scenario, seed=args.seed, stop=_stop_override(scenario, args))
-    out = _out_dir(args)
-    stem = _stem(scenario)
-    write_trajectory_csv(record, out / f"{stem}.trajectory.csv")
-    write_summary(summary, out / f"{stem}.summary.json")
+    scenario = _load(args)
+    record, summary = run_scenario(scenario)
+    prefix = _out_prefix(args, scenario)
+    write_trajectory_csv(record, f"{prefix}.trajectory.csv")
+    write_summary(summary, f"{prefix}.summary.json")
     if summary.consensus_value is not None:
         print(f"consensus {summary.consensus_value:.12g} at step {summary.steps}")
     else:
@@ -112,9 +113,9 @@ def _cmd_validate(args) -> int:
 
 
 def _cmd_classify(args) -> int:
-    scenario = load_scenario_file(args.scenario)
-    x0 = initial_opinions(scenario, args.seed)
-    schedule = build_schedule(scenario, args.seed)
+    scenario = _load(args)
+    x0 = initial_opinions(scenario)
+    schedule = build_schedule(scenario)
     rjsc = schedule_rjsc_status(schedule)
     result = classify_limit(x0, scenario.kind, rjsc=bool(rjsc))
     extra = ""
@@ -127,8 +128,7 @@ def _cmd_classify(args) -> int:
 
 
 def _cmd_connectivity(args) -> int:
-    scenario = load_scenario_file(args.scenario)
-    schedule = build_schedule(scenario, args.seed)
+    schedule = build_schedule(_load(args))
     if args.search:
         found = find_window_parameters(schedule, args.horizon, max_p=args.p)
         if found is None:
@@ -144,7 +144,7 @@ def _cmd_connectivity(args) -> int:
 
 
 def _cmd_compare(args) -> int:
-    scenario = load_scenario_file(args.scenario)
+    scenario = _load(args)
     if scenario.kind.name == "degroot":
         baseline = _KIND_NAMES[args.against or "stubborn_positive"]()
     elif args.against is not None:
@@ -152,16 +152,14 @@ def _cmd_compare(args) -> int:
                           f"this one is {scenario.kind.name}")
     else:
         baseline = DeGroot()
-    records = run_comparison(
-        scenario, baseline=baseline, seed=args.seed, stop=_stop_override(scenario, args))
-    out = _out_dir(args)
-    stem = _stem(scenario)
+    records = run_comparison(scenario, baseline=baseline)
+    prefix = _out_prefix(args, scenario)
     outcomes = []
     limits = []
     for kind_name, record in records.items():
-        write_trajectory_csv(record, out / f"{stem}.{kind_name}.csv")
-        if record.stop_reason == "consensus":
-            limits.append(float(record.final_state.mean()))
+        write_trajectory_csv(record, f"{prefix}.{kind_name}.csv")
+        if record.consensus_value is not None:
+            limits.append(record.consensus_value)
             outcomes.append(f"{kind_name} -> consensus {limits[-1]:.12g} "
                             f"at step {record.steps}")
         else:
@@ -176,23 +174,24 @@ def _cmd_compare(args) -> int:
 
 
 def _cmd_oracle(args) -> int:
-    scenario = load_scenario_file(args.scenario)
-    schedule = build_schedule(scenario, args.seed)
+    scenario = _load(args)
+    schedule = build_schedule(scenario)
     if not isinstance(schedule, StaticSchedule):
         raise _UsageError("the averaging oracle applies to static schedules only")
-    x0 = initial_opinions(scenario, args.seed)
+    x0 = initial_opinions(scenario)
     value = degroot_consensus_value(schedule.matrix, x0)
     print(f"fixed-graph averaging limit {value:.12g}")
     return 0
 
 
-def _add_common(parser, seed=True, out=False, stop=False):
-    if seed:
-        parser.add_argument("--seed", type=int, default=None, help="override the scenario seed")
+def _add_scenario(parser, out=False, stop=False):
+    """The scenario argument, the flags that override its fields, and ``--out``."""
+    parser.add_argument("scenario")
+    parser.add_argument("--seed", type=int, default=None, help="override the scenario seed")
     if out:
         parser.add_argument("--out", default="./out", help="output directory (default ./out)")
     if stop:
-        parser.add_argument("--epsilon", type=float, default=None,
+        parser.add_argument("--epsilon", dest="consensus_epsilon", metavar="EPSILON", type=float,
                             help="override the consensus spread threshold")
         parser.add_argument("--max-steps", type=int, default=None,
                             help="override the step budget")
@@ -203,42 +202,37 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("simulate", help="run a scenario; write trajectory CSV and summary JSON")
-    p.add_argument("scenario")
-    _add_common(p, out=True, stop=True)
+    _add_scenario(p, out=True, stop=True)
     p.set_defaults(handler=_cmd_simulate)
 
     p = sub.add_parser("validate", help="validate a matrix file or scenario document")
     p.add_argument("target", help="matrix .txt or scenario .json")
-    p.add_argument("--beta", type=float, default=1e-12,
-                   help="weight floor for matrix files (default 1e-12)")
+    p.add_argument("--beta", type=float, default=DEFAULT_BETA,
+                   help=f"weight floor for matrix files (default {DEFAULT_BETA:g})")
     p.set_defaults(handler=_cmd_validate)
 
     p = sub.add_parser("classify", help="predict the consensus limit from initial opinions")
-    p.add_argument("scenario")
-    _add_common(p)
+    _add_scenario(p)
     p.set_defaults(handler=_cmd_classify)
 
     p = sub.add_parser("connectivity", help="verify window connectivity of the schedule")
-    p.add_argument("scenario")
+    _add_scenario(p)
     p.add_argument("--p", type=int, default=None, help="window length")
     p.add_argument("--q", type=int, default=None, help="first window start (>= 1)")
     p.add_argument("--horizon", type=int, required=True, help="steps to examine")
     p.add_argument("--search", action="store_true",
                    help="search for the smallest verifying (p, q) instead")
-    _add_common(p)
     p.set_defaults(handler=_cmd_connectivity)
 
     p = sub.add_parser("compare", help="run plain averaging and the scenario kind on identical inputs")
-    p.add_argument("scenario")
+    _add_scenario(p, out=True, stop=True)
     p.add_argument("--against", choices=_ALTERNATIVES, default=None,
                    help="kind to compare a degroot scenario against "
                         "(default stubborn_positive; a usage error for other kinds)")
-    _add_common(p, out=True, stop=True)
     p.set_defaults(handler=_cmd_compare)
 
     p = sub.add_parser("oracle", help="exact averaging limit on a static strongly connected graph")
-    p.add_argument("scenario")
-    _add_common(p)
+    _add_scenario(p)
     p.set_defaults(handler=_cmd_oracle)
 
     return parser

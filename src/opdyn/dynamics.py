@@ -327,6 +327,12 @@ class TrajectoryRecord:
     def n(self) -> int:
         return self.final_state.shape[0]
 
+    @property
+    def consensus_value(self) -> Optional[float]:
+        """The final state's mean if the run stopped on consensus (its spread
+        is below epsilon, so no second test), else None."""
+        return float(self.final_state.mean()) if self.stop_reason == "consensus" else None
+
     @classmethod
     def from_states(cls, states, stop_reason: str = "unspecified") -> "TrajectoryRecord":
         """Build a record (diagnostics included) from raw state rows.

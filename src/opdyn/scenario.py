@@ -28,14 +28,18 @@ Unknown fields are rejected, every matrix is validated against the
 scenario's ``beta``, and all randomness is derived from the single seed
 through fixed substreams (0: initial opinions, 1: schedule draws,
 2: generated matrices), so a (document, seed) pair is fully reproducible.
+A ``Scenario``'s document and id are rebuilt from its parsed fields, so
+documents describing one run share one id, and an override is a
+``dataclasses.replace`` whose id names the run it makes.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import asdict, dataclass
-from typing import Optional
+from dataclasses import asdict, dataclass, fields, replace
+from functools import cached_property
+from typing import Optional, Union
 
 import numpy as np
 
@@ -59,7 +63,7 @@ from .dynamics import (
     opinion_vector,
     simulate,
 )
-from .errors import PreconditionError, SchemaError, ValidationError
+from .errors import PreconditionError, SchemaError, ShapeError, ValidationError
 from .graph import (
     GraphSchedule,
     PeriodicSchedule,
@@ -74,8 +78,6 @@ from .rng import SplitMix64, derive_seed
 
 SCHEMA_VERSION = 1
 DEFAULT_BETA = 1e-12
-
-_STOP_DEFAULTS = asdict(StopRule())  # a document's stop fields, in order
 
 _X0_STREAM = 0
 _SCHEDULE_STREAM = 1
@@ -170,21 +172,28 @@ def _as_number(value, path: str) -> float:
 
 
 def _parse_matrix(raw, n: int, beta: float, path: str) -> WeightMatrix:
-    if not isinstance(raw, list):
-        raise SchemaError(path, "expected a matrix as a list of rows")
-    arr = np.asarray(raw, dtype=float)
-    if arr.shape != (n, n):
-        raise SchemaError(path, f"expected a {n}x{n} matrix, got shape {arr.shape}")
+    if not isinstance(raw, list) or len(raw) != n:
+        raise SchemaError(path, f"expected a {n}x{n} matrix as a list of {n} rows")
+    for i, row in enumerate(raw):
+        if not isinstance(row, list) or len(row) != n:
+            raise SchemaError(f"{path}[{i}]", f"expected a row of {n} numbers")
+        for j, v in enumerate(row):
+            if type(v) is not float and type(v) is not int:  # a bool is neither
+                raise SchemaError(f"{path}[{i}][{j}]", f"expected a number, got {v!r}")
+    arr = np.array(raw, dtype=float)
     try:
         return WeightMatrix(arr, beta)
+    except ShapeError:  # the shape is right, so an entry is NaN or infinite
+        i, j = np.argwhere(~np.isfinite(arr))[0]
+        raise SchemaError(f"{path}[{i}][{j}]", f"expected a finite number, got {raw[i][j]!r}") from None
     except ValidationError:
         # the report alone, without the constructor's headline
         report = validate_weight_matrix(arr, beta)
         raise SchemaError(path, f"matrix violates weight rules: {report}") from None
 
 
-def _parse_x0(raw, n: int, path: str = "x0"):
-    """Returns (values, interval); exactly one is None."""
+def _parse_x0(raw, n: int, path: str = "x0") -> Union[np.ndarray, tuple[float, float]]:
+    """The opinions, or a generator's (low, high) interval."""
     if isinstance(raw, list):
         if len(raw) != n:
             raise SchemaError(path, f"expected {n} entries, got {len(raw)}")
@@ -194,7 +203,7 @@ def _parse_x0(raw, n: int, path: str = "x0"):
             if not -1.0 <= x <= 1.0:
                 raise SchemaError(f"{path}[{k}]", f"value {x!r} outside [-1, 1]")
             vals[k] = x
-        return vals, None
+        return vals
     if isinstance(raw, dict):
         _require_keys(raw, {"uniform"}, {"uniform"}, path)
         pair = raw["uniform"]
@@ -206,7 +215,7 @@ def _parse_x0(raw, n: int, path: str = "x0"):
             _check_interval(low, high)
         except PreconditionError as exc:
             raise SchemaError(f"{path}.uniform", str(exc)) from None
-        return None, (low, high)
+        return low, high
     raise SchemaError(path, "expected a list of opinions or a generator object")
 
 
@@ -236,16 +245,13 @@ def _parse_stop(raw, path: str = "stop") -> StopRule:
         return StopRule()
     if not isinstance(raw, dict):
         raise SchemaError(path, "expected an object")
-    _require_keys(raw, {"max_steps", "consensus_epsilon", "target", "target_epsilon"}, set(), path)
+    defaults = {field.name: field.default for field in fields(StopRule)}
+    _require_keys(raw, set(defaults), set(), path)
     kwargs = {}
-    if "max_steps" in raw:
-        kwargs["max_steps"] = _as_int(raw["max_steps"], f"{path}.max_steps")
-    if "consensus_epsilon" in raw:
-        kwargs["consensus_epsilon"] = _as_number(raw["consensus_epsilon"], f"{path}.consensus_epsilon")
-    if raw.get("target") is not None:
-        kwargs["target"] = _as_number(raw["target"], f"{path}.target")
-    if raw.get("target_epsilon") is not None:
-        kwargs["target_epsilon"] = _as_number(raw["target_epsilon"], f"{path}.target_epsilon")
+    for field, value in raw.items():
+        if value is not None or defaults[field] is not None:  # null only where the default is
+            parse = _as_int if isinstance(defaults[field], int) else _as_number
+            kwargs[field] = parse(value, f"{path}.{field}")
     try:
         return StopRule(**kwargs)
     except ValidationError as exc:
@@ -257,39 +263,49 @@ class Scenario:
     """A fully validated experiment definition."""
 
     n: int
+    beta: float
     seed: int
     name: Optional[str]
-    x0_values: Optional[np.ndarray]
-    x0_interval: Optional[tuple[float, float]]
+    x0: Union[np.ndarray, tuple[float, float]]  # the opinions, or a generator's (low, high)
     schedule_kind: str
     matrices: tuple[WeightMatrix, ...]
     generated_edge_probability: Optional[float]
     horizon: Optional[int]
     kind: SusceptibilityKind
     stop: StopRule
-    document: dict
 
-    @property
+    def __post_init__(self):  # the seed rule, for documents and replace(seed=) alike
+        if type(self.seed) is not int or not 0 <= self.seed < 2**64:
+            raise SchemaError("seed", f"expected an unsigned 64-bit integer, got {self.seed!r}")
+
+    @cached_property
+    def document(self) -> dict:
+        """The canonical document, built on first use: numbers as parsed,
+        every default materialized, a null ``name`` or ``horizon`` left out."""
+        x0 = {"uniform": list(self.x0)} if isinstance(self.x0, tuple) else self.x0.tolist()
+        schedule = {"kind": self.schedule_kind}
+        if self.generated_edge_probability is not None:
+            schedule["generated"] = {"edge_probability": self.generated_edge_probability}
+        elif self.schedule_kind == "static":
+            schedule["matrix"] = self.matrices[0].entries.tolist()
+        else:
+            (key,) = _SCHEDULE_FIELDS[self.schedule_kind]
+            schedule[key] = [m.entries.tolist() for m in self.matrices]
+        if self.horizon is not None:
+            schedule["horizon"] = self.horizon
+        kind = ({"kind": "constant", "openness": list(self.kind.openness)}
+                if isinstance(self.kind, Constant) else self.kind.name)
+        doc = {"schema": SCHEMA_VERSION, "n": self.n, "beta": self.beta, "x0": x0,
+               "schedule": schedule, "susceptibility": kind, "stop": asdict(self.stop),
+               "seed": self.seed}
+        if self.name is not None:
+            doc["name"] = self.name
+        return doc
+
+    @cached_property
     def scenario_id(self) -> str:
         canonical = json.dumps(self.document, sort_keys=True, separators=(",", ":"))
         return hashlib.sha256(canonical.encode("utf-8")).hexdigest()[:12]
-
-
-def _normalize_document(doc: dict) -> dict:
-    """Materialized-defaults copy used for ids and round-trips."""
-    out = {
-        "schema": SCHEMA_VERSION,
-        "n": doc["n"],
-        "beta": doc.get("beta", DEFAULT_BETA),
-        "x0": doc["x0"],
-        "schedule": dict(doc["schedule"]),
-        "susceptibility": doc["susceptibility"],
-        "stop": {**_STOP_DEFAULTS, **(doc.get("stop") or {})},
-        "seed": doc.get("seed", 0),
-    }
-    if "name" in doc:
-        out["name"] = doc["name"]
-    return out
 
 
 def load_scenario(text: str) -> Scenario:
@@ -322,11 +338,6 @@ def load_scenario(text: str) -> Scenario:
     name = doc.get("name")
     if name is not None and not isinstance(name, str):
         raise SchemaError("name", "expected a string")
-    seed = _as_int(doc.get("seed", 0), "seed")
-    if not 0 <= seed < 2**64:
-        raise SchemaError("seed", "expected an unsigned 64-bit integer")
-
-    x0_values, x0_interval = _parse_x0(doc["x0"], n)
 
     sched = doc["schedule"]
     if not isinstance(sched, dict):
@@ -370,17 +381,16 @@ def load_scenario(text: str) -> Scenario:
 
     return Scenario(
         n=n,
-        seed=seed,
+        beta=beta,
+        seed=doc.get("seed", 0),
         name=name,
-        x0_values=x0_values,
-        x0_interval=x0_interval,
+        x0=_parse_x0(doc["x0"], n),
         schedule_kind=sched_kind,
         matrices=matrices,
         generated_edge_probability=generated_p,
         horizon=horizon,
         kind=kind,
         stop=stop,
-        document=_normalize_document(doc),
     )
 
 
@@ -390,8 +400,7 @@ def load_scenario_file(path) -> Scenario:
 
 
 def write_scenario(scenario: Scenario, path) -> None:
-    """Persist the normalized document; reloadable to an equivalent
-    scenario, with matrix entries surviving bit-exactly."""
+    """Persist the canonical document; it reloads to the same id, entries bit-exact."""
     with open(path, "w", encoding="utf-8", newline="") as fh:
         json.dump(scenario.document, fh, indent=2)
         fh.write("\n")
@@ -401,19 +410,17 @@ def write_scenario(scenario: Scenario, path) -> None:
 # Running
 # ---------------------------------------------------------------------------
 
-def initial_opinions(scenario: Scenario, seed: Optional[int] = None) -> np.ndarray:
-    active = scenario.seed if seed is None else seed
-    if scenario.x0_values is not None:
-        return opinion_vector(scenario.x0_values)
-    low, high = scenario.x0_interval
-    return generate_initial(low, high, scenario.n, derive_seed(active, _X0_STREAM))
+def initial_opinions(scenario: Scenario) -> np.ndarray:
+    if not isinstance(scenario.x0, tuple):
+        return opinion_vector(scenario.x0)
+    low, high = scenario.x0
+    return generate_initial(low, high, scenario.n, derive_seed(scenario.seed, _X0_STREAM))
 
 
-def build_schedule(scenario: Scenario, seed: Optional[int] = None) -> GraphSchedule:
-    active = scenario.seed if seed is None else seed
+def build_schedule(scenario: Scenario) -> GraphSchedule:
     if scenario.schedule_kind == "static":
         if scenario.generated_edge_probability is not None:
-            rng = SplitMix64(derive_seed(active, _MATRIX_STREAM))
+            rng = SplitMix64(derive_seed(scenario.seed, _MATRIX_STREAM))
             matrix = random_strongly_connected_matrix(
                 scenario.n, rng, scenario.generated_edge_probability)
         else:
@@ -422,7 +429,7 @@ def build_schedule(scenario: Scenario, seed: Optional[int] = None) -> GraphSched
     if scenario.schedule_kind == "periodic":
         return PeriodicSchedule(scenario.matrices, horizon=scenario.horizon)
     return RandomSchedule(
-        scenario.matrices, seed=derive_seed(active, _SCHEDULE_STREAM), horizon=scenario.horizon)
+        scenario.matrices, seed=derive_seed(scenario.seed, _SCHEDULE_STREAM), horizon=scenario.horizon)
 
 
 @dataclass(frozen=True, eq=False)
@@ -441,24 +448,21 @@ class RunSummary:
 
 def run_scenario(
     scenario: Scenario,
-    seed: Optional[int] = None,
     stop: Optional[StopRule] = None,
     keep_states: bool = True,
 ) -> tuple[TrajectoryRecord, RunSummary]:
     """Simulate a scenario and assemble its summary.
 
-    ``seed`` overrides the document seed; ``stop`` overrides the stop
-    rule. The summary's consensus value is present exactly when the run
-    stopped on consensus: the mean of the final state, whose spread the
-    stop rule has already found below epsilon.
+    ``stop`` runs ``replace(scenario, stop=stop)`` instead, and the summary
+    carries that scenario's id. The summary's consensus value is the
+    record's ``consensus_value``.
     """
-    x0 = initial_opinions(scenario, seed)
-    schedule = build_schedule(scenario, seed)
+    if stop is not None:
+        scenario = replace(scenario, stop=stop)
+    x0 = initial_opinions(scenario)
+    schedule = build_schedule(scenario)
     rjsc = schedule_rjsc_status(schedule)
-    record = simulate(x0, schedule, scenario.kind, stop or scenario.stop, keep_states=keep_states)
-    consensus = None
-    if record.stop_reason == "consensus":
-        consensus = float(record.final_state.mean())
+    record = simulate(x0, schedule, scenario.kind, scenario.stop, keep_states=keep_states)
     try:
         rate = estimate_rate(record)
     except PreconditionError:
@@ -469,7 +473,7 @@ def run_scenario(
         stop_reason=record.stop_reason,
         steps=record.steps,
         final_state=record.final_state,
-        consensus_value=consensus,
+        consensus_value=record.consensus_value,
         classification=classify_limit(x0, scenario.kind, rjsc=bool(rjsc)),
         rate=rate,
         lemmas=check_lemmas(record),
@@ -478,13 +482,8 @@ def run_scenario(
     return record, summary
 
 
-def run_comparison(
-    scenario: Scenario,
-    baseline: SusceptibilityKind = DeGroot(),
-    seed: Optional[int] = None,
-    stop: Optional[StopRule] = None,
-    keep_states: bool = True,
-) -> dict[str, TrajectoryRecord]:
+def run_comparison(scenario: Scenario,
+                   baseline: SusceptibilityKind = DeGroot()) -> dict[str, TrajectoryRecord]:
     """Run the scenario's kind and a baseline kind on identical inputs.
 
     One initial-opinion vector and one schedule realization feed both
@@ -493,12 +492,11 @@ def run_comparison(
     """
     if scenario.kind.name == baseline.name:
         raise PreconditionError(f"comparison against the same kind {baseline.name!r}")
-    active_stop = stop or scenario.stop
-    x0 = initial_opinions(scenario, seed)
-    schedule = build_schedule(scenario, seed)
+    x0 = initial_opinions(scenario)
+    schedule = build_schedule(scenario)
     return {
-        baseline.name: simulate(x0, schedule, baseline, active_stop, keep_states=keep_states),
-        scenario.kind.name: simulate(x0, schedule, scenario.kind, active_stop, keep_states=keep_states),
+        baseline.name: simulate(x0, schedule, baseline, scenario.stop),
+        scenario.kind.name: simulate(x0, schedule, scenario.kind, scenario.stop),
     }
 
 

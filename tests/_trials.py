@@ -6,7 +6,10 @@ reproduce exactly.
 
 from __future__ import annotations
 
+import importlib.util
 import math
+import sys
+from pathlib import Path
 
 import numpy as np
 
@@ -22,6 +25,16 @@ ALL_KINDS = (
     od.StubbornNeutral(),
     od.StubbornExtremist(),
 )
+
+
+def bench_workloads():
+    """The benchmark's ``workloads`` module, which generates its documents."""
+    path = Path(__file__).resolve().parent.parent / "bench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("workloads", path)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module  # its dataclasses look their module up there
+    spec.loader.exec_module(module)
+    return module
 
 
 def trial_rng(family: int, trial: int) -> SplitMix64:

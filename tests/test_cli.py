@@ -1,6 +1,7 @@
 import json
 import subprocess
 import sys
+from dataclasses import replace
 
 import pytest
 
@@ -108,6 +109,102 @@ class TestSimulateCommand:
         assert "absent.json" in capsys.readouterr().err
 
 
+GENERATED = {
+    "schema": 1, "name": "gen", "n": 6,
+    "x0": {"uniform": [0.1, 0.9]},
+    "schedule": {"kind": "static", "generated": {"edge_probability": 0.3}},
+    "susceptibility": "stubborn_positive",
+    "stop": {"max_steps": 5000, "consensus_epsilon": 1e-9},
+    "seed": 3,
+}
+
+# Two agents drawn from (-0.5, 0.5): whether they share a sign, and so the
+# classification, depends on the seed.
+SIGN_DRAW = {
+    "schema": 1, "n": 2,
+    "x0": {"uniform": [-0.5, 0.5]},
+    "schedule": {"kind": "static", "generated": {"edge_probability": 0.3}},
+    "susceptibility": "stubborn_neutral",
+    "seed": 3,
+}
+
+# Neither matrix is strongly connected alone, so the shortest verifying
+# window depends on the draws, and so on the seed.
+HALF_RING_POOL = {
+    "schema": 1, "n": 2,
+    "x0": [0.5, -0.5],
+    "schedule": {"kind": "random", "pool": [[[1.0, 0.0], [0.5, 0.5]], [[0.5, 0.5], [0.0, 1.0]]]},
+    "susceptibility": "degroot",
+    "seed": 3,
+}
+
+
+def run(capsys, argv):
+    code = main(argv)
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
+
+
+class TestOverrides:
+    """--seed, --epsilon and --max-steps run the scenario with that field
+    replaced: the same run, and the same id, as a document that says so."""
+
+    @pytest.mark.parametrize("doc,command,seed", [
+        (SIGN_DRAW, ["classify"], 4),
+        (GENERATED, ["oracle"], 2),
+        (HALF_RING_POOL, ["connectivity", "--search", "--horizon", "12"], 2),
+    ])
+    def test_seed_flag_runs_the_reseeded_document(self, tmp_path, capsys, doc, command, seed):
+        path = write_scenario(tmp_path, doc)
+        reseeded = write_scenario(tmp_path, {**doc, "seed": seed}, name="reseeded.json")
+        name, *flags = command
+        flagged = run(capsys, [name, path, *flags, "--seed", str(seed)])
+        assert flagged == run(capsys, [name, reseeded, *flags])
+        assert flagged != run(capsys, [name, path, *flags])
+        assert flagged[0] == 0
+
+    def test_compare_honours_seed(self, tmp_path, capsys):
+        path = write_scenario(tmp_path, GENERATED)
+        reseeded = write_scenario(tmp_path, {**GENERATED, "seed": 2}, name="reseeded.json")
+        flagged = run(capsys, ["compare", path, "--seed", "2", "--out", str(tmp_path / "a")])
+        assert flagged == run(capsys, ["compare", reseeded, "--out", str(tmp_path / "b")])
+        assert flagged != run(capsys, ["compare", path, "--out", str(tmp_path / "c")])
+        for kind in ("degroot", "stubborn_positive"):
+            csv = f"gen.{kind}.csv"
+            assert (tmp_path / "a" / csv).read_bytes() == (tmp_path / "b" / csv).read_bytes()
+
+    def test_simulate_writes_the_replaced_scenarios_summary(self, tmp_path, capsys):
+        unnamed = {k: v for k, v in GENERATED.items() if k != "name"}
+        path = write_scenario(tmp_path, unnamed)
+        scenario = opdyn.load_scenario_file(path)
+        stop = replace(scenario.stop, max_steps=7, consensus_epsilon=1e-3)
+        for flags, override in (
+            (["--seed", "2"], replace(scenario, seed=2)),
+            (["--max-steps", "7", "--epsilon", "1e-3"], replace(scenario, stop=stop)),
+        ):
+            out = tmp_path / flags[0]
+            assert run(capsys, ["simulate", path, *flags, "--out", str(out)])[0] == 0
+            expected = tmp_path / "expected.json"
+            opdyn.write_summary(opdyn.run_scenario(override)[1], expected)
+            stem = override.scenario_id  # an unnamed scenario's files carry the run's id
+            assert stem != scenario.scenario_id
+            assert (out / f"{stem}.summary.json").read_bytes() == expected.read_bytes()
+
+    def test_compare_honours_max_steps(self, tmp_path, capsys):
+        path = write_scenario(tmp_path, GENERATED)
+        code, out, _ = run(capsys, ["compare", path, "--max-steps", "2", "--out", str(tmp_path)])
+        assert code == 0
+        assert out.count("no consensus: max_steps after 2 steps") == 2
+
+    @pytest.mark.parametrize("seed", ["-1", str(2**64)])
+    def test_seed_outside_the_document_rule_exits_one(self, tmp_path, capsys, seed):
+        path = write_scenario(tmp_path, GENERATED)
+        for command in (["classify", path], ["simulate", path, "--out", str(tmp_path)]):
+            code, _, err = run(capsys, [*command, "--seed", seed])
+            assert code == 1
+            assert "seed: expected an unsigned 64-bit integer" in err
+
+
 class TestValidateCommand:
     def test_valid_matrix_file(self, tmp_path, capsys):
         path = tmp_path / "w.txt"
@@ -144,6 +241,21 @@ class TestValidateCommand:
     def test_broken_scenario(self, tmp_path, capsys):
         path = write_scenario(tmp_path, {"schema": 1}, name="broken.json")
         assert main(["validate", path]) == 1
+
+    @pytest.mark.parametrize("matrix,where", [
+        ([[0.5, "x"], [0.5, 0.5]], "schedule.matrix[0][1]"),
+        ([[0.5, 0.5], [1.0]], "schedule.matrix[1]"),
+    ])
+    def test_malformed_matrix_entry_is_a_schema_error(self, tmp_path, capsys, matrix, where):
+        path = write_scenario(tmp_path, {
+            "schema": 1, "n": 2, "x0": [0.5, -0.5],
+            "schedule": {"kind": "static", "matrix": matrix},
+            "susceptibility": "degroot",
+        })
+        for command in (["validate", path], ["simulate", path, "--out", str(tmp_path)]):
+            code, _, err = run(capsys, command)
+            assert code == 1
+            assert err.startswith(f"error: {where}: ")
 
 
 class TestClassifyCommand:

@@ -1,12 +1,14 @@
 import hashlib
 import json
-from dataclasses import asdict
+from dataclasses import asdict, replace
 
 import numpy as np
 import pytest
 
 import opdyn as od
 from opdyn.errors import PreconditionError, SchemaError
+
+from _trials import bench_workloads
 
 
 QUARTER = [[0.25] * 4 for _ in range(4)]
@@ -76,6 +78,45 @@ class TestLoadScenario:
     def test_schema_version_checked(self):
         with pytest.raises(SchemaError, match="schema"):
             load(dissenter_document(schema=2))
+
+    @pytest.mark.parametrize("key,index", [("matrix", ""), ("matrices", "[1]"), ("pool", "[1]")])
+    @pytest.mark.parametrize("entry,reason", [
+        ("0.25", "a string"), (True, "a bool"), (float("nan"), "NaN"), (float("inf"), "Infinity"),
+    ])
+    def test_bad_matrix_entry_names_its_path(self, key, index, entry, reason):
+        bad = [row[:] for row in QUARTER]
+        bad[2][3] = entry
+        kind = {"matrix": "static", "matrices": "periodic", "pool": "random"}[key]
+        schedule = {"kind": kind, key: bad if key == "matrix" else [QUARTER, bad]}
+        with pytest.raises(SchemaError, match="expected a (finite )?number") as caught:
+            load(dissenter_document(schedule=schedule))
+        assert caught.value.path == f"schedule.{key}{index}[2][3]", reason
+
+    def test_ragged_matrix_row_names_its_path(self):
+        ragged = [row[:] for row in QUARTER]
+        ragged[1] = [0.5, 0.5]
+        doc = dissenter_document(schedule={"kind": "periodic", "matrices": [QUARTER, ragged]})
+        with pytest.raises(SchemaError, match="row of 4 numbers") as caught:
+            load(doc)
+        assert caught.value.path == "schedule.matrices[1][1]"
+
+    def test_seed_rule(self):
+        for seed in (-1, 2**64, True, 1.0, "7"):
+            with pytest.raises(SchemaError) as caught:
+                load(dissenter_document(seed=seed))
+            assert caught.value.path == "seed"
+            with pytest.raises(SchemaError) as caught:
+                replace(load(dissenter_document()), seed=seed)
+            assert caught.value.path == "seed"
+        assert load(dissenter_document(seed=2**64 - 1)).seed == 2**64 - 1
+
+    def test_stop_nulls_only_where_the_default_is_null(self):
+        scenario = load(dissenter_document(stop={"target": None, "target_epsilon": None}))
+        assert scenario.stop == od.StopRule()
+        for field in ("max_steps", "consensus_epsilon"):
+            with pytest.raises(SchemaError) as caught:
+                load(dissenter_document(stop={field: None}))
+            assert caught.value.path == f"stop.{field}"
 
     def test_invalid_matrix_names_its_path(self):
         doc = dissenter_document()
@@ -156,6 +197,67 @@ class TestLoadScenario:
                           "generated": {"edge_probability": 0.5}}
         with pytest.raises(SchemaError):
             load(doc)
+
+
+class TestCanonicalDocument:
+    GENERATED = {
+        "schema": 1, "n": 5,
+        "x0": {"uniform": [0, 1]},
+        "schedule": {"kind": "static", "generated": {}},
+        "susceptibility": "stubborn_positive",
+    }
+
+    def test_equivalent_spellings_share_one_id(self, tmp_path):
+        spellings = [
+            self.GENERATED,
+            {**self.GENERATED, "x0": {"uniform": [0.0, 1.0]}},
+            {**self.GENERATED, "schedule": {"kind": "static", "generated": {"edge_probability": 0.3}}},
+            {**self.GENERATED, "name": None},
+            {**self.GENERATED, "schedule": {"kind": "static", "generated": {}, "horizon": None}},
+            {**self.GENERATED, "stop": {"max_steps": 10**6, "target": None}, "seed": 0, "beta": 1e-12},
+        ]
+        scenarios = [load(doc) for doc in spellings]
+        assert len({sc.scenario_id for sc in scenarios}) == 1
+        path = tmp_path / "canonical.json"
+        od.write_scenario(scenarios[0], path)
+        again = od.load_scenario_file(path)
+        assert again.scenario_id == scenarios[0].scenario_id
+        assert again.document == scenarios[0].document
+        assert again.document["schedule"]["generated"] == {"edge_probability": 0.3}
+        assert "name" not in again.document and "horizon" not in again.document["schedule"]
+
+    def test_integer_entries_read_as_floats(self):
+        a = load({"schema": 1, "n": 2, "x0": [1, 0],
+                  "schedule": {"kind": "static", "matrix": [[1, 0], [0.5, 0.5]], "horizon": 3},
+                  "susceptibility": {"kind": "constant", "openness": [1, 0]}})
+        b = load({"schema": 1, "n": 2, "x0": [1.0, 0.0],
+                  "schedule": {"horizon": 3, "matrix": [[1.0, 0.0], [0.5, 0.5]], "kind": "static"},
+                  "susceptibility": {"openness": [1.0, 0.0], "kind": "constant"}})
+        assert a.scenario_id == b.scenario_id
+        assert a.document == b.document
+
+    def test_an_override_is_part_of_the_id(self):
+        scenario = load(dissenter_document())
+        for override in (replace(scenario, seed=8),
+                         replace(scenario, stop=replace(scenario.stop, max_steps=5))):
+            assert override.scenario_id != scenario.scenario_id
+            as_document = json.loads(json.dumps(override.document))
+            assert load(as_document).scenario_id == override.scenario_id
+        _, summary = od.run_scenario(scenario, stop=od.StopRule(max_steps=5))
+        assert summary.scenario_id == replace(scenario, stop=od.StopRule(max_steps=5)).scenario_id
+
+    # sha256 over the newline-joined ids of the benchmark's 904 documents
+    # (every workload at seeds 1 and 2), recorded when the document was a
+    # copy of the raw input; the canonical rebuild keeps every one of them.
+    BENCH_IDS_SHA256 = "07d790fe78c075482ebbb893e5fc4fff625109f779ef266614238a3d52528ece"
+
+    def test_bench_document_ids_are_pinned(self):
+        workloads = bench_workloads()
+        documents = [doc for seed in (1, 2) for name in ("ensemble", "large_static", "cli_session")
+                     for doc in workloads.DOCUMENTS[name](seed)]
+        ids = [od.load_scenario(doc).scenario_id for doc in documents]
+        assert len(ids) == 904
+        assert hashlib.sha256("\n".join(ids).encode()).hexdigest() == self.BENCH_IDS_SHA256
 
 
 class TestGenerateInitial:
@@ -263,12 +365,15 @@ class TestDeterminism:
             "seed": 123,
         }
         scenario = load(doc)
+        override = replace(scenario, seed=124)
         x_default = od.initial_opinions(scenario)
-        x_override = od.initial_opinions(scenario, seed=124)
+        x_override = od.initial_opinions(override)
         assert np.any(x_default != x_override)
         w_default = od.build_schedule(scenario).matrix
-        w_override = od.build_schedule(scenario, seed=124).matrix
+        w_override = od.build_schedule(override).matrix
         assert not np.array_equal(w_default.entries, w_override.entries)
+        assert override.scenario_id != scenario.scenario_id
+        assert np.array_equal(od.initial_opinions(load({**doc, "seed": 124})), x_override)
 
 
 class TestRunSummary:

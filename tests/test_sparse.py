@@ -8,9 +8,6 @@ sizes to the dense path bit for bit.
 """
 
 import hashlib
-import importlib.util
-import sys
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -21,9 +18,7 @@ import opdyn as od
 from opdyn.cli import main
 from opdyn.rng import SplitMix64
 
-from _trials import ALL_KINDS, gap_form_step, random_valid_matrix, trial_rng
-
-ROOT = Path(__file__).resolve().parent.parent
+from _trials import ALL_KINDS, bench_workloads, gap_form_step, random_valid_matrix, trial_rng
 
 
 def dense_form_step(x: np.ndarray, matrix: od.WeightMatrix, kind) -> np.ndarray:
@@ -99,14 +94,6 @@ class TestDensePathKept:
         assert np.array_equal(w.rmatvec(v), w.entries.T @ v)
 
 
-def _bench_workloads():
-    spec = importlib.util.spec_from_file_location("workloads", ROOT / "bench" / "workloads.py")
-    module = importlib.util.module_from_spec(spec)
-    sys.modules[spec.name] = module  # its dataclasses look their module up there
-    spec.loader.exec_module(module)
-    return module
-
-
 # The benchmark's cli_session document (n = 30) at two seeds, and the sha256
 # of what `opdyn simulate` writes for it, recorded before the CSR path existed.
 CLI_SESSION_PINS = [
@@ -119,7 +106,7 @@ CLI_SESSION_PINS = [
 
 @pytest.mark.parametrize("seed,summary_sha256,csv_sha256", CLI_SESSION_PINS)
 def test_cli_session_outputs_are_unchanged(seed, summary_sha256, csv_sha256, tmp_path, capsys):
-    (document,) = _bench_workloads().cli_session_documents(seed)
+    (document,) = bench_workloads().cli_session_documents(seed)
     path = tmp_path / "doc.json"
     path.write_text(document)
     assert main(["simulate", str(path), "--out", str(tmp_path)]) == 0
