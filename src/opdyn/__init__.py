@@ -19,7 +19,6 @@ from .graph import (
     PeriodicSchedule,
     RandomSchedule,
     StaticSchedule,
-    ValidationReport,
     Violation,
     WeightMatrix,
     find_window_parameters,
@@ -28,7 +27,6 @@ from .graph import (
     random_strongly_connected_matrix,
     schedule_rjsc_status,
     uniform_complete_matrix,
-    validate_weight_matrix,
     verify_repeated_joint_connectivity,
 )
 from .dynamics import (

@@ -18,13 +18,13 @@ from pathlib import Path
 
 from .analysis import classify_limit, degroot_consensus_value
 from .dynamics import DeGroot, write_trajectory_csv
-from .errors import OpdynError
+from .errors import OpdynError, ValidationError
 from .graph import (
     StaticSchedule,
+    WeightMatrix,
     find_window_parameters,
     parse_weight_matrix_text,
     schedule_rjsc_status,
-    validate_weight_matrix,
     verify_repeated_joint_connectivity,
 )
 from .scenario import (
@@ -96,20 +96,25 @@ def _cmd_simulate(args) -> int:
 def _cmd_validate(args) -> int:
     path = Path(args.target)
     if path.suffix == ".json":
+        if args.beta is not None:
+            raise _UsageError("--beta applies only to matrix files; "
+                              "a scenario declares its own beta")
         scenario = load_scenario_file(path)
         print(f"valid scenario {scenario.scenario_id} (n={scenario.n}, "
               f"kind={scenario.kind.name}, schedule={scenario.schedule_kind})")
         return 0
+    beta = DEFAULT_BETA if args.beta is None else args.beta
     with open(path, "r", encoding="utf-8") as fh:
         entries = parse_weight_matrix_text(fh.read())
-    report = validate_weight_matrix(entries, args.beta)
-    if report.ok:
-        print(f"valid weight matrix (n={entries.shape[0]}, beta={args.beta})")
-        return 0
-    print(f"invalid weight matrix: {len(report.violations)} violation(s)")
-    for violation in report.violations:
-        print(f"  {violation}")
-    return 1
+    try:
+        WeightMatrix(entries, beta)
+    except ValidationError as exc:
+        print(f"invalid weight matrix: {len(exc.violations)} violation(s)")
+        for violation in exc.violations:
+            print(f"  {violation}")
+        return 1
+    print(f"valid weight matrix (n={entries.shape[0]}, beta={beta})")
+    return 0
 
 
 def _cmd_classify(args) -> int:
@@ -128,6 +133,9 @@ def _cmd_classify(args) -> int:
 
 
 def _cmd_connectivity(args) -> int:
+    if args.search and args.q is not None:
+        raise _UsageError("--q applies only without --search; "
+                          "with it, --p caps the window lengths tried")
     schedule = build_schedule(_load(args))
     if args.search:
         found = find_window_parameters(schedule, args.horizon, max_p=args.p)
@@ -207,8 +215,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("validate", help="validate a matrix file or scenario document")
     p.add_argument("target", help="matrix .txt or scenario .json")
-    p.add_argument("--beta", type=float, default=DEFAULT_BETA,
-                   help=f"weight floor for matrix files (default {DEFAULT_BETA:g})")
+    p.add_argument("--beta", type=float, default=None,
+                   help=f"weight floor for matrix files (default {DEFAULT_BETA:g}; "
+                        "a usage error for scenarios)")
     p.set_defaults(handler=_cmd_validate)
 
     p = sub.add_parser("classify", help="predict the consensus limit from initial opinions")

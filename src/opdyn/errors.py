@@ -20,7 +20,16 @@ class DomainError(OpdynError, ValueError):
 
 
 class ValidationError(OpdynError, ValueError):
-    """A well-formed object violates one of its invariants."""
+    """A well-formed object violates one of its invariants.
+
+    ``violations`` holds a weight matrix's findings, one ``Violation`` per
+    broken clause and place (see ``WeightMatrix``); it is empty for every
+    other object.
+    """
+
+    def __init__(self, message: str, violations=()):
+        self.violations = tuple(violations)
+        super().__init__(message)
 
 
 class SchemaError(ValidationError):

@@ -53,68 +53,6 @@ class Violation:
         return f"{self.clause}[{where}]: {self.detail}"
 
 
-@dataclass(frozen=True)
-class ValidationReport:
-    violations: tuple[Violation, ...]
-
-    @property
-    def ok(self) -> bool:
-        return not self.violations
-
-    def __str__(self) -> str:
-        if self.ok:
-            return "valid"
-        return "\n".join(str(v) for v in self.violations)
-
-
-def _as_square(entries) -> np.ndarray:
-    arr = np.asarray(entries, dtype=float)
-    if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
-        raise ShapeError(f"matrix must be square, got shape {arr.shape}")
-    if arr.shape[0] < 2:
-        raise ShapeError(f"matrix needs at least 2 agents, got {arr.shape[0]}")
-    if not np.all(np.isfinite(arr)):
-        raise ShapeError("matrix contains non-finite entries")
-    return arr
-
-
-def validate_weight_matrix(entries, beta: float) -> ValidationReport:
-    """Check an influence matrix against the row-stochastic weight rules.
-
-    Clauses checked, all reported (not just the first):
-      * each row sums to 1 within ``ROW_SUM_TOL``;
-      * each entry is either exactly 0 or at least ``beta`` (negative
-        entries fail this clause too);
-      * each diagonal entry is positive (an agent always hears herself).
-
-    A non-square or non-finite input is a structural problem and raises
-    ``ShapeError`` instead of being reported.
-    """
-    return _checked(entries, beta)[1]
-
-
-def _checked(entries, beta: float) -> tuple[np.ndarray, ValidationReport]:
-    """``entries`` as a float array, checked by ``_as_square``, and its
-    report against the rules of :func:`validate_weight_matrix`."""
-    if not beta > 0:  # NaN too
-        raise PreconditionError(f"beta must be positive, got {beta}")
-    arr = _as_square(entries)
-    found: list[Violation] = []
-    row_sums = arr.sum(axis=1)
-    for i in np.flatnonzero(np.abs(row_sums - 1.0) > ROW_SUM_TOL).tolist():
-        found.append(Violation(
-            "row_sum", (i,), f"row sums to {float(row_sums[i])!r}, expected 1"))
-    bad = (arr != 0.0) & (arr < beta)
-    for i, j in zip(*np.nonzero(bad)):
-        found.append(Violation(
-            "entry_floor", (int(i), int(j)),
-            f"nonzero entry {float(arr[i, j])!r} below floor {float(beta)!r}"))
-    for i in np.flatnonzero(arr.diagonal() == 0.0).tolist():
-        found.append(Violation(
-            "zero_diagonal", (i,), "agent must keep a self-weight"))
-    return arr, ValidationReport(tuple(found))
-
-
 class _CSR(NamedTuple):
     """Compressed sparse rows of a matrix (Saad, *Iterative Methods for
     Sparse Linear Systems*, 2003, ch. 3): the nonzeros in row-major order
@@ -155,11 +93,21 @@ def _csr_or_none(arr: np.ndarray) -> Optional[_CSR]:
 class WeightMatrix:
     """Row-stochastic influence matrix with its declared weight floor.
 
-    Construction raises ``PreconditionError`` unless ``beta > 0``,
-    ``ShapeError`` on a non-square or non-finite input, and
-    ``ValidationError``, naming every violation, unless the entries obey
-    the rules of :func:`validate_weight_matrix`; so every instance is
-    valid. ``entries`` is kept as a read-only float copy.
+    Construction raises ``PreconditionError`` unless ``beta > 0``, and
+    ``ShapeError`` on a non-square input or one with fewer than 2 agents,
+    or naming the row and column of its first non-finite entry. Otherwise
+    it checks every clause of the weight rules and raises
+    ``ValidationError`` unless all hold; its ``violations`` holds every
+    finding, clause by clause in this order, each in row-major order:
+
+      * ``row_sum``: each row sums to 1 within ``ROW_SUM_TOL``;
+      * ``entry_floor``: each entry is either exactly 0 or at least
+        ``beta`` (negative entries fail this clause too);
+      * ``zero_diagonal``: each diagonal entry is positive (an agent
+        always hears herself).
+
+    So every instance is valid. ``entries`` is kept as a read-only float
+    copy.
 
     ``matvec`` and ``rmatvec`` compute ``W v`` and ``W^T v``. Construction
     decides, once, whether they run on the dense ``entries`` or on a CSR
@@ -172,9 +120,32 @@ class WeightMatrix:
     beta: float
 
     def __post_init__(self):
-        arr, report = _checked(self.entries, self.beta)
-        if not report.ok:
-            raise ValidationError(f"invalid weight matrix:\n{report}")
+        beta = self.beta
+        if not beta > 0:  # NaN too
+            raise PreconditionError(f"beta must be positive, got {beta}")
+        arr = np.asarray(self.entries, dtype=float)
+        if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
+            raise ShapeError(f"matrix must be square, got shape {arr.shape}")
+        if arr.shape[0] < 2:
+            raise ShapeError(f"matrix needs at least 2 agents, got {arr.shape[0]}")
+        if not np.isfinite(arr).all():
+            i, j = np.argwhere(~np.isfinite(arr))[0]
+            raise ShapeError(f"matrix entry [{i}][{j}] is not finite: {float(arr[i, j])!r}")
+        found: list[Violation] = []
+        row_sums = arr.sum(axis=1)
+        for i in np.flatnonzero(np.abs(row_sums - 1.0) > ROW_SUM_TOL).tolist():
+            found.append(Violation(
+                "row_sum", (i,), f"row sums to {float(row_sums[i])!r}, expected 1"))
+        for i, j in zip(*np.nonzero((arr != 0.0) & (arr < beta))):
+            found.append(Violation(
+                "entry_floor", (int(i), int(j)),
+                f"nonzero entry {float(arr[i, j])!r} below floor {float(beta)!r}"))
+        for i in np.flatnonzero(arr.diagonal() == 0.0).tolist():
+            found.append(Violation(
+                "zero_diagonal", (i,), "agent must keep a self-weight"))
+        if found:
+            raise ValidationError(
+                "invalid weight matrix:\n" + "\n".join(map(str, found)), violations=found)
         # CSR first, so that its temporaries are gone before the copy exists.
         object.__setattr__(self, "_csr", _csr_or_none(arr))
         arr = arr.copy()
@@ -208,7 +179,7 @@ def uniform_complete_matrix(n: int) -> WeightMatrix:
 def parse_weight_matrix_text(text: str) -> np.ndarray:
     """Parse the plain-text dense format: a line with ``n``, then ``n``
     lines of ``n`` whitespace-separated decimals. Returns the raw array;
-    validate separately."""
+    a ``WeightMatrix`` of it is valid or raises."""
     lines = [ln for ln in text.splitlines() if ln.strip()]
     if not lines:
         raise ValidationError("empty matrix text")

@@ -63,7 +63,7 @@ from .dynamics import (
     opinion_vector,
     simulate,
 )
-from .errors import PreconditionError, SchemaError, ShapeError, ValidationError
+from .errors import PreconditionError, SchemaError, ValidationError
 from .graph import (
     GraphSchedule,
     PeriodicSchedule,
@@ -72,7 +72,6 @@ from .graph import (
     WeightMatrix,
     random_strongly_connected_matrix,
     schedule_rjsc_status,
-    validate_weight_matrix,
 )
 from .rng import SplitMix64, derive_seed
 
@@ -82,11 +81,6 @@ DEFAULT_BETA = 1e-12
 _X0_STREAM = 0
 _SCHEDULE_STREAM = 1
 _MATRIX_STREAM = 2
-
-# generate_initial draws its opinions in one numpy block from this many agents
-# on; below it, scalar draws cost less than the block's fixed numpy overhead
-# (measured 2-5 us against 12 us at n = 3-8; they cross near n = 24).
-_BLOCK_DRAW_MIN_N = 24
 
 _KIND_NAMES = {
     "degroot": DeGroot,
@@ -130,12 +124,11 @@ def generate_initial(low: float, high: float, n: int, seed: int) -> np.ndarray:
         raise PreconditionError(f"need at least one agent, got {n}")
     if low == high:
         return np.full(n, float(low))
-    if n >= _BLOCK_DRAW_MIN_N:
-        out = low + (high - low) * SplitMix64(seed).random_block(n)  # as rng.uniform, draw by draw
-        if np.all((low < out) & (out < high)):
-            return out
-    # Draw one by one, rejecting endpoints: for few agents, or when a block
-    # hit an endpoint (then from a fresh generator, giving the same values).
+    out = low + (high - low) * SplitMix64(seed).random_block(n)  # as rng.uniform, draw by draw
+    if np.all((low < out) & (out < high)):
+        return out
+    # The block hit an endpoint: draw one by one from a fresh generator, which
+    # repeats the block's values up to that draw, and redraw endpoints.
     rng = SplitMix64(seed)
     out = np.empty(n)
     for i in range(n):
@@ -166,9 +159,15 @@ def _as_int(value, path: str) -> int:
 
 
 def _as_number(value, path: str) -> float:
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
+    """A JSON number as a double; a bool is not a number."""
+    if type(value) is float:
+        return value
+    if type(value) is not int:
         raise SchemaError(path, f"expected a number, got {value!r}")
-    return float(value)
+    try:
+        return float(value)
+    except OverflowError:
+        raise SchemaError(path, "integer too large for a double") from None
 
 
 def _parse_matrix(raw, n: int, beta: float, path: str) -> WeightMatrix:
@@ -178,18 +177,14 @@ def _parse_matrix(raw, n: int, beta: float, path: str) -> WeightMatrix:
         if not isinstance(row, list) or len(row) != n:
             raise SchemaError(f"{path}[{i}]", f"expected a row of {n} numbers")
         for j, v in enumerate(row):
-            if type(v) is not float and type(v) is not int:  # a bool is neither
-                raise SchemaError(f"{path}[{i}][{j}]", f"expected a number, got {v!r}")
-    arr = np.array(raw, dtype=float)
+            if type(v) is not float or v - v != 0.0:  # all but a finite double
+                if not np.isfinite(_as_number(v, f"{path}[{i}][{j}]")):
+                    raise SchemaError(f"{path}[{i}][{j}]", f"expected a finite number, got {v!r}")
     try:
-        return WeightMatrix(arr, beta)
-    except ShapeError:  # the shape is right, so an entry is NaN or infinite
-        i, j = np.argwhere(~np.isfinite(arr))[0]
-        raise SchemaError(f"{path}[{i}][{j}]", f"expected a finite number, got {raw[i][j]!r}") from None
-    except ValidationError:
-        # the report alone, without the constructor's headline
-        report = validate_weight_matrix(arr, beta)
-        raise SchemaError(path, f"matrix violates weight rules: {report}") from None
+        return WeightMatrix(raw, beta)
+    except ValidationError as exc:  # the findings alone, without the headline
+        violations = "\n".join(map(str, exc.violations))
+        raise SchemaError(path, f"matrix violates weight rules: {violations}") from None
 
 
 def _parse_x0(raw, n: int, path: str = "x0") -> Union[np.ndarray, tuple[float, float]]:
@@ -233,8 +228,9 @@ def _parse_kind(raw, n: int, path: str = "susceptibility") -> SusceptibilityKind
         vals = raw["openness"]
         if not isinstance(vals, list) or len(vals) != n:
             raise SchemaError(f"{path}.openness", f"expected {n} values")
+        openness = tuple(_as_number(v, f"{path}.openness[{k}]") for k, v in enumerate(vals))
         try:
-            return Constant(tuple(_as_number(v, f"{path}.openness[{k}]") for k, v in enumerate(vals)))
+            return Constant(openness)
         except ValidationError as exc:
             raise SchemaError(f"{path}.openness", str(exc))
     raise SchemaError(path, "expected a kind name or a constant-openness object")
@@ -316,7 +312,7 @@ def load_scenario(text: str) -> Scenario:
     """
     try:
         doc = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # a JSONDecodeError, or an integer past Python's digit limit
         raise SchemaError("$", f"not valid JSON: {exc}")
     if not isinstance(doc, dict):
         raise SchemaError("$", "top level must be an object")

@@ -60,8 +60,8 @@ def random_valid_matrix(n: int, rng: SplitMix64, edge_probability: float = 0.4) 
 def reference_violations(entries, beta: float) -> tuple[od.Violation, ...]:
     """Reference validator: the weight rules checked with per-row Python
     loops, violations in clause order (row sums, entry floor, zero
-    diagonal), each clause in row-major order. The library's vectorized
-    ``validate_weight_matrix`` must report the same violations."""
+    diagonal), each clause in row-major order. The ``violations`` of the
+    ``ValidationError`` that ``WeightMatrix`` raises must be the same."""
     arr = np.asarray(entries, dtype=float)
     n = arr.shape[0]
     found: list[od.Violation] = []

@@ -234,9 +234,27 @@ class TestValidateCommand:
         assert main(["validate", str(path), "--beta", "nan"]) == 1
         assert "beta must be positive" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    def test_non_finite_entry_names_row_and_column(self, tmp_path, capsys, value):
+        path = tmp_path / "w.txt"
+        path.write_text(f"2\n0.5 0.5\n0.5 {value}\n")
+        code, out, err = run(capsys, ["validate", str(path)])
+        assert (code, out) == (1, "")
+        assert err == f"error: matrix entry [1][1] is not finite: {float(value)!r}\n"
+
+    def test_beta_defaults_to_the_documents_floor(self, tmp_path, capsys):
+        path = tmp_path / "w.txt"
+        path.write_text("2\n0.5 0.5\n0.25 0.75\n")
+        assert run(capsys, ["validate", str(path)]) == (0, "valid weight matrix (n=2, beta=1e-12)\n", "")
+
     def test_scenario_document(self, dissenter_path, capsys):
         assert main(["validate", dissenter_path]) == 0
         assert "valid scenario" in capsys.readouterr().out
+
+    def test_beta_with_a_scenario_is_a_usage_error(self, dissenter_path, capsys):
+        code, out, err = run(capsys, ["validate", dissenter_path, "--beta", "0.9"])
+        assert (code, out) == (1, "")
+        assert err.startswith("error: --beta applies only to matrix files")
 
     def test_broken_scenario(self, tmp_path, capsys):
         path = write_scenario(tmp_path, {"schema": 1}, name="broken.json")
@@ -317,6 +335,12 @@ class TestConnectivityCommand:
 
     def test_requires_window_or_search(self, dissenter_path, capsys):
         assert main(["connectivity", dissenter_path, "--horizon", "10"]) == 1
+
+    def test_q_with_search_is_a_usage_error(self, dissenter_path, capsys):
+        code, out, err = run(capsys, ["connectivity", dissenter_path, "--search", "--q", "5",
+                                      "--horizon", "10"])
+        assert (code, out) == (1, "")
+        assert err.startswith("error: --q applies only without --search")
 
 
 class TestCompareCommand:

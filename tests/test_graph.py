@@ -35,61 +35,76 @@ def ring_matrix(n):
     return od.WeightMatrix(entries, beta=0.5)
 
 
+def violations(entries, beta):
+    """The findings of ``WeightMatrix(entries, beta)``: empty when it constructs."""
+    try:
+        od.WeightMatrix(entries, beta)
+    except ValidationError as exc:
+        assert exc.violations
+        return exc.violations
+    return ()
+
+
 class TestValidateWeightMatrix:
     def test_complete_quarter_matrix_valid(self):
-        report = od.validate_weight_matrix(np.full((4, 4), 0.25), beta=0.1)
-        assert report.ok
+        assert violations(np.full((4, 4), 0.25), beta=0.1) == ()
 
     def test_identity_valid(self):
-        assert od.validate_weight_matrix(np.eye(3), beta=0.5).ok
+        assert violations(np.eye(3), beta=0.5) == ()
 
     def test_row_sum_violation_names_row(self):
         entries = [[0.5, 0.5, 0.1], [0.4, 0.3, 0.3], [0.2, 0.2, 0.6]]
-        report = od.validate_weight_matrix(entries, beta=0.05)
-        assert not report.ok
-        assert [v.clause for v in report.violations] == ["row_sum"]
-        assert report.violations[0].index == (0,)
+        found = violations(entries, beta=0.05)
+        assert [v.clause for v in found] == ["row_sum"]
+        assert found[0].index == (0,)
 
     def test_entry_below_floor(self):
         entries = [[0.95, 0.05], [0.5, 0.5]]
-        report = od.validate_weight_matrix(entries, beta=0.1)
-        clauses = {(v.clause, v.index) for v in report.violations}
+        clauses = {(v.clause, v.index) for v in violations(entries, beta=0.1)}
         assert ("entry_floor", (0, 1)) in clauses
 
     def test_negative_entry_fails_floor_clause(self):
         entries = [[1.2, -0.2], [0.5, 0.5]]
-        report = od.validate_weight_matrix(entries, beta=0.1)
-        assert ("entry_floor", (0, 1)) in {(v.clause, v.index) for v in report.violations}
+        found = violations(entries, beta=0.1)
+        assert ("entry_floor", (0, 1)) in {(v.clause, v.index) for v in found}
 
     def test_zero_diagonal(self):
         entries = [[0.0, 1.0], [0.5, 0.5]]
-        report = od.validate_weight_matrix(entries, beta=0.1)
-        assert ("zero_diagonal", (0,)) in {(v.clause, v.index) for v in report.violations}
+        found = violations(entries, beta=0.1)
+        assert ("zero_diagonal", (0,)) in {(v.clause, v.index) for v in found}
 
     def test_all_clauses_reported_together(self):
         entries = [[0.0, 1.05], [0.01, 0.5]]
-        report = od.validate_weight_matrix(entries, beta=0.1)
-        assert {v.clause for v in report.violations} == {
+        assert {v.clause for v in violations(entries, beta=0.1)} == {
             "row_sum", "entry_floor", "zero_diagonal"}
 
     def test_non_square_is_structural(self):
         with pytest.raises(ShapeError):
-            od.validate_weight_matrix([[0.5, 0.5]], beta=0.1)
+            od.WeightMatrix([[0.5, 0.5]], beta=0.1)
+
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), -float("inf")])
+    def test_non_finite_entry_is_named_by_row_and_column(self, value):
+        entries = np.full((3, 3), 1 / 3)
+        entries[1, 2] = value
+        entries[2, 0] = value  # only the first in row-major order is named
+        with pytest.raises(ShapeError) as caught:
+            od.WeightMatrix(entries, beta=0.1)
+        assert str(caught.value) == f"matrix entry [1][2] is not finite: {value!r}"
 
     def test_nonpositive_beta_rejected(self):
         with pytest.raises(PreconditionError):
-            od.validate_weight_matrix(np.eye(2), beta=0.0)
+            od.WeightMatrix(np.eye(2), beta=0.0)
 
     def test_nan_beta_rejected(self):
         entries = [[0.99, 0.01], [0.5, 0.5]]  # below any floor worth declaring
         with pytest.raises(PreconditionError):
-            od.validate_weight_matrix(entries, beta=float("nan"))
-        with pytest.raises(PreconditionError):
             od.WeightMatrix(entries, beta=float("nan"))
 
     def test_constructor_raises_on_invalid(self):
-        with pytest.raises(ValidationError):
+        with pytest.raises(ValidationError) as caught:
             od.WeightMatrix([[0.5, 0.5], [0.6, 0.6]], beta=0.1)
+        assert str(caught.value) == "invalid weight matrix:\nrow_sum[1]: row sums to 1.2, expected 1"
+        assert [(v.clause, v.index) for v in caught.value.violations] == [("row_sum", (1,))]
 
     @settings(max_examples=300, deadline=None)
     @given(st.data())
@@ -110,14 +125,14 @@ class TestValidateWeightMatrix:
             else:
                 entries[i, i] = 0.0
 
-        report = od.validate_weight_matrix(entries, beta)
-        assert report.violations == reference_violations(entries, beta)
-        if report.ok:
+        expected = reference_violations(entries, beta)
+        if not expected:
             assert np.array_equal(od.WeightMatrix(entries, beta).entries, entries)
         else:
             with pytest.raises(ValidationError) as caught:
                 od.WeightMatrix(entries, beta)
-            assert str(report) in str(caught.value)
+            assert caught.value.violations == expected
+            assert str(caught.value) == "invalid weight matrix:\n" + "\n".join(map(str, expected))
 
     def test_entries_are_read_only(self):
         w = od.uniform_complete_matrix(3)
@@ -402,7 +417,7 @@ class TestRandomMatrixGenerator:
             rng = trial_rng(13, trial)
             n = 2 + rng.randrange(9)
             w = od.random_strongly_connected_matrix(n, rng, edge_probability=0.2)
-            assert od.validate_weight_matrix(w.entries, w.beta).ok
+            assert reference_violations(w.entries, w.beta) == ()
             assert od.is_strongly_connected(w)
 
     def test_deterministic_in_seed(self):

@@ -188,6 +188,31 @@ class TestLoadScenario:
         with pytest.raises(SchemaError, match=r"\$"):
             od.load_scenario("{not json")
 
+    def test_integer_past_the_digit_limit_reports_top_level(self):
+        with pytest.raises(SchemaError) as caught:
+            od.load_scenario(json.dumps(dissenter_document()).replace('"seed": 7', '"seed": 7' + "0" * 5000))
+        assert caught.value.path == "$"
+
+    HUGE = 10**400  # a JSON integer, beyond the largest double
+    HUGE_FIELDS = [
+        ("x0[2]", {"x0": [0.0, 0.5, HUGE, 0.0]}),
+        ("x0.uniform[1]", {"x0": {"uniform": [0, HUGE]}}),
+        ("beta", {"beta": HUGE}),
+        ("susceptibility.openness[2]",
+         {"susceptibility": {"kind": "constant", "openness": [0.5, 0.5, HUGE, 0.5]}}),
+        ("stop.consensus_epsilon", {"stop": {"consensus_epsilon": HUGE}}),
+        ("schedule.matrix[2][3]",
+         {"schedule": {"kind": "static", "matrix": [*QUARTER[:2], [0.25, 0.25, 0.25, HUGE], QUARTER[3]]}}),
+        ("schedule.generated.edge_probability",
+         {"schedule": {"kind": "static", "generated": {"edge_probability": HUGE}}}),
+    ]
+
+    @pytest.mark.parametrize("path,overrides", HUGE_FIELDS, ids=[path for path, _ in HUGE_FIELDS])
+    def test_integer_too_large_for_a_double_names_its_path(self, path, overrides):
+        with pytest.raises(SchemaError, match="integer too large for a double") as caught:
+            load(dissenter_document(**overrides))
+        assert caught.value.path == path
+
     def test_static_requires_exactly_one_source(self):
         doc = dissenter_document()
         doc["schedule"] = {"kind": "static"}
@@ -307,7 +332,7 @@ class TestGenerateInitial:
 
     def test_interval_without_interior_rejected(self):
         # no double lies strictly between two neighbouring doubles
-        for n in (3, 40):  # scalar and block draws
+        for n in (3, 40):
             with pytest.raises(PreconditionError, match="strictly inside"):
                 od.generate_initial(0.5, np.nextafter(0.5, 1.0), n, seed=1)
 
