@@ -38,6 +38,7 @@ from .dynamics import (
     StubbornNeutral,
     StubbornPositive,
     SusceptibilityKind,
+    TrajectoryCsv,
     TrajectoryRecord,
     opinion_vector,
     simulate,

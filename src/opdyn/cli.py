@@ -4,7 +4,9 @@ Exit codes: 0 on success, 1 on validation or precondition failure
 (including usage errors) and when ``simulate`` stops on a non-finite state
 or finds a lemma violation in its trajectory (after writing its
 artifacts), 2 on I/O failure. Artifact paths are relative to ``--out``
-(default ``./out``).
+(default ``./out``). ``simulate`` and ``compare`` stream their trajectory
+CSVs to temporary siblings while the runs go, and move them into place
+only when every run has finished; a run that fails leaves none behind.
 ``--seed``, ``--epsilon`` and ``--max-steps`` replace the scenario's
 fields, so they change its ``scenario_id`` (an unnamed scenario's stem).
 """
@@ -12,12 +14,14 @@ fields, so they change its ``scenario_id`` (an unnamed scenario's stem).
 from __future__ import annotations
 
 import argparse
+import contextlib
 import dataclasses
+import os
 import sys
 from pathlib import Path
 
 from .analysis import classify_limit, degroot_consensus_value
-from .dynamics import DeGroot, write_trajectory_csv
+from .dynamics import DeGroot, TrajectoryCsv
 from .errors import OpdynError, ValidationError
 from .graph import (
     StaticSchedule,
@@ -68,17 +72,44 @@ def _out_prefix(args, scenario: Scenario) -> str:
     return str(out / (scenario.name or scenario.scenario_id))
 
 
+@contextlib.contextmanager
+def _staged_csvs(paths: list[str], n: int):
+    """A ``TrajectoryCsv`` per path, each writing a temporary sibling.
+
+    When the block ends normally the siblings replace the paths; when it
+    raises anything (``KeyboardInterrupt`` included) they are removed.
+    """
+    staged = [f"{path}.{os.getpid()}.tmp" for path in paths]
+    writers = []
+    try:
+        for tmp in staged:
+            writers.append(TrajectoryCsv(tmp, n))
+        yield writers
+        for writer in writers:
+            writer.close()
+        for tmp, path in zip(staged, paths):
+            os.replace(tmp, path)
+    except BaseException:
+        for writer in writers:
+            with contextlib.suppress(OSError):
+                writer.close()
+        for tmp in staged:
+            with contextlib.suppress(OSError):
+                os.remove(tmp)
+        raise
+
+
 def _cmd_simulate(args) -> int:
     scenario = _load(args)
-    record, summary = run_scenario(scenario)
     prefix = _out_prefix(args, scenario)
-    write_trajectory_csv(record, f"{prefix}.trajectory.csv")
+    with _staged_csvs([f"{prefix}.trajectory.csv"], scenario.n) as (writer,):
+        record, summary = run_scenario(scenario, keep_states=False, writer=writer)
     write_summary(summary, f"{prefix}.summary.json")
     if summary.consensus_value is not None:
         print(f"consensus {summary.consensus_value:.12g} at step {summary.steps}")
     else:
         print(f"stopped: {summary.stop_reason} after {summary.steps} steps "
-              f"(spread {record.spreads[-1]:.3e})")
+              f"(spread {record.maxs[-1] - record.mins[-1]:.3e})")
     if summary.stop_reason == "non_finite":
         print(f"error: step {summary.steps + 1} produced a non-finite state; "
               f"the artifacts end at step {summary.steps}", file=sys.stderr)
@@ -160,19 +191,21 @@ def _cmd_compare(args) -> int:
                           f"this one is {scenario.kind.name}")
     else:
         baseline = DeGroot()
-    records = run_comparison(scenario, baseline=baseline)
     prefix = _out_prefix(args, scenario)
+    names = [baseline.name, scenario.kind.name]
+    with _staged_csvs([f"{prefix}.{name}.csv" for name in names], scenario.n) as writers:
+        records = run_comparison(scenario, baseline=baseline, writers=dict(zip(names, writers)))
     outcomes = []
     limits = []
     for kind_name, record in records.items():
-        write_trajectory_csv(record, f"{prefix}.{kind_name}.csv")
         if record.consensus_value is not None:
             limits.append(record.consensus_value)
             outcomes.append(f"{kind_name} -> consensus {limits[-1]:.12g} "
                             f"at step {record.steps}")
         else:
+            spread = record.maxs[-1] - record.mins[-1]
             outcomes.append(f"{kind_name} -> no consensus: {record.stop_reason} "
-                            f"after {record.steps} steps, spread {record.spreads[-1]:.3e}")
+                            f"after {record.steps} steps, spread {spread:.3e}")
     if len(limits) == 2:
         difference = f"difference {abs(limits[0] - limits[1]):.3e}"
     else:

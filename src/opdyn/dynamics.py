@@ -52,6 +52,7 @@ in [0, 1] for opinions in [-1, 1]: the built-in kinds map into it exactly
 from __future__ import annotations
 
 import numbers
+from array import array
 from dataclasses import dataclass
 from typing import Callable, Optional, Union
 
@@ -68,6 +69,16 @@ from .graph import GraphSchedule, WeightMatrix
 
 OPINION_MIN = -1.0
 OPINION_MAX = 1.0
+
+# The loop stages each step's min and max in lists and packs them into
+# arrays of doubles this many steps at a time: a list append is about a
+# third of the cost of an array append, and a Python float takes 32 bytes
+# where a packed double takes 8.
+_EXTREMES_CHUNK = 1024
+
+# A TrajectoryCsv formats its staged rows once they hold about this many
+# values.
+_CSV_BLOCK_VALUES = 8192
 
 
 def opinion_vector(values) -> np.ndarray:
@@ -301,9 +312,12 @@ class TrajectoryRecord:
     """States over time plus per-step diagnostics.
 
     ``states`` holds one row per recorded step (row 0 is the initial
-    state); it is None when the simulation ran with ``keep_states=False``,
-    in which case only the diagnostics and the final state remain.
-    ``clamp_steps`` counts the steps on which the kernel's clamp fired.
+    state), n doubles each; it is None when the simulation ran with
+    ``keep_states=False``, in which case only the diagnostics and the
+    final state remain. ``mins`` and ``maxs`` hold each recorded state's
+    extremes as float64 arrays, 16 bytes per step between them; a
+    simulated record's are views of packed buffers. ``clamp_steps`` counts
+    the steps on which the kernel's clamp fired.
     """
 
     mins: np.ndarray
@@ -352,12 +366,78 @@ class TrajectoryRecord:
         )
 
 
+# Takes each recorded state and its spread as the loop makes them.
+RowWriter = Callable[[np.ndarray, float], None]
+
+
+class TrajectoryCsv:
+    """Writes a trajectory to ``path`` as CSV rows ``t,x_1,...,x_n,spread``.
+
+    Use it as a context manager: each call ``writer(state, spread)`` adds
+    the next row, ``t`` counting from 0, and leaving the block (or
+    ``close``) writes the rows still staged and closes the file. Values
+    have 17 significant digits, so every one round-trips bit-exactly, and
+    rows end in a fixed newline, so files hash identically across
+    platforms. Passed as ``simulate``'s ``writer``, it streams the rows as
+    the loop records the states; ``write_trajectory_csv`` feeds it a
+    record's stored states, so both give the same bytes.
+
+    Rows are staged by reference (``simulate`` hands over a fresh array
+    each step) and formatted ``_CSV_BLOCK_VALUES // (n + 2)`` at a time,
+    with one ``%`` per block: a block is cheaper to format than its rows
+    one by one, and formatting between steps slows the loop.
+    """
+
+    def __init__(self, path, n: int):
+        self._width = n + 2
+        self._row = ",".join(["%d"] + ["%.17g"] * (n + 1)) + "\n"
+        self._block_rows = max(1, _CSV_BLOCK_VALUES // self._width)
+        self._states: list[np.ndarray] = []
+        self._spreads: list[float] = []
+        self._t = 0
+        self._fh = open(path, "w", encoding="utf-8", newline="")
+        self._fh.write("t," + ",".join(f"x_{i + 1}" for i in range(n)) + ",spread\n")
+
+    def __call__(self, state: np.ndarray, spread: float) -> None:
+        self._states.append(state)
+        self._spreads.append(spread)
+        if len(self._states) == self._block_rows:
+            self._write_staged()
+
+    def _write_staged(self) -> None:
+        m = len(self._states)
+        if not m:
+            return
+        block = np.empty((m, self._width))
+        block[:, 0] = np.arange(self._t, self._t + m)  # exact, and %d prints it as an integer
+        block[:, 1:-1] = self._states
+        block[:, -1] = self._spreads
+        self._fh.write((self._row * m) % tuple(block.ravel().tolist()))
+        self._t += m
+        self._states.clear()
+        self._spreads.clear()
+
+    def close(self) -> None:
+        """Write the staged rows and close the file."""
+        try:
+            self._write_staged()
+        finally:
+            self._fh.close()
+
+    def __enter__(self) -> "TrajectoryCsv":
+        return self
+
+    def __exit__(self, *exc_info) -> None:
+        self.close()
+
+
 def simulate(
     x0,
     schedule: GraphSchedule,
     kind: SusceptibilityKind,
     stop: Optional[StopRule] = None,
     keep_states: bool = True,
+    writer: Optional[RowWriter] = None,
 ) -> TrajectoryRecord:
     """Iterate the opinion update until a stop condition fires.
 
@@ -371,7 +451,12 @@ def simulate(
     (reported, never silent).
 
     The initial state is recorded as step 0, so an already-converged input
-    yields a 0-transition record.
+    yields a 0-transition record. ``writer``, if given, is called as
+    ``writer(state, spread)`` with each recorded state as the loop makes
+    it, row 0 included and a non-finite state never (a ``TrajectoryCsv``
+    writes them to a file); it must not modify the state. Memory is O(n)
+    plus 16 bytes per step for the extremes, and n doubles per step more
+    with ``keep_states``.
     """
     stop = stop or StopRule()
     x = opinion_vector(x0).copy()
@@ -381,8 +466,11 @@ def simulate(
     kind.values(x)
 
     target = stop.target
-    mins: list[float] = []
-    maxs: list[float] = []
+    mins, maxs = array("d"), array("d")
+    # staged extremes, moved into mins/maxs whenever t reaches pack_at
+    lows: list[float] = []
+    highs: list[float] = []
+    pack_at = _EXTREMES_CHUNK
     states: list[np.ndarray] = []
     reason = "max_steps"
     t = clamp_steps = 0
@@ -392,10 +480,12 @@ def simulate(
             reason = "non_finite"
             x = finite
             break
-        mins.append(mn)
-        maxs.append(mx)
+        lows.append(mn)
+        highs.append(mx)
         if keep_states:
             states.append(x)  # _advance returns a fresh array each step
+        if writer is not None:
+            writer(x, mx - mn)
         if mx - mn < stop.consensus_epsilon:
             reason = "consensus"
             break
@@ -415,10 +505,18 @@ def simulate(
         x, mn, mx, clamped = _advance(x, matrix, kind, mn, mx)
         clamp_steps += clamped
         t += 1
+        if t == pack_at:
+            mins.extend(lows)
+            maxs.extend(highs)
+            lows.clear()
+            highs.clear()
+            pack_at += _EXTREMES_CHUNK
+    mins.extend(lows)
+    maxs.extend(highs)
 
     return TrajectoryRecord(
-        mins=np.array(mins),
-        maxs=np.array(maxs),
+        mins=np.frombuffer(mins),
+        maxs=np.frombuffer(maxs),
         final_state=x,
         stop_reason=reason,
         states=np.array(states) if keep_states else None,
@@ -427,17 +525,9 @@ def simulate(
 
 
 def write_trajectory_csv(record: TrajectoryRecord, path) -> None:
-    """Write ``t,x_1,...,x_n,spread`` rows at full double precision.
-
-    Uses 17 significant digits, so every value round-trips bit-exactly,
-    and a fixed newline so files hash identically across platforms.
-    """
+    """Write a record's stored states to ``path`` through a ``TrajectoryCsv``."""
     if record.states is None:
         raise PreconditionError("trajectory was recorded without states; cannot write CSV")
-    n = record.n
-    header = "t," + ",".join(f"x_{i + 1}" for i in range(n)) + ",spread"
-    row = ",".join(["%d"] + ["%.17g"] * (n + 1)) + "\n"
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write(header + "\n")
-        for t, (state, spread) in enumerate(zip(record.states, record.spreads.tolist())):
-            fh.write(row % (t, *state.tolist(), spread))
+    with TrajectoryCsv(path, record.n) as writer:
+        for state, spread in zip(record.states, record.spreads.tolist()):
+            writer(state, spread)

@@ -136,10 +136,12 @@ class WeightMatrix:
         for i in np.flatnonzero(np.abs(row_sums - 1.0) > ROW_SUM_TOL).tolist():
             found.append(Violation(
                 "row_sum", (i,), f"row sums to {float(row_sums[i])!r}, expected 1"))
-        for i, j in zip(*np.nonzero((arr != 0.0) & (arr < beta))):
-            found.append(Violation(
-                "entry_floor", (int(i), int(j)),
-                f"nonzero entry {float(arr[i, j])!r} below floor {float(beta)!r}"))
+        below_floor = (arr != 0.0) & (arr < beta)
+        if below_floor.any():  # enumerating an all-false n x n mask costs more than testing it
+            for i, j in zip(*np.nonzero(below_floor)):
+                found.append(Violation(
+                    "entry_floor", (int(i), int(j)),
+                    f"nonzero entry {float(arr[i, j])!r} below floor {float(beta)!r}"))
         for i in np.flatnonzero(arr.diagonal() == 0.0).tolist():
             found.append(Violation(
                 "zero_diagonal", (i,), "agent must keep a self-weight"))

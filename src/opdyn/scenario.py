@@ -39,7 +39,7 @@ import hashlib
 import json
 from dataclasses import asdict, dataclass, fields, replace
 from functools import cached_property
-from typing import Optional, Union
+from typing import Mapping, Optional, Union
 
 import numpy as np
 
@@ -54,6 +54,7 @@ from .analysis import (
 from .dynamics import (
     Constant,
     DeGroot,
+    RowWriter,
     StopRule,
     StubbornExtremist,
     StubbornNeutral,
@@ -446,19 +447,22 @@ def run_scenario(
     scenario: Scenario,
     stop: Optional[StopRule] = None,
     keep_states: bool = True,
+    writer: Optional[RowWriter] = None,
 ) -> tuple[TrajectoryRecord, RunSummary]:
     """Simulate a scenario and assemble its summary.
 
     ``stop`` runs ``replace(scenario, stop=stop)`` instead, and the summary
     carries that scenario's id. The summary's consensus value is the
-    record's ``consensus_value``.
+    record's ``consensus_value``. ``keep_states`` and ``writer`` go to
+    ``simulate``.
     """
     if stop is not None:
         scenario = replace(scenario, stop=stop)
     x0 = initial_opinions(scenario)
     schedule = build_schedule(scenario)
     rjsc = schedule_rjsc_status(schedule)
-    record = simulate(x0, schedule, scenario.kind, scenario.stop, keep_states=keep_states)
+    record = simulate(x0, schedule, scenario.kind, scenario.stop,
+                      keep_states=keep_states, writer=writer)
     try:
         rate = estimate_rate(record)
     except PreconditionError:
@@ -479,20 +483,25 @@ def run_scenario(
 
 
 def run_comparison(scenario: Scenario,
-                   baseline: SusceptibilityKind = DeGroot()) -> dict[str, TrajectoryRecord]:
+                   baseline: SusceptibilityKind = DeGroot(),
+                   writers: Optional[Mapping[str, RowWriter]] = None,
+                   ) -> dict[str, TrajectoryRecord]:
     """Run the scenario's kind and a baseline kind on identical inputs.
 
     One initial-opinion vector and one schedule realization feed both
     runs (random schedules draw by step index, so the realizations match
-    exactly); the records come back keyed by kind name.
+    exactly); the records come back keyed by kind name. With ``writers``,
+    keyed by kind name too, each run streams its states to its writer
+    and keeps none; without, the records hold their states.
     """
     if scenario.kind.name == baseline.name:
         raise PreconditionError(f"comparison against the same kind {baseline.name!r}")
     x0 = initial_opinions(scenario)
     schedule = build_schedule(scenario)
     return {
-        baseline.name: simulate(x0, schedule, baseline, scenario.stop),
-        scenario.kind.name: simulate(x0, schedule, scenario.kind, scenario.stop),
+        kind.name: simulate(x0, schedule, kind, scenario.stop, keep_states=writers is None,
+                            writer=None if writers is None else writers[kind.name])
+        for kind in (baseline, scenario.kind)
     }
 
 

@@ -1,6 +1,7 @@
 import json
 import subprocess
 import sys
+import tracemalloc
 from dataclasses import replace
 
 import pytest
@@ -8,8 +9,9 @@ import pytest
 import opdyn.scenario
 from opdyn.analysis import LemmaReport
 from opdyn.cli import main
+from opdyn.errors import DomainError
 
-from _trials import nan_spike_kind
+from _trials import bench_workloads, nan_spike_kind
 
 
 QUARTER = [[0.25] * 4 for _ in range(4)]
@@ -405,6 +407,89 @@ class TestCompareCommand:
         err = capsys.readouterr().err
         assert "--against" in err and "stubborn_positive" in err
         assert not out.exists()
+
+
+class FailsAtStep:
+    """stubborn_neutral's susceptibility, except that the update into
+    state ``step`` raises ``error``."""
+
+    name = "stubborn_neutral"
+
+    def __init__(self, error: BaseException, step: int = 3):
+        self.error = error
+        self.calls_left = step + 1  # simulate calls values once, to check its size, first
+
+    def values(self, x):
+        self.calls_left -= 1
+        if self.calls_left == 0:
+            raise self.error
+        return x * x
+
+
+SEVERAL_STEPS = {
+    "schema": 1, "name": "several", "n": 4, "beta": 0.25,
+    "x0": [0.9, -0.5, 0.2, 0.4],
+    "schedule": {"kind": "static", "matrix": QUARTER},
+    "susceptibility": "stubborn_neutral",
+    "stop": {"max_steps": 100, "consensus_epsilon": 1e-9},
+}
+
+
+def traced_peak(argv) -> int:
+    """Peak bytes tracemalloc sees while the CLI runs ``argv``."""
+    tracemalloc.start()
+    try:
+        assert main(argv) == 0
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+class TestStreamedCsvs:
+    @pytest.mark.parametrize("command", ["simulate", "compare"])
+    @pytest.mark.parametrize("error", [KeyboardInterrupt(), DomainError("raised at step 3")])
+    def test_a_failed_run_leaves_no_csv(self, tmp_path, capsys, monkeypatch, command, error):
+        monkeypatch.setitem(opdyn.scenario._KIND_NAMES, "stubborn_neutral",
+                            lambda: FailsAtStep(error))
+        path = write_scenario(tmp_path, SEVERAL_STEPS)
+        out = tmp_path / "out"
+        if isinstance(error, KeyboardInterrupt):
+            with pytest.raises(KeyboardInterrupt):
+                main([command, path, "--out", str(out)])
+        else:
+            assert main([command, path, "--out", str(out)]) == 1
+            assert "raised at step 3" in capsys.readouterr().err
+        assert list(out.iterdir()) == []
+
+    def test_a_failed_run_keeps_the_earlier_csv(self, tmp_path, capsys, monkeypatch):
+        path = write_scenario(tmp_path, SEVERAL_STEPS)
+        out = tmp_path / "out"
+        assert main(["simulate", path, "--out", str(out)]) == 0
+        earlier = (out / "several.trajectory.csv").read_bytes()
+        monkeypatch.setitem(opdyn.scenario._KIND_NAMES, "stubborn_neutral",
+                            lambda: FailsAtStep(DomainError("raised at step 3")))
+        assert main(["simulate", path, "--out", str(out), "--max-steps", "50"]) == 1
+        assert (out / "several.trajectory.csv").read_bytes() == earlier
+        assert sorted(p.name for p in out.iterdir()) == [
+            "several.summary.json", "several.trajectory.csv"]
+
+    @pytest.mark.parametrize("command", ["simulate", "compare"])
+    def test_memory_grows_by_the_extremes_alone(self, tmp_path, capsys, command):
+        # The n = 30 benchmark session runs to --max-steps. The loop keeps
+        # 16 bytes per step (each state's min and max); 64 KB of slack covers
+        # the extremes staged as Python floats before they are packed (the
+        # block of rows a TrajectoryCsv formats at once is the same in both).
+        # simulate also fits the spread's decay rate after the run, and
+        # np.polyfit's temporaries take about 64 bytes per step more (72
+        # allowed), until the fit is computed online.
+        (document,) = bench_workloads().cli_session_documents(1)
+        path = tmp_path / "doc.json"
+        path.write_text(document)
+        argv = [command, str(path), "--out", str(tmp_path / "out"), "--max-steps"]
+        traced_peak(argv + ["10"])  # imports and caches
+        growth = traced_peak(argv + ["20000"]) - traced_peak(argv + ["2000"])
+        per_step = 16 + (72 if command == "simulate" else 0)
+        assert growth <= per_step * 18_000 + 64_000
 
 
 class TestOracleCommand:

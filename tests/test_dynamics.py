@@ -1,6 +1,10 @@
+import tempfile
+from contextlib import nullcontext
+from pathlib import Path
+
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
 import opdyn as od
@@ -389,9 +393,22 @@ class TestSimulate:
             target=target,
             target_epsilon=None if target is None else data.draw(st.sampled_from((1e-3, 0.1, 0.6))))
         keep = data.draw(st.booleans())
+        stream = data.draw(st.booleans())
 
-        got = od.simulate(x0, schedule, kind, stop, keep_states=keep)
-        want = reference_simulate(x0, schedule, kind, stop, keep_states=keep)
+        with tempfile.TemporaryDirectory() as tmp:
+            streamed = Path(tmp, "streamed.csv")
+            with od.TrajectoryCsv(streamed, n) if stream else nullcontext() as writer:
+                got = od.simulate(x0, schedule, kind, stop, keep_states=keep, writer=writer)
+            want = reference_simulate(x0, schedule, kind, stop, keep_states=keep)
+            if stream:
+                event(f"streamed, {got.stop_reason}")
+                kept = got if keep else od.simulate(x0, schedule, kind, stop)
+                od.write_trajectory_csv(kept, Path(tmp, "kept.csv"))
+                assert streamed.read_bytes() == Path(tmp, "kept.csv").read_bytes()
+                if not has_negative_zero(x0):  # a zero's sign shows in the CSV
+                    reference = want if keep else reference_simulate(x0, schedule, kind, stop)
+                    write_trajectory_csv_by_value(reference, Path(tmp, "reference.csv"))
+                    assert streamed.read_bytes() == Path(tmp, "reference.csv").read_bytes()
         assert (got.stop_reason, got.steps, got.clamp_steps) == \
             (want.stop_reason, want.steps, want.clamp_steps)
         pairs = [(got.mins, want.mins), (got.maxs, want.maxs),
@@ -412,6 +429,25 @@ class TestSimulate:
             od.simulate([0.1, 0.2], od.StaticSchedule(w), od.DeGroot())
         with pytest.raises(ShapeError):
             od.simulate([0.1, 0.2, 0.3], od.StaticSchedule(w), od.Constant((0.5, 0.5)))
+
+    def test_packed_extremes_and_csv_blocks_match_the_reference(self, tmp_path):
+        # The loop packs its staged extremes every _EXTREMES_CHUNK steps, and
+        # a TrajectoryCsv formats _CSV_BLOCK_VALUES // (n + 2) rows at a time
+        # (1170 at n = 5); run across several of both.
+        steps = 2 * od.dynamics._EXTREMES_CHUNK + 5
+        w = random_valid_matrix(5, trial_rng(45, 0), 0.4)
+        stop = od.StopRule(max_steps=steps, consensus_epsilon=NEVER)
+        x0 = [1.0, 0.3, -0.2, 0.6, -0.9]
+        with od.TrajectoryCsv(tmp_path / "streamed.csv", 5) as writer:
+            got = od.simulate(x0, od.StaticSchedule(w), od.StubbornPositive(), stop,
+                              keep_states=False, writer=writer)
+        want = reference_simulate(x0, od.StaticSchedule(w), od.StubbornPositive(), stop)
+        assert got.steps == steps
+        assert got.mins.tobytes() == want.mins.tobytes()
+        assert got.maxs.tobytes() == want.maxs.tobytes()
+        assert got.mins.dtype == np.float64 and got.mins.shape == (steps + 1,)
+        write_trajectory_csv_by_value(want, tmp_path / "reference.csv")
+        assert (tmp_path / "streamed.csv").read_bytes() == (tmp_path / "reference.csv").read_bytes()
 
     def test_keep_states_false_drops_states_only(self):
         w = od.uniform_complete_matrix(3)

@@ -102,6 +102,12 @@ CLI_SESSION_PINS = [
     (7, "40dce039d2c6306d565345826b6ad132f3859d51784a870bb4e5ba80f244528d",
      "9cbeabcb3f91425491112a8a6a1c6cba76d7fd80760670cfa73f96625b655e15"),
 ]
+# Per seed, the sha256 of the degroot CSV `opdyn compare` writes, recorded
+# before the CLI streamed its CSVs; its stubborn_positive CSV is simulate's.
+CLI_SESSION_DEGROOT_PINS = {
+    1: "398e51bc616d8884ee7e2424c7140f28556a1857ddf9df4fa1b8352640532dfb",
+    7: "d609593cc5253b0c78b2bca0a201714ea07b3049dae5b72b709c200f2cb43e1a",
+}
 
 
 @pytest.mark.parametrize("seed,summary_sha256,csv_sha256", CLI_SESSION_PINS)
@@ -110,7 +116,11 @@ def test_cli_session_outputs_are_unchanged(seed, summary_sha256, csv_sha256, tmp
     path = tmp_path / "doc.json"
     path.write_text(document)
     assert main(["simulate", str(path), "--out", str(tmp_path)]) == 0
+    assert main(["compare", str(path), "--out", str(tmp_path)]) == 0
     summary = (tmp_path / "cli-session.summary.json").read_bytes()
     csv = (tmp_path / "cli-session.trajectory.csv").read_bytes()
     assert hashlib.sha256(summary).hexdigest() == summary_sha256
     assert hashlib.sha256(csv).hexdigest() == csv_sha256
+    assert (tmp_path / "cli-session.stubborn_positive.csv").read_bytes() == csv
+    degroot = (tmp_path / "cli-session.degroot.csv").read_bytes()
+    assert hashlib.sha256(degroot).hexdigest() == CLI_SESSION_DEGROOT_PINS[seed]
