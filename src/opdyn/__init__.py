@@ -4,7 +4,6 @@ reproducible experiment scenarios.
 """
 
 from .errors import (
-    ConvergenceError,
     DomainError,
     OpdynError,
     PreconditionError,

@@ -5,8 +5,9 @@ Exit codes: 0 on success, 1 on validation or precondition failure
 or finds a lemma violation in its trajectory (after writing its
 artifacts), 2 on I/O failure. Artifact paths are relative to ``--out``
 (default ``./out``). ``simulate`` and ``compare`` stream their trajectory
-CSVs to temporary siblings while the runs go, and move them into place
-only when every run has finished; a run that fails leaves none behind.
+CSVs through ``TrajectoryCsv``s, which move them into place only when
+every run has finished; a run that fails leaves none behind. ``oracle``
+applies to degroot scenarios on static schedules only.
 ``--seed``, ``--epsilon`` and ``--max-steps`` replace the scenario's
 fields, so they change its ``scenario_id`` (an unnamed scenario's stem).
 """
@@ -16,7 +17,6 @@ from __future__ import annotations
 import argparse
 import contextlib
 import dataclasses
-import os
 import sys
 from pathlib import Path
 
@@ -72,37 +72,10 @@ def _out_prefix(args, scenario: Scenario) -> str:
     return str(out / (scenario.name or scenario.scenario_id))
 
 
-@contextlib.contextmanager
-def _staged_csvs(paths: list[str], n: int):
-    """A ``TrajectoryCsv`` per path, each writing a temporary sibling.
-
-    When the block ends normally the siblings replace the paths; when it
-    raises anything (``KeyboardInterrupt`` included) they are removed.
-    """
-    staged = [f"{path}.{os.getpid()}.tmp" for path in paths]
-    writers = []
-    try:
-        for tmp in staged:
-            writers.append(TrajectoryCsv(tmp, n))
-        yield writers
-        for writer in writers:
-            writer.close()
-        for tmp, path in zip(staged, paths):
-            os.replace(tmp, path)
-    except BaseException:
-        for writer in writers:
-            with contextlib.suppress(OSError):
-                writer.close()
-        for tmp in staged:
-            with contextlib.suppress(OSError):
-                os.remove(tmp)
-        raise
-
-
 def _cmd_simulate(args) -> int:
     scenario = _load(args)
     prefix = _out_prefix(args, scenario)
-    with _staged_csvs([f"{prefix}.trajectory.csv"], scenario.n) as (writer,):
+    with TrajectoryCsv(f"{prefix}.trajectory.csv", scenario.n) as writer:
         record, summary = run_scenario(scenario, keep_states=False, writer=writer)
     write_summary(summary, f"{prefix}.summary.json")
     if summary.consensus_value is not None:
@@ -192,9 +165,10 @@ def _cmd_compare(args) -> int:
     else:
         baseline = DeGroot()
     prefix = _out_prefix(args, scenario)
-    names = [baseline.name, scenario.kind.name]
-    with _staged_csvs([f"{prefix}.{name}.csv" for name in names], scenario.n) as writers:
-        records = run_comparison(scenario, baseline=baseline, writers=dict(zip(names, writers)))
+    with contextlib.ExitStack() as stack:
+        writers = {name: stack.enter_context(TrajectoryCsv(f"{prefix}.{name}.csv", scenario.n))
+                   for name in (baseline.name, scenario.kind.name)}
+        records = run_comparison(scenario, baseline=baseline, writers=writers)
     outcomes = []
     limits = []
     for kind_name, record in records.items():
@@ -216,6 +190,9 @@ def _cmd_compare(args) -> int:
 
 def _cmd_oracle(args) -> int:
     scenario = _load(args)
+    if scenario.kind.name != "degroot":
+        raise _UsageError(f"the averaging oracle applies to degroot scenarios only; "
+                          f"this one is {scenario.kind.name}")
     schedule = build_schedule(scenario)
     if not isinstance(schedule, StaticSchedule):
         raise _UsageError("the averaging oracle applies to static schedules only")

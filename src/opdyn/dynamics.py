@@ -51,7 +51,9 @@ in [0, 1] for opinions in [-1, 1]: the built-in kinds map into it exactly
 
 from __future__ import annotations
 
+import contextlib
 import numbers
+import os
 from array import array
 from dataclasses import dataclass
 from typing import Callable, Optional, Union
@@ -70,15 +72,17 @@ from .graph import GraphSchedule, WeightMatrix
 OPINION_MIN = -1.0
 OPINION_MAX = 1.0
 
-# The loop stages each step's min and max in lists and packs them into
-# arrays of doubles this many steps at a time: a list append is about a
-# third of the cost of an array append, and a Python float takes 32 bytes
-# where a packed double takes 8.
-_EXTREMES_CHUNK = 1024
+# The loop stages each recorded step's min and max (and its state, when it
+# is kept or written) and hands them on in blocks of about this many values:
+# a list append costs a third of an array append, a Python float takes 32
+# bytes where a packed double takes 8, and a block of CSV rows is cheaper to
+# format with one % than its rows one by one.
+_BLOCK_VALUES = 8192
 
-# A TrajectoryCsv formats its staged rows once they hold about this many
-# values.
-_CSV_BLOCK_VALUES = 8192
+
+def _block_rows(n: int) -> int:
+    """Recorded steps per block for n agents (a row is t, n opinions, spread)."""
+    return max(1, _BLOCK_VALUES // (n + 2))
 
 
 def opinion_vector(values) -> np.ndarray:
@@ -315,8 +319,9 @@ class TrajectoryRecord:
     state), n doubles each; it is None when the simulation ran with
     ``keep_states=False``, in which case only the diagnostics and the
     final state remain. ``mins`` and ``maxs`` hold each recorded state's
-    extremes as float64 arrays, 16 bytes per step between them; a
-    simulated record's are views of packed buffers. ``clamp_steps`` counts
+    extremes as float64 arrays, 16 bytes per step between them. A
+    simulated record's three arrays are views of packed buffers of
+    doubles, ``states`` reshaped to (steps + 1, n). ``clamp_steps`` counts
     the steps on which the kernel's clamp fired.
     """
 
@@ -366,69 +371,64 @@ class TrajectoryRecord:
         )
 
 
-# Takes each recorded state and its spread as the loop makes them.
-RowWriter = Callable[[np.ndarray, float], None]
+# Takes a block of recorded states (m, n) and their spreads (m,), m >= 1,
+# as the loop hands them on.
+BlockWriter = Callable[[np.ndarray, np.ndarray], None]
 
 
 class TrajectoryCsv:
     """Writes a trajectory to ``path`` as CSV rows ``t,x_1,...,x_n,spread``.
 
-    Use it as a context manager: each call ``writer(state, spread)`` adds
-    the next row, ``t`` counting from 0, and leaving the block (or
-    ``close``) writes the rows still staged and closes the file. Values
-    have 17 significant digits, so every one round-trips bit-exactly, and
-    rows end in a fixed newline, so files hash identically across
-    platforms. Passed as ``simulate``'s ``writer``, it streams the rows as
-    the loop records the states; ``write_trajectory_csv`` feeds it a
-    record's stored states, so both give the same bytes.
+    Each call ``writer(states, spreads)`` adds a block of rows, ``t``
+    counting from 0, formatted with one ``%``. Values have 17 significant
+    digits, so every one round-trips bit-exactly, and rows end in a fixed
+    newline, so files hash identically across platforms. Passed as
+    ``simulate``'s ``writer``, it streams the rows as the loop records the
+    states; ``write_trajectory_csv`` feeds it a record's stored states in
+    blocks of the same size, so both give the same bytes.
 
-    Rows are staged by reference (``simulate`` hands over a fresh array
-    each step) and formatted ``_CSV_BLOCK_VALUES // (n + 2)`` at a time,
-    with one ``%`` per block: a block is cheaper to format than its rows
-    one by one, and formatting between steps slows the loop.
+    The rows go to a temporary sibling, ``<path>.<pid>.tmp``. ``close``, or
+    leaving a ``with`` block normally, moves it into place with
+    ``os.replace``, so ``path`` never holds a partial trajectory; leaving
+    the block by an exception (``KeyboardInterrupt`` included) removes it
+    and leaves ``path`` as it was.
     """
 
     def __init__(self, path, n: int):
+        self._path = os.fspath(path)
+        self._tmp = f"{self._path}.{os.getpid()}.tmp"
         self._width = n + 2
         self._row = ",".join(["%d"] + ["%.17g"] * (n + 1)) + "\n"
-        self._block_rows = max(1, _CSV_BLOCK_VALUES // self._width)
-        self._states: list[np.ndarray] = []
-        self._spreads: list[float] = []
         self._t = 0
-        self._fh = open(path, "w", encoding="utf-8", newline="")
+        self._fh = open(self._tmp, "w", encoding="utf-8", newline="")
         self._fh.write("t," + ",".join(f"x_{i + 1}" for i in range(n)) + ",spread\n")
 
-    def __call__(self, state: np.ndarray, spread: float) -> None:
-        self._states.append(state)
-        self._spreads.append(spread)
-        if len(self._states) == self._block_rows:
-            self._write_staged()
-
-    def _write_staged(self) -> None:
-        m = len(self._states)
-        if not m:
-            return
+    def __call__(self, states: np.ndarray, spreads: np.ndarray) -> None:
+        m = states.shape[0]
         block = np.empty((m, self._width))
         block[:, 0] = np.arange(self._t, self._t + m)  # exact, and %d prints it as an integer
-        block[:, 1:-1] = self._states
-        block[:, -1] = self._spreads
+        block[:, 1:-1] = states
+        block[:, -1] = spreads
         self._fh.write((self._row * m) % tuple(block.ravel().tolist()))
         self._t += m
-        self._states.clear()
-        self._spreads.clear()
 
     def close(self) -> None:
-        """Write the staged rows and close the file."""
-        try:
-            self._write_staged()
-        finally:
+        """Close the file and move it into place at ``path``."""
+        if not self._fh.closed:
             self._fh.close()
+            os.replace(self._tmp, self._path)
 
     def __enter__(self) -> "TrajectoryCsv":
         return self
 
-    def __exit__(self, *exc_info) -> None:
-        self.close()
+    def __exit__(self, exc_type, *exc_info) -> None:
+        if exc_type is None:
+            self.close()
+            return
+        with contextlib.suppress(OSError):
+            self._fh.close()
+        with contextlib.suppress(OSError):
+            os.remove(self._tmp)
 
 
 def simulate(
@@ -437,7 +437,7 @@ def simulate(
     kind: SusceptibilityKind,
     stop: Optional[StopRule] = None,
     keep_states: bool = True,
-    writer: Optional[RowWriter] = None,
+    writer: Optional[BlockWriter] = None,
 ) -> TrajectoryRecord:
     """Iterate the opinion update until a stop condition fires.
 
@@ -451,27 +451,44 @@ def simulate(
     (reported, never silent).
 
     The initial state is recorded as step 0, so an already-converged input
-    yields a 0-transition record. ``writer``, if given, is called as
-    ``writer(state, spread)`` with each recorded state as the loop makes
-    it, row 0 included and a non-finite state never (a ``TrajectoryCsv``
-    writes them to a file); it must not modify the state. Memory is O(n)
-    plus 16 bytes per step for the extremes, and n doubles per step more
-    with ``keep_states``.
+    yields a 0-transition record. Each recorded step's min and max, and
+    its state when it is kept or written, are staged and handed on every
+    ``_block_rows(n)`` recorded steps and once at the stop: the extremes
+    and kept states are packed as doubles, and ``writer``, if given, gets
+    ``writer(states (m, n), spreads (m,))``, m >= 1, row 0 included and a
+    non-finite state never (a ``TrajectoryCsv`` writes them to a file).
+    Memory is O(n) plus 16 bytes per step for the extremes, and n doubles
+    per step more with ``keep_states``.
     """
     stop = stop or StopRule()
     x = opinion_vector(x0).copy()
-    if x.shape[0] != schedule.n:
-        raise ShapeError(f"{x.shape[0]} opinions against a {schedule.n}-agent schedule")
+    n = x.shape[0]
+    if n != schedule.n:
+        raise ShapeError(f"{n} opinions against a {schedule.n}-agent schedule")
     # Fail fast on per-agent kinds of the wrong size.
     kind.values(x)
 
     target = stop.target
-    mins, maxs = array("d"), array("d")
-    # staged extremes, moved into mins/maxs whenever t reaches pack_at
+    block_rows = _block_rows(n)
+    mins, maxs, kept = array("d"), array("d"), array("d")
+    # the staged block: extremes, and states when they are kept or written
     lows: list[float] = []
     highs: list[float] = []
-    pack_at = _EXTREMES_CHUNK
-    states: list[np.ndarray] = []
+    rows: Optional[list[np.ndarray]] = [] if keep_states or writer is not None else None
+
+    def hand_off() -> None:
+        mins.extend(lows)
+        maxs.extend(highs)
+        if rows:
+            states = np.array(rows)
+            if keep_states:
+                kept.frombytes(states.tobytes())
+            if writer is not None:
+                writer(states, np.array(highs) - np.array(lows))
+            rows.clear()
+        lows.clear()
+        highs.clear()
+
     reason = "max_steps"
     t = clamp_steps = 0
     mn, mx = float(x.min()), float(x.max())
@@ -482,10 +499,10 @@ def simulate(
             break
         lows.append(mn)
         highs.append(mx)
-        if keep_states:
-            states.append(x)  # _advance returns a fresh array each step
-        if writer is not None:
-            writer(x, mx - mn)
+        if rows is not None:
+            rows.append(x)  # _advance returns a fresh array each step
+        if len(lows) == block_rows:
+            hand_off()
         if mx - mn < stop.consensus_epsilon:
             reason = "consensus"
             break
@@ -505,29 +522,25 @@ def simulate(
         x, mn, mx, clamped = _advance(x, matrix, kind, mn, mx)
         clamp_steps += clamped
         t += 1
-        if t == pack_at:
-            mins.extend(lows)
-            maxs.extend(highs)
-            lows.clear()
-            highs.clear()
-            pack_at += _EXTREMES_CHUNK
-    mins.extend(lows)
-    maxs.extend(highs)
+    hand_off()
 
     return TrajectoryRecord(
         mins=np.frombuffer(mins),
         maxs=np.frombuffer(maxs),
         final_state=x,
         stop_reason=reason,
-        states=np.array(states) if keep_states else None,
+        states=np.frombuffer(kept).reshape(-1, n) if keep_states else None,
         clamp_steps=clamp_steps,
     )
 
 
 def write_trajectory_csv(record: TrajectoryRecord, path) -> None:
-    """Write a record's stored states to ``path`` through a ``TrajectoryCsv``."""
+    """Write a record's stored states to ``path`` through a ``TrajectoryCsv``,
+    in ``simulate``'s blocks."""
     if record.states is None:
         raise PreconditionError("trajectory was recorded without states; cannot write CSV")
+    rows = _block_rows(record.n)
+    spreads = record.spreads
     with TrajectoryCsv(path, record.n) as writer:
-        for state, spread in zip(record.states, record.spreads.tolist()):
-            writer(state, spread)
+        for start in range(0, len(spreads), rows):
+            writer(record.states[start:start + rows], spreads[start:start + rows])

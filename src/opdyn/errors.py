@@ -48,9 +48,5 @@ class PreconditionError(OpdynError, ValueError):
     """An operation was called outside its stated preconditions."""
 
 
-class ConvergenceError(OpdynError, RuntimeError):
-    """An iterative numerical method exhausted its iteration budget."""
-
-
 class ScheduleExhaustedError(OpdynError, LookupError):
     """A finite graph schedule has no matrix for the requested step."""

@@ -54,7 +54,7 @@ from .analysis import (
 from .dynamics import (
     Constant,
     DeGroot,
-    RowWriter,
+    BlockWriter,
     StopRule,
     StubbornExtremist,
     StubbornNeutral,
@@ -447,7 +447,7 @@ def run_scenario(
     scenario: Scenario,
     stop: Optional[StopRule] = None,
     keep_states: bool = True,
-    writer: Optional[RowWriter] = None,
+    writer: Optional[BlockWriter] = None,
 ) -> tuple[TrajectoryRecord, RunSummary]:
     """Simulate a scenario and assemble its summary.
 
@@ -484,7 +484,7 @@ def run_scenario(
 
 def run_comparison(scenario: Scenario,
                    baseline: SusceptibilityKind = DeGroot(),
-                   writers: Optional[Mapping[str, RowWriter]] = None,
+                   writers: Optional[Mapping[str, BlockWriter]] = None,
                    ) -> dict[str, TrajectoryRecord]:
     """Run the scenario's kind and a baseline kind on identical inputs.
 

@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import importlib.util
 import math
+from fractions import Fraction
 import sys
 from pathlib import Path
 
@@ -284,3 +285,21 @@ def write_trajectory_csv_by_value(record: od.TrajectoryRecord, path) -> None:
         for t in range(record.states.shape[0]):
             row = ",".join(f"{v:.17g}" for v in record.states[t])
             fh.write(f"{t},{row},{spreads[t]:.17g}\n")
+
+
+def exact_stationary_weights(counts, denominator: int) -> list[Fraction]:
+    """The left fixed vector of ``counts / denominator`` summing to 1, by
+    Gaussian elimination over the rationals on ``(W^T - I) c = 0`` with the
+    last equation replaced by ``sum c = 1``."""
+    n = len(counts)
+    rows = [[Fraction(int(counts[j][i]), denominator) - (i == j) for j in range(n)] + [Fraction(0)]
+            for i in range(n - 1)]
+    rows.append([Fraction(1)] * (n + 1))
+    for col in range(n):
+        pivot = next(r for r in range(col, n) if rows[r][col] != 0)
+        rows[col], rows[pivot] = rows[pivot], rows[col]
+        for r in range(n):
+            if r != col and rows[r][col] != 0:
+                factor = rows[r][col] / rows[col][col]
+                rows[r] = [a - factor * b for a, b in zip(rows[r], rows[col])]
+    return [rows[i][n] / rows[i][i] for i in range(n)]

@@ -3,9 +3,16 @@ import pytest
 
 import opdyn as od
 from opdyn.analysis import Outcome
-from opdyn.errors import ConvergenceError, PreconditionError
+from opdyn.errors import PreconditionError
+from opdyn.rng import SplitMix64
 
-from _trials import NEVER, random_matrix, random_periodic_schedule, trial_rng
+from _trials import (
+    NEVER,
+    exact_stationary_weights,
+    random_matrix,
+    random_periodic_schedule,
+    trial_rng,
+)
 
 
 class TestCheckLemmas:
@@ -217,17 +224,33 @@ class TestStationaryWeights:
             assert np.abs(w.entries.T @ c - c).max() <= 1e-12
             assert c.sum() == pytest.approx(1.0, abs=1e-12)
 
-    def test_iteration_budget_failure_signal(self, monkeypatch):
-        # ring with tiny, unequal listening rates: mixing needs ~1e6 steps
-        deltas = (1e-6, 2e-6, 3e-6)
-        entries = np.zeros((3, 3))
-        for i, d in enumerate(deltas):
-            entries[i, i] = 1.0 - d
-            entries[i, (i - 1) % 3] = d
-        w = od.WeightMatrix(entries, beta=min(deltas))
-        monkeypatch.setattr(od.analysis, "STATIONARY_MAX_ITERATIONS", 3)
-        with pytest.raises(ConvergenceError):
-            od.stationary_weights(w)
+    def test_dense_solve_matches_exact_rationals(self, monkeypatch):
+        # With no iteration budget every answer comes from the dense solve;
+        # dyadic weights (sixteenths) make the exact fixed vector rational.
+        monkeypatch.setattr(od.analysis, "STATIONARY_MAX_ITERATIONS", 0)
+        for trial in range(20):
+            rng = trial_rng(38, trial)
+            n = 2 + rng.randrange(6)
+            counts = np.zeros((n, n), dtype=int)
+            for i in range(n):
+                counts[i, i] += 1
+                counts[i, (i - 1) % n] += 1  # a directed ring: strongly connected
+                for _ in range(14):
+                    counts[i, rng.randrange(n)] += 1
+            w = od.WeightMatrix(counts / 16.0, beta=1.0 / 16.0)
+            exact = exact_stationary_weights(counts, 16)
+            c = od.stationary_weights(w)
+            assert np.abs(c - np.array([float(v) for v in exact])).max() <= 1e-14
+            assert np.all(c > 0.0)
+
+    def test_slowly_mixing_ring_is_answered(self):
+        # A 650-agent directed ring with self-loops: the power iteration stays
+        # above the tolerance for its whole budget, and the dense solve answers.
+        w = od.random_strongly_connected_matrix(650, SplitMix64(650), 0.0)
+        c = od.stationary_weights(w)
+        assert np.all(c > 0.0)
+        assert np.abs(w.entries.T @ c - c).max() <= 1e-12
+        assert c.sum() == pytest.approx(1.0, abs=1e-12)
 
 
 class TestEstimateRate:

@@ -153,7 +153,7 @@ class TestOverrides:
 
     @pytest.mark.parametrize("doc,command,seed", [
         (SIGN_DRAW, ["classify"], 4),
-        (GENERATED, ["oracle"], 2),
+        ({**GENERATED, "susceptibility": "degroot"}, ["oracle"], 2),  # oracle takes degroot only
         (HALF_RING_POOL, ["connectivity", "--search", "--horizon", "12"], 2),
     ])
     def test_seed_flag_runs_the_reseeded_document(self, tmp_path, capsys, doc, command, seed):
@@ -513,6 +513,21 @@ class TestOracleCommand:
         })
         assert main(["oracle", path]) == 1
         assert "strongly connected" in capsys.readouterr().err
+
+
+    @pytest.mark.parametrize("kind", ["stubborn_positive", "stubborn_neutral"])
+    def test_refuses_kinds_other_than_degroot(self, tmp_path, capsys, kind):
+        # plain averaging's limit is not the limit of these kinds
+        path = write_scenario(tmp_path, {
+            "schema": 1, "n": 3,
+            "x0": [0.6, -0.2, -0.8],
+            "schedule": {"kind": "static", "matrix": [[1 / 3] * 3] * 3},
+            "susceptibility": kind,
+        })
+        assert main(["oracle", path]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"this one is {kind}" in captured.err
 
 
 class TestExitCodeContract:

@@ -1,5 +1,8 @@
+import os
 import tempfile
+import tracemalloc
 from contextlib import nullcontext
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -20,6 +23,7 @@ from _trials import (
     ALL_KINDS,
     NEVER,
     SPIKE_AT,
+    bench_workloads,
     gap_form_step,
     nan_spike_kind,
     overshoot_spike_kind,
@@ -431,23 +435,87 @@ class TestSimulate:
             od.simulate([0.1, 0.2, 0.3], od.StaticSchedule(w), od.Constant((0.5, 0.5)))
 
     def test_packed_extremes_and_csv_blocks_match_the_reference(self, tmp_path):
-        # The loop packs its staged extremes every _EXTREMES_CHUNK steps, and
-        # a TrajectoryCsv formats _CSV_BLOCK_VALUES // (n + 2) rows at a time
-        # (1170 at n = 5); run across several of both.
-        steps = 2 * od.dynamics._EXTREMES_CHUNK + 5
+        # The loop hands its staged extremes, kept states and CSV rows on
+        # every _block_rows(n) recorded steps (1170 at n = 5); run across
+        # several blocks, keeping and writing the states together.
+        steps = 2 * od.dynamics._block_rows(5) + 5
         w = random_valid_matrix(5, trial_rng(45, 0), 0.4)
         stop = od.StopRule(max_steps=steps, consensus_epsilon=NEVER)
         x0 = [1.0, 0.3, -0.2, 0.6, -0.9]
         with od.TrajectoryCsv(tmp_path / "streamed.csv", 5) as writer:
             got = od.simulate(x0, od.StaticSchedule(w), od.StubbornPositive(), stop,
-                              keep_states=False, writer=writer)
+                              keep_states=True, writer=writer)
         want = reference_simulate(x0, od.StaticSchedule(w), od.StubbornPositive(), stop)
         assert got.steps == steps
         assert got.mins.tobytes() == want.mins.tobytes()
         assert got.maxs.tobytes() == want.maxs.tobytes()
         assert got.mins.dtype == np.float64 and got.mins.shape == (steps + 1,)
+        assert got.states.shape == want.states.shape == (steps + 1, 5)
+        assert got.states.tobytes() == want.states.tobytes()
         write_trajectory_csv_by_value(want, tmp_path / "reference.csv")
         assert (tmp_path / "streamed.csv").read_bytes() == (tmp_path / "reference.csv").read_bytes()
+
+    @staticmethod
+    def _block_counter():
+        blocks = []
+
+        def writer(states, spreads):
+            assert states.ndim == 2 and states.shape == (spreads.shape[0], 5)
+            blocks.append(states.shape[0])
+        return blocks, writer
+
+    def test_a_whole_number_of_blocks_hands_on_no_empty_block(self):
+        rows = od.dynamics._block_rows(5)
+        w = random_valid_matrix(5, trial_rng(45, 1), 0.4)
+        x0 = [1.0, 0.3, -0.2, 0.6, -0.9]
+        # max_steps transitions record max_steps + 1 states: two whole blocks
+        stop = od.StopRule(max_steps=2 * rows - 1, consensus_epsilon=NEVER)
+        blocks, writer = self._block_counter()
+        got = od.simulate(x0, od.StaticSchedule(w), od.StubbornPositive(), stop, writer=writer)
+        assert (got.stop_reason, got.steps) == ("max_steps", 2 * rows - 1)
+        assert blocks == [rows, rows]
+        assert got.states.shape == (2 * rows, 5)
+
+    def test_non_finite_stop_on_a_block_boundary(self):
+        rows = od.dynamics._block_rows(5)
+        calls = []
+
+        def nan_at_step_rows(x):
+            # call 1 is the construction probe, call 2 simulate's size check,
+            # call 2 + s the step that makes state s
+            calls.append(None)
+            return np.full_like(x, np.nan) if len(calls) == 2 + rows else 0.5 * (1.0 - x)
+
+        kind = od.Custom(nan_at_step_rows, "nan_at_step_rows")
+        w = random_valid_matrix(5, trial_rng(45, 2), 0.4)
+        x0 = [1.0, 0.3, -0.2, 0.6, -0.9]
+        stop = od.StopRule(max_steps=2 * rows, consensus_epsilon=NEVER)
+        blocks, writer = self._block_counter()
+        got = od.simulate(x0, od.StaticSchedule(w), kind, stop, writer=writer)
+        assert (got.stop_reason, got.steps) == ("non_finite", rows - 1)
+        assert blocks == [rows]
+        assert got.states.shape == (rows, 5) and np.all(np.isfinite(got.states))
+        assert got.final_state.tobytes() == got.states[-1].tobytes()
+
+    def test_kept_states_cost_about_their_own_size(self):
+        # The n = 30 benchmark session at 20,000 steps: the kept states are
+        # packed block by block, so the traced peak stays near the array
+        # returned (staged rows, block copies and the buffer's overallocation
+        # are the rest), not near the per-step arrays a list of states held.
+        (document,) = bench_workloads().cli_session_documents(1)
+        scenario = od.load_scenario(document)
+        x0 = od.initial_opinions(scenario)
+        schedule = od.build_schedule(scenario)
+        stop = replace(scenario.stop, max_steps=20_000)
+        od.simulate(x0, schedule, scenario.kind, replace(stop, max_steps=10))  # caches
+        tracemalloc.start()
+        try:
+            record = od.simulate(x0, schedule, scenario.kind, stop)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert record.states.shape == (20_001, 30)
+        assert peak <= 1.25 * record.states.nbytes + 256_000
 
     def test_keep_states_false_drops_states_only(self):
         w = od.uniform_complete_matrix(3)
@@ -512,6 +580,29 @@ class TestTrajectoryCsv:
             assert written.read_bytes() == expected.read_bytes()
         first_row = (tmp_path / "lib0.csv").read_text().splitlines()[1]
         assert first_row == "0,-0,4.9406564584124654e-324,1,-1,2"
+
+    def test_the_file_appears_only_on_a_clean_exit(self, tmp_path):
+        path = tmp_path / "traj.csv"
+        with od.TrajectoryCsv(path, 2) as writer:
+            writer(np.array([[0.5, -0.5]]), np.array([1.0]))
+            assert [p.name for p in tmp_path.iterdir()] == [f"traj.csv.{os.getpid()}.tmp"]
+        assert [p.name for p in tmp_path.iterdir()] == ["traj.csv"]
+        assert path.read_text() == "t,x_1,x_2,spread\n0,0.5,-0.5,1\n"
+
+    @pytest.mark.parametrize("error", [KeyboardInterrupt, DomainError])
+    def test_an_exception_leaves_neither_the_file_nor_its_temporary(self, tmp_path, error):
+        path = tmp_path / "traj.csv"
+        with pytest.raises(error):
+            with od.TrajectoryCsv(path, 2) as writer:
+                writer(np.array([[0.5, -0.5]]), np.array([1.0]))
+                raise error("raised while writing")
+        assert list(tmp_path.iterdir()) == []
+        path.write_text("earlier\n")
+        with pytest.raises(error):
+            with od.TrajectoryCsv(path, 2):
+                raise error("raised while writing")
+        assert [p.name for p in tmp_path.iterdir()] == ["traj.csv"]
+        assert path.read_text() == "earlier\n"
 
     def test_requires_states(self, tmp_path):
         w = od.uniform_complete_matrix(3)
