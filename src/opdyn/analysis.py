@@ -247,6 +247,7 @@ def estimate_rate(record: TrajectoryRecord) -> RateEstimate:
             f"insufficient usable steps for a rate fit: {usable.size} above floor")
     t = usable.astype(float)
     y = np.log(spreads[usable])
+    del spreads, usable  # not held through np.polyfit, whose temporaries set the peak
     slope, intercept = np.polyfit(t, y, 1)
     fitted = slope * t + intercept
     ss_res = float(np.sum((y - fitted) ** 2))
