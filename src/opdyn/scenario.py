@@ -52,9 +52,9 @@ from .analysis import (
     estimate_rate,
 )
 from .dynamics import (
+    BlockWriter,
     Constant,
     DeGroot,
-    BlockWriter,
     StopRule,
     StubbornExtremist,
     StubbornNeutral,

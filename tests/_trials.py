@@ -8,8 +8,8 @@ from __future__ import annotations
 
 import importlib.util
 import math
-from fractions import Fraction
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np

@@ -477,11 +477,10 @@ class TestStreamedCsvs:
     def test_memory_grows_by_the_extremes_alone(self, tmp_path, capsys, command):
         # The n = 30 benchmark session runs to --max-steps. The loop keeps
         # 16 bytes per step (each state's min and max); 64 KB of slack covers
-        # the extremes staged as Python floats before they are packed (the
-        # block of rows a TrajectoryCsv formats at once is the same in both).
-        # simulate also fits the spread's decay rate after the run, and
-        # np.polyfit's temporaries take about 64 bytes per step more (72
-        # allowed), until the fit is computed online.
+        # the block of extremes and rows staged before it is handed on (the
+        # same size in both runs). simulate also fits the spread's decay rate
+        # after the run, and np.polyfit's temporaries take about 32 bytes per
+        # step more (72 allowed), until the fit is computed online.
         (document,) = bench_workloads().cli_session_documents(1)
         path = tmp_path / "doc.json"
         path.write_text(document)
@@ -513,7 +512,6 @@ class TestOracleCommand:
         })
         assert main(["oracle", path]) == 1
         assert "strongly connected" in capsys.readouterr().err
-
 
     @pytest.mark.parametrize("kind", ["stubborn_positive", "stubborn_neutral"])
     def test_refuses_kinds_other_than_degroot(self, tmp_path, capsys, kind):
