@@ -52,11 +52,13 @@ in [0, 1] for opinions in [-1, 1]: the built-in kinds map into it exactly
 from __future__ import annotations
 
 import contextlib
+import functools
+import math
 import numbers
 import os
 from array import array
 from dataclasses import dataclass
-from typing import Callable, Optional, Union
+from typing import Callable, NamedTuple, Optional, Union
 
 import numpy as np
 
@@ -376,22 +378,194 @@ class TrajectoryRecord:
 BlockWriter = Callable[[np.ndarray, np.ndarray], None]
 
 
+# ---------------------------------------------------------------------------
+# CSV text
+# ---------------------------------------------------------------------------
+
+# Fields the fast formatter takes: zero, integers below 1e17, and other
+# values with 10**_MIN_EXP <= |v| < 10. A row holding any other field, or
+# a field whose 17th digit is within _TIE_SLACK of a rounding tie, is
+# formatted with % instead.
+_MIN_EXP = -290
+_TIE_SLACK = 2.0**-30
+
+
+class _FormatTables(NamedTuple):
+    ceil10: np.ndarray      # [k - _MIN_EXP]: the least double >= 10**k, k in [_MIN_EXP, 17]
+    scale_hi: np.ndarray    # [k - _MIN_EXP], k in [_MIN_EXP, 16]: 10**(16 - k) is
+    scale_lo: np.ndarray    # hi + lo + tail, where hi + lo is the nearest double, split
+    scale_tail: np.ndarray  # into 26-bit halves, and tail the rest, rounded
+    digits4: np.ndarray     # [c]: the ASCII of c as four digits, first digit in the low byte
+    last_digit: np.ndarray  # [q, c]: 4q + the place (1-4) of c's last nonzero digit; 0 if c == 0
+    mask_hi: np.ndarray     # [d]: keeps the first d of 16 digit bytes: in the first word,
+    mask_lo: np.ndarray     # and in the second
+    prefix: np.ndarray      # [((class * 10 + first digit) * 2 + more digits) * 2 + negative]
+    suffix: np.ndarray      # [max(-k - 4, 0) * 2 + last column]
+
+
+def _word(text: str) -> int:
+    """Up to 8 ASCII bytes as a little-endian uint64, zero-padded."""
+    return int.from_bytes(text.encode().ljust(8, b"\0"), "little")
+
+
+@functools.cache
+def _format_tables() -> _FormatTables:
+    """The fast formatter's tables, built from exact integers on first use
+    (about 4 ms), so importing opdyn does not pay for them."""
+    ceil10 = []
+    for k in range(_MIN_EXP, 18):
+        c = float(10**k) if k >= 0 else 1 / 10**-k  # int / int rounds correctly
+        num, den = c.as_integer_ratio()
+        ceil10.append(math.nextafter(c, math.inf) if k < 0 and num * 10**-k < den else c)
+    scale = []
+    for k in range(_MIN_EXP, 17):
+        power = 10**(16 - k)
+        mant, exp = math.frexp(float(power))
+        split = mant * 134217729.0  # 2**27 + 1: Veltkamp's split
+        hi = split - (split - mant)
+        scale.append((math.ldexp(hi, exp), math.ldexp(mant - hi, exp),
+                      float(power - int(float(power)))))
+    quads = np.arange(10_000)
+    digits4 = np.zeros(10_000, np.uint64)
+    last = np.zeros(10_000, np.int64)
+    for place in range(4):
+        digit = quads // 10**(3 - place) % 10
+        digits4 |= (48 + digit).astype(np.uint64) << np.uint64(8 * place)
+        last[digit != 0] = place + 1
+    # class: 0 scientific (k <= -5), 1-4 fixed with k = -4..-1, 5 k = 0, 6 integers (k >= 1)
+    prefix = [
+        sign + ("0." + "0" * (4 - cls) if 1 <= cls <= 4 else "") + str(first)
+        + ("." if more and cls in (0, 5) else "")
+        for cls in range(7) for first in range(10) for more in (0, 1) for sign in ("", "-")]
+    suffix = [(f"e-{e + 4:02d}" if e else "") + sep for e in range(-_MIN_EXP - 3) for sep in ",\n"]
+    hi, lo, tail = map(np.array, zip(*scale))
+    return _FormatTables(
+        ceil10=np.array(ceil10), scale_hi=hi, scale_lo=lo, scale_tail=tail,
+        digits4=digits4, last_digit=np.where(last > 0, last + 4 * np.arange(4)[:, None], 0),
+        mask_hi=np.array([(1 << 8 * min(d, 8)) - 1 for d in range(17)], np.uint64),
+        mask_lo=np.array([(1 << 8 * max(d - 8, 0)) - 1 for d in range(17)], np.uint64),
+        prefix=np.array([_word(x) for x in prefix], np.uint64),
+        suffix=np.array([_word(x) for x in suffix], np.uint64))
+
+
+def _percent_rows(block: np.ndarray, row: str) -> bytes:
+    """A block of CSV rows through one ``%``: the reference for the fast
+    formatter, and its fallback."""
+    return ((row * block.shape[0]) % tuple(block.ravel().tolist())).encode()
+
+
+def _decimal_digits(a: np.ndarray, tables: _FormatTables):
+    """``(k, digits, near_tie)`` for positive ``a`` in the fast range:
+    ``digits``, in [10**16, 10**17), are a's 17 significant digits correctly
+    rounded, so that ``a ~ digits * 10**(k - 16)``.
+
+    ``k`` is exact: ``frexp`` puts a in [2**(e-1), 2**e), so floor(log10 a)
+    is k0 = floor((e - 1) log10 2) or k0 + 1, and ``ceil10`` decides. Then
+    a * 10**(16 - k) = p + err with p = fl(a * (hi + lo)): Dekker's product
+    (Veltkamp's split; numpy has no FMA) gives a * (hi + lo) - p exactly,
+    and a * tail adds the rest of the power, so err is off by about 2**-48.
+    ``near_tie`` marks fields whose err is within ``_TIE_SLACK`` of a half,
+    where that error could round the wrong way.
+    """
+    k = np.floor((np.frexp(a)[1] - 1) * math.log10(2.0)).astype(np.intp)
+    k += a >= tables.ceil10[k + (1 - _MIN_EXP)]
+    at = k - _MIN_EXP
+    hi, lo = tables.scale_hi[at], tables.scale_lo[at]
+    split = a * 134217729.0
+    a_hi = split - (split - a)
+    a_lo = a - a_hi
+    p = a * (hi + lo)
+    err = ((a_hi * hi - p) + a_hi * lo + a_lo * hi) + a_lo * lo
+    err += a * tables.scale_tail[at]
+    up = np.rint(err)
+    near_tie = np.abs(np.abs(err - up) - 0.5) < _TIE_SLACK
+    digits = p.astype(np.int64) + up.astype(np.int64)
+    carry = digits == 10**17  # 9.99...95 rounds up to the next power
+    digits[carry] = 10**16
+    k += carry
+    return k, digits, near_tie
+
+
+def _format_block(block: np.ndarray, row: str) -> bytes:
+    """The bytes ``_percent_rows(block, row)`` gives, for ``row`` one ``%d``
+    or ``%.17g`` per column (``%d`` on nonnegative integers, as ``t``),
+    computed for the whole block at once.
+
+    Each field becomes four uint64 words of zero-padded ASCII, laid out as
+    ``%.17g`` does: 17 digits rounded, trailing zeros dropped, fixed
+    notation for decimal exponents -4 to 16 and ``d.ddde-XX`` below. The
+    words are a prefix (sign, ``0.`` and zeros, first digit, point), the
+    other 16 digits masked to those shown, and the exponent with the
+    separator; dropping the zero bytes leaves the text. An integer below
+    1e17 prints the same under ``%d``. Rows with a field outside the fast
+    range (see ``_MIN_EXP``; NaN and infinities too) or near a rounding tie
+    go through ``_percent_rows`` and are spliced in between the others.
+    """
+    tables = _format_tables()
+    m, width = block.shape
+    v = block.ravel()
+    a = np.abs(v)
+    zero = a == 0.0
+    with np.errstate(invalid="ignore"):  # floor of a signalling NaN
+        fast = (a < 10.0) | ((a < 1e17) & (a == np.floor(a)))
+    fast &= (a >= tables.ceil10[0]) | zero
+    a[zero | ~fast] = 1.0  # stand-ins, so every table index is in range
+    k, digits, near_tie = _decimal_digits(a, tables)
+    fast &= ~near_tie
+    first = digits // 10**16
+    others = digits - first * 10**16  # the other 16 digits
+    first[zero] = 0
+    upper = others // 10**8
+    lower = others - upper * 10**8
+    q0, q2 = upper // 10**4, lower // 10**4
+    quads = (q0, upper - q0 * 10**4, q2, lower - q2 * 10**4)
+    last = tables.last_digit
+    significant = np.maximum(np.maximum(last[0][quads[0]], last[1][quads[1]]),
+                             np.maximum(last[2][quads[2]], last[3][quads[3]]))
+    shown = np.maximum(significant, k)  # an integer shows every digit up to its point
+    cls = np.clip(k, -5, 1) + 5  # see the prefix table
+    last_column = np.zeros((m, width), np.intp)
+    last_column[:, -1] = 1
+    words = np.empty((m * width, 4), np.uint64)
+    words[:, 0] = tables.prefix[((cls * 10 + first) * 2 + (others != 0)) * 2 + np.signbit(v)]
+    digits4 = tables.digits4
+    words[:, 1] = (digits4[quads[0]] | digits4[quads[1]] << np.uint64(32)) & tables.mask_hi[shown]
+    words[:, 2] = (digits4[quads[2]] | digits4[quads[3]] << np.uint64(32)) & tables.mask_lo[shown]
+    words[:, 3] = tables.suffix[np.maximum(-k - 4, 0) * 2 + last_column.ravel()]
+    slow = np.flatnonzero(~fast.reshape(m, width).all(axis=1)).tolist()
+    raw = words.view(np.uint8)
+    if not slow:
+        return raw[raw != 0].tobytes()
+    words.reshape(m, -1)[slow] = 0
+    keep = raw != 0
+    text = raw[keep]
+    ends = np.cumsum(np.count_nonzero(keep.reshape(m, -1), axis=1)).tolist()
+    pieces, start = [], 0
+    for r in slow:
+        pieces += [text[start:ends[r]].tobytes(), _percent_rows(block[r:r + 1], row)]
+        start = ends[r]
+    pieces.append(text[start:].tobytes())
+    return b"".join(pieces)
+
+
 class TrajectoryCsv:
     """Writes a trajectory to ``path`` as CSV rows ``t,x_1,...,x_n,spread``.
 
     Each call ``writer(states, spreads)`` adds a block of rows, ``t``
-    counting from 0, formatted with one ``%``. Values have 17 significant
-    digits, so every one round-trips bit-exactly, and rows end in a fixed
-    newline, so files hash identically across platforms. Passed as
-    ``simulate``'s ``writer``, it streams the rows as the loop records the
-    states; ``write_trajectory_csv`` feeds it a record's stored states in
-    blocks of the same size, so both give the same bytes.
+    counting from 0, formatted as ``%d`` and ``%.17g`` would (by
+    ``_format_block``, a vectorized ``%.17g`` that falls back to ``%`` for
+    the rows it cannot prove). Values have 17 significant digits, so every
+    one round-trips bit-exactly, and rows end in a fixed newline, so files
+    hash identically across platforms. Passed as ``simulate``'s
+    ``writer``, it streams the rows as the loop records the states;
+    ``write_trajectory_csv`` feeds it a record's stored states in blocks
+    of the same size, so both give the same bytes.
 
     The rows go to a temporary sibling, ``<path>.<pid>.tmp``. ``close``, or
     leaving a ``with`` block normally, moves it into place with
     ``os.replace``, so ``path`` never holds a partial trajectory; leaving
-    the block by an exception (``KeyboardInterrupt`` included) removes it
-    and leaves ``path`` as it was.
+    the block by an exception (``KeyboardInterrupt`` included), or a
+    ``close`` that fails, removes it and leaves ``path`` as it was.
     """
 
     def __init__(self, path, n: int):
@@ -400,8 +574,8 @@ class TrajectoryCsv:
         self._width = n + 2
         self._row = ",".join(["%d"] + ["%.17g"] * (n + 1)) + "\n"
         self._t = 0
-        self._fh = open(self._tmp, "w", encoding="utf-8", newline="")
-        self._fh.write("t," + ",".join(f"x_{i + 1}" for i in range(n)) + ",spread\n")
+        self._fh = open(self._tmp, "wb")
+        self._fh.write(("t," + ",".join(f"x_{i + 1}" for i in range(n)) + ",spread\n").encode())
 
     def __call__(self, states: np.ndarray, spreads: np.ndarray) -> None:
         m = states.shape[0]
@@ -409,14 +583,25 @@ class TrajectoryCsv:
         block[:, 0] = np.arange(self._t, self._t + m)  # exact, and %d prints it as an integer
         block[:, 1:-1] = states
         block[:, -1] = spreads
-        self._fh.write((self._row * m) % tuple(block.ravel().tolist()))
+        self._fh.write(_format_block(block, self._row))
         self._t += m
 
     def close(self) -> None:
         """Close the file and move it into place at ``path``."""
-        if not self._fh.closed:
+        if self._fh.closed:
+            return
+        try:
             self._fh.close()
             os.replace(self._tmp, self._path)
+        except BaseException:
+            self._discard()
+            raise
+
+    def _discard(self) -> None:
+        with contextlib.suppress(OSError):
+            self._fh.close()
+        with contextlib.suppress(OSError):
+            os.remove(self._tmp)
 
     def __enter__(self) -> "TrajectoryCsv":
         return self
@@ -424,11 +609,8 @@ class TrajectoryCsv:
     def __exit__(self, exc_type, *exc_info) -> None:
         if exc_type is None:
             self.close()
-            return
-        with contextlib.suppress(OSError):
-            self._fh.close()
-        with contextlib.suppress(OSError):
-            os.remove(self._tmp)
+        else:
+            self._discard()
 
 
 def simulate(

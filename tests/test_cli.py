@@ -473,6 +473,14 @@ class TestStreamedCsvs:
         assert sorted(p.name for p in out.iterdir()) == [
             "several.summary.json", "several.trajectory.csv"]
 
+    def test_a_failed_rename_leaves_no_temporary(self, tmp_path, capsys):
+        path = write_scenario(tmp_path, SEVERAL_STEPS)
+        out = tmp_path / "out"
+        (out / "several.trajectory.csv").mkdir(parents=True)  # the CSV cannot move there
+        assert main(["simulate", path, "--out", str(out)]) == 2
+        assert "i/o error" in capsys.readouterr().err
+        assert [p.name for p in out.iterdir()] == ["several.trajectory.csv"]
+
     @pytest.mark.parametrize("command", ["simulate", "compare"])
     def test_memory_grows_by_the_extremes_alone(self, tmp_path, capsys, command):
         # The n = 30 benchmark session runs to --max-steps. The loop keeps

@@ -1,4 +1,8 @@
+import hashlib
+import math
 import os
+import subprocess
+import sys
 import tempfile
 import tracemalloc
 from contextlib import nullcontext
@@ -549,6 +553,86 @@ class TestStopRule:
         assert od.StopRule(max_steps=np.int64(5)).max_steps == 5
 
 
+def percent_row(width: int) -> str:
+    """TrajectoryCsv's row: t as %d, then %.17g."""
+    return ",".join(["%d"] + ["%.17g"] * (width - 1)) + "\n"
+
+
+def assert_formats_like_percent(block: np.ndarray) -> None:
+    row = percent_row(block.shape[1])
+    assert od.dynamics._format_block(block, row) == od.dynamics._percent_rows(block, row)
+
+
+# Any finite double, and the opinions' range, where the fast path applies
+FIELD = st.floats(allow_nan=False, allow_infinity=False) | st.floats(-10.0, 10.0)
+
+
+class TestCsvFormatter:
+    """The vectorized formatter against the % row it replaces, byte for byte."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.data())
+    def test_matches_percent_on_finite_blocks(self, data):
+        m = data.draw(st.integers(1, 12), label="rows")
+        width = data.draw(st.integers(2, 5), label="columns")
+        t = data.draw(st.lists(st.integers(0, 2**53), min_size=m, max_size=m), label="t")
+        fields = data.draw(st.lists(FIELD, min_size=m * (width - 1), max_size=m * (width - 1)))
+        assert_formats_like_percent(
+            np.column_stack([np.array(t, dtype=float), np.reshape(fields, (m, width - 1))]))
+
+    def test_edges(self):
+        tiny = 1e-290
+        values = [
+            0.0, -0.0, 5e-324, tiny, math.nextafter(tiny, 0.0), math.nextafter(tiny, 1.0),
+            1e-4, math.nextafter(1e-4, 0.0), 1.0, 9.999999999999999, 10.0,
+            1 + 2.0**-17,  # an exact tie at the 17th digit
+            12.5, 1e17, float("nan"), float("inf"), -float("inf"),
+        ]
+        values += [-v for v in values]
+        for k in range(-20, 20):  # powers of ten and their neighbours
+            x = 10.0**k
+            values += [math.nextafter(x, 0.0), x, math.nextafter(x, math.inf)]
+        block = np.array([[t, v, 0.5] for t, v in enumerate(values)], dtype=float)
+        assert_formats_like_percent(block)
+        # doubles are 2 apart below 1e16 and 16 apart below 1e17; %d takes 1e17 and up
+        times = np.array([[t, 0.5] for t in (9_999, 10_000, 10**16 - 2, 10**16, 10**17 - 16,
+                                             10**17, 2**60)], dtype=float)
+        assert_formats_like_percent(times)
+        text = od.dynamics._format_block(
+            np.array([[0, -0.0, math.nextafter(1e-4, 0.0)], [10**17, 10.0, 1e-4]]),
+            percent_row(3))
+        assert text == b"0,-0,9.9999999999999991e-05\n100000000000000000,10,0.0001\n"
+
+    def test_fallback_rows_are_spliced_in_order(self, monkeypatch):
+        rng = np.random.default_rng(46)
+        block = np.column_stack([np.arange(40.0), rng.uniform(-1.0, 1.0, (40, 6))])
+        planted = {0: (3, 12.5), 7: (1, 1e-300), 8: (0, 1e17), 20: (5, 1 + 2.0**-17),
+                   39: (2, -1234.75)}
+        for r, (column, value) in planted.items():
+            block[r, column] = value
+        slow_rows = []
+        reference = od.dynamics._percent_rows
+
+        def counting(rows, row):
+            slow_rows.extend(rows[:, 0].tolist())
+            return reference(rows, row)
+
+        monkeypatch.setattr(od.dynamics, "_percent_rows", counting)
+        row = percent_row(7)
+        text = od.dynamics._format_block(block, row)
+        assert slow_rows == [block[r, 0] for r in sorted(planted)]
+        assert text == reference(block, row)
+
+    def test_tables_are_built_on_first_use(self):
+        # importing opdyn must not build them: the benchmark's setup_s counts imports
+        src = str(Path(od.__file__).resolve().parent.parent)
+        done = subprocess.run(
+            [sys.executable, "-c", "import opdyn; "
+             "print(opdyn.dynamics._format_tables.cache_info().currsize)"],
+            capture_output=True, text=True, env={**os.environ, "PYTHONPATH": src}, check=True)
+        assert done.stdout == "0\n"
+
+
 class TestTrajectoryCsv:
     def test_layout_and_precision(self, tmp_path):
         w = od.uniform_complete_matrix(3)
@@ -603,6 +687,44 @@ class TestTrajectoryCsv:
                 raise error("raised while writing")
         assert [p.name for p in tmp_path.iterdir()] == ["traj.csv"]
         assert path.read_text() == "earlier\n"
+
+    def test_a_failed_rename_leaves_no_temporary(self, tmp_path):
+        path = tmp_path / "traj.csv"
+        path.mkdir()  # os.replace cannot put a file there
+        with pytest.raises(OSError):
+            with od.TrajectoryCsv(path, 2) as writer:
+                writer(np.array([[0.5, -0.5]]), np.array([1.0]))
+        assert [p.name for p in tmp_path.iterdir()] == ["traj.csv"]
+        assert list(path.iterdir()) == []
+
+    # A stubborn_neutral run, recorded before the vectorized formatter: agents
+    # 1 and 2 hear only themselves and hold +1 and -1 exactly; agent 3 sits
+    # at 0, where f = 0, and agents 4 and 5 (at -3e-7) creep towards it;
+    # agent 6, at 2.5e-123, is too close to 0 to move; agent 7 hears the
+    # extremes and creeps towards 0 too. So the rows hold fixed and
+    # scientific fields, with 2- and 3-digit exponents, negative ones among
+    # them. 12,001 rows, so t passes 10,000.
+    CREEPING_NEUTRAL_SHA256 = "5d75c32d8f871118337dc3d81a0bcd1fbb959030c80a5c0e5b36c3e1819711e8"
+
+    def test_creeping_neutral_csv_is_pinned(self, tmp_path):
+        w = od.WeightMatrix(np.array([
+            [1.0, 0, 0, 0, 0, 0, 0],
+            [0, 1.0, 0, 0, 0, 0, 0],
+            [0, 0, 1.0, 0, 0, 0, 0],
+            [0, 0, 0.5, 0.5, 0, 0, 0],
+            [0, 0, 0.25, 0, 0.75, 0, 0],
+            [0.125, 0, 0.5, 0, 0, 0.375, 0],
+            [0.25, 0.5, 0, 0, 0, 0, 0.25],
+        ]), 0.125)
+        x0 = [1.0, -1.0, 0.0, 0.4, -3e-7, 2.5e-123, 0.3]
+        path = tmp_path / "creeping.csv"
+        with od.TrajectoryCsv(path, 7) as writer:
+            record = od.simulate(x0, od.StaticSchedule(w), od.StubbornNeutral(),
+                                 od.StopRule(max_steps=12_000), keep_states=False, writer=writer)
+        assert (record.stop_reason, record.steps) == ("max_steps", 12_000)
+        text = path.read_bytes()
+        assert b"\n10000,1,-1,0,0.0099940857317984914,-2.9999999993223735e-07," in text
+        assert hashlib.sha256(text).hexdigest() == self.CREEPING_NEUTRAL_SHA256
 
     def test_requires_states(self, tmp_path):
         w = od.uniform_complete_matrix(3)
