@@ -31,12 +31,14 @@ def main():
     print(f"fixed-vector residual: {residual:.2e}\n")
 
     predicted = od.degroot_consensus_value(w, x0)
+    epsilon = 1e-12  # the run's consensus spread, and the agreement asked of the limits
     record = od.simulate(x0, od.StaticSchedule(w), od.DeGroot(),
-                         od.StopRule(consensus_epsilon=1e-12))
+                         od.StopRule(consensus_epsilon=epsilon))
     simulated = float(record.final_state.mean())
     print(f"predicted limit: {predicted:+.12f}")
     print(f"simulated limit: {simulated:+.12f}  ({record.steps} steps)")
-    print(f"difference:      {abs(predicted - simulated):.2e}\n")
+    agree = abs(predicted - simulated) <= epsilon
+    print(f"agree within {epsilon:g}: {'yes' if agree else 'no'}\n")
 
     rate = od.estimate_rate(record)
     print(f"spread contracted geometrically: rho = {rate.rho:.4f}, "

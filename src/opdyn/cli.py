@@ -89,9 +89,8 @@ def _cmd_simulate(args) -> int:
         return 1
     lemmas = summary.lemmas
     if not lemmas.ok:
-        step, clause = min((step, clause) for clause, step in (
-            ("interval_step", lemmas.interval_step), ("min_step", lemmas.min_step),
-            ("max_step", lemmas.max_step)) if step is not None)
+        step, clause = min((step, clause) for clause, step in dataclasses.asdict(lemmas).items()
+                           if step is not None)
         print(f"error: lemma violation at step {step} ({clause})", file=sys.stderr)
         return 1
     return 0

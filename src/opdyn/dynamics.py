@@ -31,10 +31,7 @@ clamp keep every guarantee above either way.
 
 Reruns with one version of opdyn (and one numpy/BLAS build) are
 bit-identical; trajectories agree with versions that used another
-arithmetic (the earlier n x n gap form) only to within rounding. The
-earlier kernel that clamped every step gave the same bits but could flip
-a zero's sign (``-0.0`` became ``+0.0`` when ``max x`` was ``0.0``); no
-step creates ``-0.0``, so only an initial state holding one shows this.
+arithmetic (the earlier n x n gap form) only to within rounding.
 
 Susceptibility kinds:
   * ``DeGroot``            f = 1 (classic averaging)
@@ -78,7 +75,7 @@ OPINION_MAX = 1.0
 # is kept or written) and hands them on in blocks of about this many values:
 # a list append costs a third of an array append, a Python float takes 32
 # bytes where a packed double takes 8, and a block of CSV rows is cheaper to
-# format with one % than its rows one by one.
+# format at once than row by row.
 _BLOCK_VALUES = 8192
 
 
@@ -383,7 +380,7 @@ BlockWriter = Callable[[np.ndarray, np.ndarray], None]
 # ---------------------------------------------------------------------------
 
 # Fields the fast formatter takes: zero, integers below 1e17, and other
-# values with 10**_MIN_EXP <= |v| < 10. A row holding any other field, or
+# values with 10**_MIN_EXP <= |v| < 10. A block holding any other field, or
 # a field whose 17th digit is within _TIE_SLACK of a rounding tie, is
 # formatted with % instead.
 _MIN_EXP = -290
@@ -450,7 +447,7 @@ def _format_tables() -> _FormatTables:
 
 def _percent_rows(block: np.ndarray, row: str) -> bytes:
     """A block of CSV rows through one ``%``: the reference for the fast
-    formatter, and its fallback."""
+    formatter, and its fallback for a block it cannot prove."""
     return ((row * block.shape[0]) % tuple(block.ravel().tolist())).encode()
 
 
@@ -497,9 +494,10 @@ def _format_block(block: np.ndarray, row: str) -> bytes:
     words are a prefix (sign, ``0.`` and zeros, first digit, point), the
     other 16 digits masked to those shown, and the exponent with the
     separator; dropping the zero bytes leaves the text. An integer below
-    1e17 prints the same under ``%d``. Rows with a field outside the fast
-    range (see ``_MIN_EXP``; NaN and infinities too) or near a rounding tie
-    go through ``_percent_rows`` and are spliced in between the others.
+    1e17 prints the same under ``%d``. A block with any field outside the
+    fast range (see ``_MIN_EXP``; NaN and infinities too) or near a
+    rounding tie goes whole through ``_percent_rows``, decided before the
+    words are built.
     """
     tables = _format_tables()
     m, width = block.shape
@@ -509,9 +507,12 @@ def _format_block(block: np.ndarray, row: str) -> bytes:
     with np.errstate(invalid="ignore"):  # floor of a signalling NaN
         fast = (a < 10.0) | ((a < 1e17) & (a == np.floor(a)))
     fast &= (a >= tables.ceil10[0]) | zero
-    a[zero | ~fast] = 1.0  # stand-ins, so every table index is in range
+    if not fast.all():
+        return _percent_rows(block, row)
+    a[zero] = 1.0  # a stand-in, so every table index is in range
     k, digits, near_tie = _decimal_digits(a, tables)
-    fast &= ~near_tie
+    if near_tie.any():
+        return _percent_rows(block, row)
     first = digits // 10**16
     others = digits - first * 10**16  # the other 16 digits
     first[zero] = 0
@@ -532,20 +533,8 @@ def _format_block(block: np.ndarray, row: str) -> bytes:
     words[:, 1] = (digits4[quads[0]] | digits4[quads[1]] << np.uint64(32)) & tables.mask_hi[shown]
     words[:, 2] = (digits4[quads[2]] | digits4[quads[3]] << np.uint64(32)) & tables.mask_lo[shown]
     words[:, 3] = tables.suffix[np.maximum(-k - 4, 0) * 2 + last_column.ravel()]
-    slow = np.flatnonzero(~fast.reshape(m, width).all(axis=1)).tolist()
     raw = words.view(np.uint8)
-    if not slow:
-        return raw[raw != 0].tobytes()
-    words.reshape(m, -1)[slow] = 0
-    keep = raw != 0
-    text = raw[keep]
-    ends = np.cumsum(np.count_nonzero(keep.reshape(m, -1), axis=1)).tolist()
-    pieces, start = [], 0
-    for r in slow:
-        pieces += [text[start:ends[r]].tobytes(), _percent_rows(block[r:r + 1], row)]
-        start = ends[r]
-    pieces.append(text[start:].tobytes())
-    return b"".join(pieces)
+    return raw[raw != 0].tobytes()
 
 
 class TrajectoryCsv:
@@ -553,10 +542,10 @@ class TrajectoryCsv:
 
     Each call ``writer(states, spreads)`` adds a block of rows, ``t``
     counting from 0, formatted as ``%d`` and ``%.17g`` would (by
-    ``_format_block``, a vectorized ``%.17g`` that falls back to ``%`` for
-    the rows it cannot prove). Values have 17 significant digits, so every
-    one round-trips bit-exactly, and rows end in a fixed newline, so files
-    hash identically across platforms. Passed as ``simulate``'s
+    ``_format_block``, a vectorized ``%.17g`` that formats a block it
+    cannot prove with ``%`` instead). Values have 17 significant digits,
+    so every one round-trips bit-exactly, and rows end in a fixed newline,
+    so files hash identically across platforms. Passed as ``simulate``'s
     ``writer``, it streams the rows as the loop records the states;
     ``write_trajectory_csv`` feeds it a record's stored states in blocks
     of the same size, so both give the same bytes.

@@ -35,6 +35,7 @@ documents describing one run share one id, and an override is a
 
 from __future__ import annotations
 
+import enum
 import hashlib
 import json
 from dataclasses import asdict, dataclass, fields, replace
@@ -125,19 +126,14 @@ def generate_initial(low: float, high: float, n: int, seed: int) -> np.ndarray:
         raise PreconditionError(f"need at least one agent, got {n}")
     if low == high:
         return np.full(n, float(low))
-    out = low + (high - low) * SplitMix64(seed).random_block(n)  # as rng.uniform, draw by draw
-    if np.all((low < out) & (out < high)):
-        return out
-    # The block hit an endpoint: draw one by one from a fresh generator, which
-    # repeats the block's values up to that draw, and redraw endpoints.
+    # The first n draws strictly inside, in stream order: the draws that
+    # drawing one by one and redrawing each endpoint would keep.
     rng = SplitMix64(seed)
-    out = np.empty(n)
-    for i in range(n):
-        v = rng.uniform(low, high)
-        while not low < v < high:
-            v = rng.uniform(low, high)
-        out[i] = v
-    return out
+    out = np.empty(0)
+    while out.size < n:
+        draws = low + (high - low) * rng.random_block(n)  # as rng.uniform, draw by draw
+        out = np.concatenate((out, draws[(low < draws) & (draws < high)]))
+    return out[:n]
 
 
 # ---------------------------------------------------------------------------
@@ -271,9 +267,15 @@ class Scenario:
     kind: SusceptibilityKind
     stop: StopRule
 
-    def __post_init__(self):  # the seed rule, for documents and replace(seed=) alike
+    def __post_init__(self):  # the seed and name rules, for documents and replace() alike
         if type(self.seed) is not int or not 0 <= self.seed < 2**64:
             raise SchemaError("seed", f"expected an unsigned 64-bit integer, got {self.seed!r}")
+        if self.name is not None:  # a file stem under the CLI's --out
+            if not isinstance(self.name, str):
+                raise SchemaError("name", "expected a string")
+            if self.name in (".", "..") or any(c in self.name for c in "/\\\0"):
+                raise SchemaError("name", f"{self.name!r} is not a file name "
+                                          "(no '/', '\\' or NUL; not '.' or '..')")
 
     @cached_property
     def document(self) -> dict:
@@ -332,9 +334,6 @@ def load_scenario(text: str) -> Scenario:
     beta = _as_number(doc.get("beta", DEFAULT_BETA), "beta")
     if not beta > 0:  # NaN too
         raise SchemaError("beta", f"must be positive, got {beta}")
-    name = doc.get("name")
-    if name is not None and not isinstance(name, str):
-        raise SchemaError("name", "expected a string")
 
     sched = doc["schedule"]
     if not isinstance(sched, dict):
@@ -380,7 +379,7 @@ def load_scenario(text: str) -> Scenario:
         n=n,
         beta=beta,
         seed=doc.get("seed", 0),
-        name=name,
+        name=doc.get("name"),
         x0=_parse_x0(doc["x0"], n),
         schedule_kind=sched_kind,
         matrices=matrices,
@@ -510,12 +509,6 @@ def run_comparison(scenario: Scenario,
 # ---------------------------------------------------------------------------
 
 def summary_to_dict(summary: RunSummary) -> dict:
-    cls = summary.classification
-    classification = {"outcome": cls.outcome.value, "basis": cls.basis}
-    if cls.value is not None:
-        classification["value"] = cls.value
-    if cls.interval is not None:
-        classification["interval"] = list(cls.interval)
     out = {
         "schema": SCHEMA_VERSION,
         "scenario": summary.scenario_id,
@@ -526,15 +519,11 @@ def summary_to_dict(summary: RunSummary) -> dict:
     }
     if summary.consensus_value is not None:
         out["consensus_value"] = summary.consensus_value
-    out["classification"] = classification
-    out["rate"] = (
-        None if summary.rate is None
-        else {"rho": summary.rate.rho, "r_squared": summary.rate.r_squared})
-    out["lemma_checks"] = {
-        "interval_step": summary.lemmas.interval_step,
-        "min_step": summary.lemmas.min_step,
-        "max_step": summary.lemmas.max_step,
-    }
+    out["classification"] = asdict(summary.classification, dict_factory=lambda items: {
+        key: value.value if isinstance(value, enum.Enum) else value
+        for key, value in items if value is not None})
+    out["rate"] = None if summary.rate is None else asdict(summary.rate)
+    out["lemma_checks"] = asdict(summary.lemmas)
     out["rjsc"] = summary.rjsc
     return out
 

@@ -105,6 +105,16 @@ class TestSimulateCommand:
         assert summary["final_state"] == [0.3001, -0.5, 0.9]
         assert len((out / "spike.trajectory.csv").read_text().splitlines()) == 2
 
+    @pytest.mark.parametrize("name", ["../escaped", "sub/dir", "a\0b"])
+    def test_a_name_that_is_not_a_file_name_writes_nothing(self, dissenter_path, tmp_path,
+                                                           capsys, name):
+        doc = json.loads((tmp_path / "scenario.json").read_text())
+        path = write_scenario(tmp_path, {**doc, "name": name})
+        before = sorted(tmp_path.rglob("*"))
+        assert main(["simulate", path, "--out", str(tmp_path / "run" / "out")]) == 1
+        assert capsys.readouterr().err.startswith("error: name: ")
+        assert sorted(tmp_path.rglob("*")) == before
+
     def test_missing_file_is_io_failure(self, tmp_path, capsys):
         code = main(["simulate", str(tmp_path / "absent.json"), "--out", str(tmp_path)])
         assert code == 2

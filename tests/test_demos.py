@@ -15,7 +15,7 @@ ROOT = Path(__file__).resolve().parent.parent
 DEMO_STDOUT_SHA256 = [
     ("01_single_step_dynamics", "8d66602a51be228845db7bc436ee2a6a94302f435bb5fa1f1f1f10897337463b"),
     ("03_time_varying_schedules", "81c63ce3fe9fb938c9f18649d06a9cffd0465ab01b9a032d9ecfff299df1a240"),
-    ("04_averaging_oracle", "e04e2b998810aff41f57e57e5a64b9097cac63f10d4ada5c0070a4847d47e472"),
+    ("04_averaging_oracle", "ad583cf0f78bfea159d7e3ac32e83318ef99c129f755391f33adb773cdbe4c0a"),
     ("05_susceptibility_comparison", "421491ceef01c842ad419d66e62cc3aae282627ae54c4e3b5304a9fa1bcab152"),
 ]
 

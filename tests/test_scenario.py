@@ -110,6 +110,18 @@ class TestLoadScenario:
             assert caught.value.path == "seed"
         assert load(dissenter_document(seed=2**64 - 1)).seed == 2**64 - 1
 
+    def test_name_rule(self):
+        # the name is the CLI's file stem under --out, so it is one file name
+        for name in ("../escaped", "sub/dir", "a\\b", "a\0b", ".", "..", 7):
+            with pytest.raises(SchemaError) as caught:
+                load(dissenter_document(name=name))
+            assert caught.value.path == "name"
+            with pytest.raises(SchemaError) as caught:
+                replace(load(dissenter_document()), name=name)
+            assert caught.value.path == "name"
+        for name in ("...", ".hidden", "a b", "crowd-30.v2"):
+            assert load(dissenter_document(name=name)).name == name
+
     def test_stop_nulls_only_where_the_default_is_null(self):
         scenario = load(dissenter_document(stop={"target": None, "target_epsilon": None}))
         assert scenario.stop == od.StopRule()
