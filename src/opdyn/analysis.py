@@ -108,18 +108,13 @@ class LimitClassification:
                 raise PreconditionError(f"degenerate interval ({lo}, {hi})")
 
 
-def _point(outcome: Outcome, value: float, basis: str) -> LimitClassification:
-    return LimitClassification(outcome, basis, value=value)
-
-
 def _exact_point(value: float, basis: str) -> LimitClassification:
-    if value == 1.0:
-        return _point(Outcome.CONSENSUS_AT_ONE, 1.0, basis)
-    if value == -1.0:
-        return _point(Outcome.CONSENSUS_AT_MINUS_ONE, -1.0, basis)
-    if value == 0.0:
-        return _point(Outcome.CONSENSUS_AT_ZERO, 0.0, basis)
-    return _point(Outcome.CONSENSUS_AT_VALUE, value, basis)
+    """A consensus at ``value``, named when it is +1, -1 or 0 (a -0.0 as 0.0)."""
+    for outcome, point in ((Outcome.CONSENSUS_AT_ONE, 1.0), (Outcome.CONSENSUS_AT_MINUS_ONE, -1.0),
+                           (Outcome.CONSENSUS_AT_ZERO, 0.0)):
+        if value == point:
+            return LimitClassification(outcome, basis, value=point)
+    return LimitClassification(Outcome.CONSENSUS_AT_VALUE, basis, value=value)
 
 
 def classify_limit(x0, kind: SusceptibilityKind, rjsc: bool) -> LimitClassification:
@@ -149,7 +144,7 @@ def classify_limit(x0, kind: SusceptibilityKind, rjsc: bool) -> LimitClassificat
 
     if isinstance(kind, StubbornPositive):
         if hi == 1.0:
-            return _point(Outcome.CONSENSUS_AT_ONE, 1.0, "stubborn_positive/agent_pinned_at_one")
+            return _exact_point(1.0, "stubborn_positive/agent_pinned_at_one")
         return LimitClassification(
             Outcome.CONSENSUS_IN_OPEN_INTERVAL,
             "stubborn_positive/all_strictly_below_one",
@@ -157,7 +152,7 @@ def classify_limit(x0, kind: SusceptibilityKind, rjsc: bool) -> LimitClassificat
 
     if isinstance(kind, StubbornNeutral):
         if np.any(x == 0.0):
-            return _point(Outcome.CONSENSUS_AT_ZERO, 0.0, "stubborn_neutral/zero_pinning")
+            return _exact_point(0.0, "stubborn_neutral/zero_pinning")
         if lo > 0.0:
             return LimitClassification(
                 Outcome.CONSENSUS_IN_OPEN_INTERVAL,

@@ -107,8 +107,11 @@ def _cmd_validate(args) -> int:
               f"kind={scenario.kind.name}, schedule={scenario.schedule_kind})")
         return 0
     beta = DEFAULT_BETA if args.beta is None else args.beta
-    with open(path, "r", encoding="utf-8") as fh:
-        entries = parse_weight_matrix_text(fh.read())
+    try:
+        text = path.read_bytes().decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise ValidationError(f"{path}: not UTF-8 text: {exc}") from None
+    entries = parse_weight_matrix_text(text)
     try:
         WeightMatrix(entries, beta)
     except ValidationError as exc:
@@ -201,13 +204,12 @@ def _cmd_oracle(args) -> int:
     return 0
 
 
-def _add_scenario(parser, out=False, stop=False):
-    """The scenario argument, the flags that override its fields, and ``--out``."""
+def _add_scenario(parser, runs=False):
+    """The scenario and ``--seed``; with ``runs``, ``--out`` and the stop-rule overrides too."""
     parser.add_argument("scenario")
     parser.add_argument("--seed", type=int, default=None, help="override the scenario seed")
-    if out:
+    if runs:
         parser.add_argument("--out", default="./out", help="output directory (default ./out)")
-    if stop:
         parser.add_argument("--epsilon", dest="consensus_epsilon", metavar="EPSILON", type=float,
                             help="override the consensus spread threshold")
         parser.add_argument("--max-steps", type=int, default=None,
@@ -219,7 +221,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("simulate", help="run a scenario; write trajectory CSV and summary JSON")
-    _add_scenario(p, out=True, stop=True)
+    _add_scenario(p, runs=True)
     p.set_defaults(handler=_cmd_simulate)
 
     p = sub.add_parser("validate", help="validate a matrix file or scenario document")
@@ -243,7 +245,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(handler=_cmd_connectivity)
 
     p = sub.add_parser("compare", help="run plain averaging and the scenario kind on identical inputs")
-    _add_scenario(p, out=True, stop=True)
+    _add_scenario(p, runs=True)
     p.add_argument("--against", choices=_ALTERNATIVES, default=None,
                    help="kind to compare a degroot scenario against "
                         "(default stubborn_positive; a usage error for other kinds)")
@@ -264,10 +266,8 @@ def main(argv=None) -> int:
     except OpdynError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except OSError as exc:
-        name = getattr(exc, "filename", None)
-        where = f" ({name})" if name else ""
-        print(f"i/o error: {exc}{where}", file=sys.stderr)
+    except OSError as exc:  # its text names the file
+        print(f"i/o error: {exc}", file=sys.stderr)
         return 2
 
 

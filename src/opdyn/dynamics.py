@@ -352,8 +352,8 @@ class TrajectoryRecord:
         return float(self.final_state.mean()) if self.stop_reason == "consensus" else None
 
     @classmethod
-    def from_states(cls, states, stop_reason: str = "unspecified") -> "TrajectoryRecord":
-        """Build a record (diagnostics included) from raw state rows.
+    def from_states(cls, states) -> "TrajectoryRecord":
+        """Build a record from raw state rows: diagnostics included, stop reason "unspecified".
 
         Accepts arbitrary rows, including ones no simulation would
         produce; the lemma checks are meant to judge such forgeries.
@@ -365,7 +365,7 @@ class TrajectoryRecord:
             mins=arr.min(axis=1),
             maxs=arr.max(axis=1),
             final_state=arr[-1].copy(),
-            stop_reason=stop_reason,
+            stop_reason="unspecified",
             states=arr.copy(),
         )
 
@@ -445,9 +445,10 @@ def _format_tables() -> _FormatTables:
         suffix=np.array([_word(x) for x in suffix], np.uint64))
 
 
-def _percent_rows(block: np.ndarray, row: str) -> bytes:
-    """A block of CSV rows through one ``%``: the reference for the fast
-    formatter, and its fallback for a block it cannot prove."""
+def _percent_rows(block: np.ndarray) -> bytes:
+    """A block of CSV rows, ``%d`` then ``%.17g`` per field, through one ``%``:
+    the reference for the fast formatter, and its fallback for a block it cannot prove."""
+    row = ",".join(["%d"] + ["%.17g"] * (block.shape[1] - 1)) + "\n"
     return ((row * block.shape[0]) % tuple(block.ravel().tolist())).encode()
 
 
@@ -483,10 +484,9 @@ def _decimal_digits(a: np.ndarray, tables: _FormatTables):
     return k, digits, near_tie
 
 
-def _format_block(block: np.ndarray, row: str) -> bytes:
-    """The bytes ``_percent_rows(block, row)`` gives, for ``row`` one ``%d``
-    or ``%.17g`` per column (``%d`` on nonnegative integers, as ``t``),
-    computed for the whole block at once.
+def _format_block(block: np.ndarray) -> bytes:
+    """The bytes ``_percent_rows(block)`` gives, for a first column of
+    nonnegative integers (as ``t``), computed for the whole block at once.
 
     Each field becomes four uint64 words of zero-padded ASCII, laid out as
     ``%.17g`` does: 17 digits rounded, trailing zeros dropped, fixed
@@ -508,11 +508,11 @@ def _format_block(block: np.ndarray, row: str) -> bytes:
         fast = (a < 10.0) | ((a < 1e17) & (a == np.floor(a)))
     fast &= (a >= tables.ceil10[0]) | zero
     if not fast.all():
-        return _percent_rows(block, row)
+        return _percent_rows(block)
     a[zero] = 1.0  # a stand-in, so every table index is in range
     k, digits, near_tie = _decimal_digits(a, tables)
     if near_tie.any():
-        return _percent_rows(block, row)
+        return _percent_rows(block)
     first = digits // 10**16
     others = digits - first * 10**16  # the other 16 digits
     first[zero] = 0
@@ -542,13 +542,13 @@ class TrajectoryCsv:
 
     Each call ``writer(states, spreads)`` adds a block of rows, ``t``
     counting from 0, formatted as ``%d`` and ``%.17g`` would (by
-    ``_format_block``, a vectorized ``%.17g`` that formats a block it
-    cannot prove with ``%`` instead). Values have 17 significant digits,
-    so every one round-trips bit-exactly, and rows end in a fixed newline,
-    so files hash identically across platforms. Passed as ``simulate``'s
-    ``writer``, it streams the rows as the loop records the states;
-    ``write_trajectory_csv`` feeds it a record's stored states in blocks
-    of the same size, so both give the same bytes.
+    ``_format_block``, a vectorized ``%.17g`` that formats a block it cannot
+    prove with ``_percent_rows`` instead; both take the row from the block's
+    width). Values have 17 significant digits, so every one round-trips
+    bit-exactly, and rows end in a fixed newline, so files hash identically
+    across platforms. Passed as ``simulate``'s ``writer``, it streams the
+    rows as the loop records the states; ``write_trajectory_csv`` feeds it a
+    record's stored states in blocks of the same size, so both give the same bytes.
 
     The rows go to a temporary sibling, ``<path>.<pid>.tmp``. ``close``, or
     leaving a ``with`` block normally, moves it into place with
@@ -561,7 +561,6 @@ class TrajectoryCsv:
         self._path = os.fspath(path)
         self._tmp = f"{self._path}.{os.getpid()}.tmp"
         self._width = n + 2
-        self._row = ",".join(["%d"] + ["%.17g"] * (n + 1)) + "\n"
         self._t = 0
         self._fh = open(self._tmp, "wb")
         self._fh.write(("t," + ",".join(f"x_{i + 1}" for i in range(n)) + ",spread\n").encode())
@@ -572,7 +571,7 @@ class TrajectoryCsv:
         block[:, 0] = np.arange(self._t, self._t + m)  # exact, and %d prints it as an integer
         block[:, 1:-1] = states
         block[:, -1] = spreads
-        self._fh.write(_format_block(block, self._row))
+        self._fh.write(_format_block(block))
         self._t += m
 
     def close(self) -> None:

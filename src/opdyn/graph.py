@@ -410,11 +410,13 @@ def find_window_parameters(
     schedule: GraphSchedule, horizon: int, max_p: Optional[int] = None,
 ) -> Optional[tuple[int, int]]:
     """Exhaustive convenience search for a verifying (p, q), smallest p
-    first. Returns None when no pair up to ``max_p`` (default: horizon)
-    verifies; raises ``PreconditionError`` when ``max_p`` is below 1.
-    Quadratic in ``max_p``; intended for desk-scale schedules."""
+    first, quadratic in ``max_p``. Returns None when no pair up to ``max_p``
+    (default: horizon) verifies, at once when the pool's union is not
+    strongly connected; raises ``PreconditionError`` when ``max_p`` < 1."""
     if max_p is not None and max_p < 1:
         raise PreconditionError(f"max_p must be >= 1, got {max_p}")
+    if not is_strongly_connected(*schedule.pool):
+        return None  # every window's union is part of the pool's, so none connects
     cap = horizon if max_p is None else min(max_p, horizon)
     for p in range(1, cap + 1):
         for q in range(1, p + 1):

@@ -156,15 +156,16 @@ def _as_int(value, path: str) -> int:
 
 
 def _as_number(value, path: str) -> float:
-    """A JSON number as a double; a bool is not a number."""
-    if type(value) is float:
-        return value
-    if type(value) is not int:
+    """A JSON number as a finite double; a bool is not a number."""
+    if type(value) not in (int, float):
         raise SchemaError(path, f"expected a number, got {value!r}")
     try:
-        return float(value)
+        value = float(value)
     except OverflowError:
         raise SchemaError(path, "integer too large for a double") from None
+    if value - value != 0.0:  # NaN and the infinities
+        raise SchemaError(path, f"expected a finite number, got {value!r}")
+    return value
 
 
 def _parse_matrix(raw, n: int, beta: float, path: str) -> WeightMatrix:
@@ -175,8 +176,7 @@ def _parse_matrix(raw, n: int, beta: float, path: str) -> WeightMatrix:
             raise SchemaError(f"{path}[{i}]", f"expected a row of {n} numbers")
         for j, v in enumerate(row):
             if type(v) is not float or v - v != 0.0:  # all but a finite double
-                if not np.isfinite(_as_number(v, f"{path}[{i}][{j}]")):
-                    raise SchemaError(f"{path}[{i}][{j}]", f"expected a finite number, got {v!r}")
+                _as_number(v, f"{path}[{i}][{j}]")
     try:
         return WeightMatrix(raw, beta)
     except ValidationError as exc:  # the findings alone, without the headline
@@ -307,15 +307,16 @@ class Scenario:
         return hashlib.sha256(canonical.encode("utf-8")).hexdigest()[:12]
 
 
-def load_scenario(text: str) -> Scenario:
-    """Parse and fully validate a scenario JSON document.
+def load_scenario(text: Union[str, bytes]) -> Scenario:
+    """Parse and fully validate a scenario JSON document, given as text or
+    as a file's raw bytes (UTF-8, a byte-order mark accepted).
 
-    Rejections carry the offending field path; every explicit matrix is
-    validated against the scenario's ``beta`` at load time.
+    Every number must be finite and every explicit matrix valid for the
+    scenario's ``beta``; a rejection carries its field path, ``$`` for input that is not JSON.
     """
     try:
         doc = json.loads(text)
-    except ValueError as exc:  # a JSONDecodeError, or an integer past Python's digit limit
+    except (ValueError, RecursionError) as exc:  # undecodable, malformed, too many digits or too deep
         raise SchemaError("$", f"not valid JSON: {exc}")
     if not isinstance(doc, dict):
         raise SchemaError("$", "top level must be an object")
@@ -325,7 +326,7 @@ def load_scenario(text: str) -> Scenario:
         {"schema", "n", "x0", "schedule", "susceptibility"},
         "",
     )
-    if doc["schema"] != SCHEMA_VERSION:
+    if _as_int(doc["schema"], "schema") != SCHEMA_VERSION:
         raise SchemaError("schema", f"unsupported version {doc['schema']!r}, expected {SCHEMA_VERSION}")
 
     n = _as_int(doc["n"], "n")
@@ -391,15 +392,19 @@ def load_scenario(text: str) -> Scenario:
 
 
 def load_scenario_file(path) -> Scenario:
-    with open(path, "r", encoding="utf-8") as fh:
+    with open(path, "rb") as fh:
         return load_scenario(fh.read())
+
+
+def _write_json(document: dict, path) -> None:
+    text = json.dumps(document, indent=2, allow_nan=False)  # NaN raises before the file opens
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        fh.write(text + "\n")
 
 
 def write_scenario(scenario: Scenario, path) -> None:
     """Persist the canonical document; it reloads to the same id, entries bit-exact."""
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        json.dump(scenario.document, fh, indent=2)
-        fh.write("\n")
+    _write_json(scenario.document, path)
 
 
 # ---------------------------------------------------------------------------
@@ -530,6 +535,4 @@ def summary_to_dict(summary: RunSummary) -> dict:
 
 def write_summary(summary: RunSummary, path) -> None:
     """Summary as JSON with a fixed key order."""
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        json.dump(summary_to_dict(summary), fh, indent=2)
-        fh.write("\n")
+    _write_json(summary_to_dict(summary), path)

@@ -254,6 +254,13 @@ class TestValidateCommand:
         assert (code, out) == (1, "")
         assert err == f"error: matrix entry [1][1] is not finite: {float(value)!r}\n"
 
+    def test_matrix_file_that_is_not_utf8(self, tmp_path, capsys):
+        path = tmp_path / "w.txt"
+        path.write_bytes(b"2\n0.5 0.5\n0.5 0.5\xa0\n")  # a Latin-1 no-break space
+        code, out, err = run(capsys, ["validate", str(path)])
+        assert (code, out) == (1, "")
+        assert err.startswith(f"error: {path}: not UTF-8 text: ")
+
     def test_beta_defaults_to_the_documents_floor(self, tmp_path, capsys):
         path = tmp_path / "w.txt"
         path.write_text("2\n0.5 0.5\n0.25 0.75\n")
@@ -560,3 +567,20 @@ class TestExitCodeContract:
             capture_output=True, text=True)
         assert result.returncode == 0
         assert "consensus -0.5" in result.stdout
+
+    def test_missing_file_is_named_once(self, tmp_path, capsys):
+        code, out, err = run(capsys, ["classify", str(tmp_path / "absent.json")])
+        assert (code, out) == (2, "")
+        assert err.startswith("i/o error: ") and err.count("absent.json") == 1
+
+    @pytest.mark.parametrize("raw", [b'{"schema": 1, "name": "caf\xe9"}',
+                                     b"[" * 100_000 + b"]" * 100_000], ids=["latin-1", "nested"])
+    @pytest.mark.parametrize("command", ["simulate", "validate", "classify"])
+    def test_unreadable_document_is_a_schema_error(self, tmp_path, capsys, raw, command):
+        path = tmp_path / "doc.json"
+        path.write_bytes(raw)
+        out_flag = ["--out", str(tmp_path / "out")] if command == "simulate" else []
+        code, out, err = run(capsys, [command, str(path), *out_flag])
+        assert (code, out) == (1, "")
+        assert err.startswith("error: $: not valid JSON: ") and err.count("\n") == 1
+

@@ -559,8 +559,10 @@ def percent_row(width: int) -> str:
 
 
 def assert_formats_like_percent(block: np.ndarray) -> None:
-    row = percent_row(block.shape[1])
-    assert od.dynamics._format_block(block, row) == od.dynamics._percent_rows(block, row)
+    m, width = block.shape
+    expected = ((percent_row(width) * m) % tuple(block.ravel().tolist())).encode()
+    assert od.dynamics._percent_rows(block) == expected
+    assert od.dynamics._format_block(block) == expected
 
 
 # Any finite double, and the opinions' range, where the fast path applies
@@ -599,8 +601,7 @@ class TestCsvFormatter:
                                              10**17, 2**60)], dtype=float)
         assert_formats_like_percent(times)
         text = od.dynamics._format_block(
-            np.array([[0, -0.0, math.nextafter(1e-4, 0.0)], [10**17, 10.0, 1e-4]]),
-            percent_row(3))
+            np.array([[0, -0.0, math.nextafter(1e-4, 0.0)], [10**17, 10.0, 1e-4]]))
         assert text == b"0,-0,9.9999999999999991e-05\n100000000000000000,10,0.0001\n"
 
     def test_a_slow_field_sends_the_whole_block_through_percent(self, monkeypatch):
@@ -612,12 +613,11 @@ class TestCsvFormatter:
         reference = od.dynamics._percent_rows
         calls = []
 
-        def counting(rows, row):
+        def counting(rows):
             calls.append(rows)
-            return reference(rows, row)
+            return reference(rows)
 
         monkeypatch.setattr(od.dynamics, "_percent_rows", counting)
-        row = percent_row(7)
         blocks = []
         for r, (column, value) in planted.items():
             blocks.append(block.copy())
@@ -625,7 +625,7 @@ class TestCsvFormatter:
             block[r, column] = value
         for planted_block in blocks + [block]:
             calls.clear()
-            assert od.dynamics._format_block(planted_block, row) == reference(planted_block, row)
+            assert od.dynamics._format_block(planted_block) == reference(planted_block)
             assert len(calls) == 1 and calls[0] is planted_block
 
     def test_trajectory_like_blocks_take_the_fast_path(self, monkeypatch):
@@ -639,14 +639,13 @@ class TestCsvFormatter:
         block[:, 1:-1] = rng.uniform(-1.0, 1.0, (m, 30))
         block[:, 1] = 1.0  # an agent pinned at +1
         block[:, -1] = 10.0 ** rng.uniform(-9.0, 0.0, m)
-        row = percent_row(32)
-        expected = od.dynamics._percent_rows(block, row)
+        expected = od.dynamics._percent_rows(block)
 
-        def refuse(rows, row):
+        def refuse(rows):
             raise AssertionError("a trajectory-like block left the fast path")
 
         monkeypatch.setattr(od.dynamics, "_percent_rows", refuse)
-        assert od.dynamics._format_block(block, row) == expected
+        assert od.dynamics._format_block(block) == expected
 
     def test_tables_are_built_on_first_use(self):
         # importing opdyn must not build them: the benchmark's setup_s counts imports

@@ -351,6 +351,21 @@ class TestRepeatedJointConnectivity:
         sched = od.StaticSchedule(od.WeightMatrix(np.eye(3), beta=0.5))
         assert od.find_window_parameters(sched, 10) is None
 
+    def test_search_without_a_connected_union_checks_it_once(self, monkeypatch):
+        # no window of a pool whose union is not strongly connected can connect,
+        # so a long horizon costs one check, not one per (p, q)
+        chain = od.WeightMatrix([[1.0, 0.0, 0.0], [0.5, 0.5, 0.0], [0.0, 0.5, 0.5]], beta=0.5)
+        real, calls = od.graph.is_strongly_connected, []
+
+        def counting(*matrices):
+            calls.append(matrices)
+            assert len(calls) == 1, "a second connectivity check"
+            return real(*matrices)
+
+        monkeypatch.setattr(od.graph, "is_strongly_connected", counting)
+        assert od.find_window_parameters(od.StaticSchedule(chain), 10_000) is None
+        assert len(calls) == 1
+
     def test_bounded_schedule_status_is_false(self):
         a, b = half_cycle_matrices(6, trial_rng(16, 0))
         assert od.schedule_rjsc_status(od.PeriodicSchedule((a, b))) is True

@@ -1,9 +1,12 @@
 import hashlib
 import json
+import math
 from dataclasses import asdict, replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import opdyn as od
 from opdyn.errors import PreconditionError, SchemaError
@@ -78,6 +81,24 @@ class TestLoadScenario:
     def test_schema_version_checked(self):
         with pytest.raises(SchemaError, match="schema"):
             load(dissenter_document(schema=2))
+
+    @pytest.mark.parametrize("schema", [True, 1.0])
+    def test_schema_is_the_integer_one(self, schema):
+        with pytest.raises(SchemaError, match="expected an integer") as caught:
+            load(dissenter_document(schema=schema))
+        assert caught.value.path == "schema"
+
+    @pytest.mark.parametrize("spelling", ["1e400", "Infinity"])
+    @pytest.mark.parametrize("path,overrides", [
+        ("beta", {"beta": "VALUE", "schedule": {"kind": "static", "generated": {}}}),
+        ("stop.consensus_epsilon", {"stop": {"consensus_epsilon": "VALUE"}}),
+        ("stop.target_epsilon", {"stop": {"target": 0.0, "target_epsilon": "VALUE"}}),
+    ])
+    def test_infinite_number_names_its_path(self, path, overrides, spelling):
+        text = json.dumps(dissenter_document(**overrides)).replace('"VALUE"', spelling)
+        with pytest.raises(SchemaError, match="expected a finite number") as caught:
+            od.load_scenario(text)
+        assert caught.value.path == path
 
     @pytest.mark.parametrize("key,index", [("matrix", ""), ("matrices", "[1]"), ("pool", "[1]")])
     @pytest.mark.parametrize("entry,reason", [
@@ -165,10 +186,10 @@ class TestLoadScenario:
             load(doc)
 
     def test_nan_interval_rejected(self):
-        for pair in ([float("nan"), 0.5], [0.0, float("nan")]):
+        for k, pair in enumerate(([float("nan"), 0.5], [0.0, float("nan")])):
             with pytest.raises(SchemaError) as caught:
                 load(dissenter_document(x0={"uniform": pair}))
-            assert caught.value.path == "x0.uniform"
+            assert caught.value.path == f"x0.uniform[{k}]"
 
     def test_interval_without_interior_rejected(self):
         doc = dissenter_document(x0={"uniform": [0.5, float(np.nextafter(0.5, 1.0))]})
@@ -199,6 +220,20 @@ class TestLoadScenario:
     def test_bad_json_reports_top_level(self):
         with pytest.raises(SchemaError, match=r"\$"):
             od.load_scenario("{not json")
+
+    @pytest.mark.parametrize("raw", [b'{"schema": 1, "name": "caf\xe9"}',
+                                     b"[" * 100_000 + b"]" * 100_000], ids=["latin-1", "nested"])
+    def test_undecodable_or_over_nested_file_reports_top_level(self, tmp_path, raw):
+        path = tmp_path / "doc.json"
+        path.write_bytes(raw)
+        with pytest.raises(SchemaError, match="not valid JSON") as caught:
+            od.load_scenario_file(path)
+        assert caught.value.path == "$"
+
+    def test_file_with_a_byte_order_mark_loads(self, tmp_path):
+        path = tmp_path / "doc.json"
+        path.write_bytes(b"\xef\xbb\xbf" + json.dumps(dissenter_document()).encode())
+        assert od.load_scenario_file(path).scenario_id == load(dissenter_document()).scenario_id
 
     def test_integer_past_the_digit_limit_reports_top_level(self):
         with pytest.raises(SchemaError) as caught:
@@ -373,6 +408,14 @@ class TestRoundTrip:
         again = od.load_scenario_file(path)
         assert again.matrices[0].entries[0, 0] == third
 
+    def test_an_infinite_number_is_not_written(self, tmp_path):
+        # JSON has no Infinity: the writer refuses before the file exists
+        scenario = replace(load(dissenter_document()), stop=od.StopRule(consensus_epsilon=math.inf))
+        path = tmp_path / "s.json"
+        with pytest.raises(ValueError, match="not JSON compliant"):
+            od.write_scenario(scenario, path)
+        assert not path.exists()
+
 
 class TestDeterminism:
     def test_identical_runs_write_identical_csv(self, tmp_path):
@@ -503,3 +546,35 @@ class TestRjscStatus:
         assert od.schedule_rjsc_status(od.RandomSchedule((sc, sc), seed=1)) is True
         assert od.schedule_rjsc_status(od.RandomSchedule((eye, eye), seed=1)) is False
         assert od.schedule_rjsc_status(od.RandomSchedule((w_a, w_b), seed=1)) is None
+
+
+# Any JSON value: nested lists and objects, floats with NaN and the infinities,
+# integers of any size, strings, bools and null.
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=6),
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(max_size=6), inner, max_size=4),
+    max_leaves=12)
+
+LOADABLE = [
+    dissenter_document(),
+    {"schema": 1, "n": 5, "x0": {"uniform": [0, 1]},
+     "schedule": {"kind": "static", "generated": {}}, "susceptibility": "stubborn_positive"},
+]
+
+
+def refuse_constant(name):
+    raise AssertionError(f"{name} in a canonical document")
+
+
+@settings(max_examples=200, deadline=None)
+@given(base=st.sampled_from(LOADABLE),
+       field=st.sampled_from(["schema", "name", "n", "beta", "x0", "schedule",
+                              "susceptibility", "stop", "seed"]),
+       value=JSON_VALUES)
+def test_a_field_of_any_json_value_loads_to_strict_json_or_is_refused(base, field, value):
+    try:
+        scenario = od.load_scenario(json.dumps({**base, field: value}))
+    except SchemaError:
+        return
+    text = json.dumps(scenario.document)
+    assert json.loads(text, parse_constant=refuse_constant) == scenario.document
