@@ -22,6 +22,7 @@ from .dynamics import (
     StubbornPositive,
     SusceptibilityKind,
     TrajectoryRecord,
+    _check_dims,
     opinion_vector,
 )
 from .graph import WeightMatrix, is_strongly_connected
@@ -209,8 +210,7 @@ def degroot_consensus_value(matrix: WeightMatrix, x0) -> float:
     the influence-weighted mean ``c @ x0`` with ``c`` the stationary
     weights of the matrix."""
     x = opinion_vector(x0)
-    if x.shape[0] != matrix.n:
-        raise PreconditionError(f"{x.shape[0]} opinions against a {matrix.n}-agent matrix")
+    _check_dims(x, matrix)
     return float(stationary_weights(matrix) @ x)
 
 

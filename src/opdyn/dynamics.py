@@ -65,6 +65,7 @@ from .errors import (
     ScheduleExhaustedError,
     ShapeError,
     ValidationError,
+    _brief,
 )
 from .graph import GraphSchedule, WeightMatrix
 
@@ -210,19 +211,21 @@ SusceptibilityKind = Union[
 # One-step operators
 # ---------------------------------------------------------------------------
 
-def _check_dims(x: np.ndarray, matrix: WeightMatrix) -> None:
-    if x.shape[0] != matrix.n:
-        raise ShapeError(f"{x.shape[0]} opinions against a {matrix.n}-agent matrix")
+def _check_dims(x: np.ndarray, agents: Union[WeightMatrix, GraphSchedule]) -> None:
+    """Raise ``ShapeError`` unless ``x`` holds one opinion per agent of
+    ``agents``, a weight matrix or a schedule (only its ``n`` is read)."""
+    if x.shape[0] != agents.n:
+        raise ShapeError(f"{x.shape[0]} opinions against {agents.n} agents")
 
 
 def system_matrix(x, matrix: WeightMatrix, kind: SusceptibilityKind) -> np.ndarray:
     """One-step transition matrix ``S = I - F + F W`` at state ``x``.
 
     Built by scaling rows of ``W`` rather than materializing diagonal
-    matrices. Row-stochastic and nonnegative whenever ``W`` is valid and
-    ``x`` is in range.
+    matrices. ``x`` goes through ``opinion_vector`` and ``_check_dims``,
+    so ``S`` is row-stochastic and nonnegative.
     """
-    xa = np.asarray(x, dtype=float)
+    xa = opinion_vector(x)
     _check_dims(xa, matrix)
     f = kind.values(xa)
     s = f[:, None] * matrix.entries
@@ -261,15 +264,12 @@ def step(x, matrix: WeightMatrix, kind: SusceptibilityKind) -> np.ndarray:
     ``[min x, max x]`` where rounding steps past them. Consensus states and
     zero-susceptibility agents stay exactly fixed in floating point, the
     extremes never widen, and the result agrees with
-    ``system_matrix(x) @ x`` to within rounding. Raises ``DomainError``
-    unless every opinion is in [-1, 1], where the kinds are defined.
+    ``system_matrix(x) @ x`` to within rounding. ``x`` goes through
+    ``opinion_vector`` and ``_check_dims``: the kinds are defined on [-1, 1].
     """
-    xa = np.asarray(x, dtype=float)
+    xa = opinion_vector(x)
     _check_dims(xa, matrix)
-    lo, hi = float(xa.min()), float(xa.max())
-    if not (OPINION_MIN <= lo and hi <= OPINION_MAX):
-        raise DomainError(f"opinions span [{lo!r}, {hi!r}], outside [-1, 1]")
-    return _advance(xa, matrix, kind, lo, hi)[0]
+    return _advance(xa, matrix, kind, float(xa.min()), float(xa.max()))[0]
 
 
 # ---------------------------------------------------------------------------
@@ -296,7 +296,7 @@ class StopRule:
 
     def __post_init__(self):
         if isinstance(self.max_steps, bool) or not isinstance(self.max_steps, numbers.Integral):
-            raise ValidationError(f"max_steps must be an integer, got {self.max_steps!r}")
+            raise ValidationError(f"max_steps must be an integer, got {_brief(self.max_steps)}")
         if self.max_steps < 1:
             raise ValidationError(f"max_steps must be >= 1, got {self.max_steps}")
         if not self.consensus_epsilon > 0.0:
@@ -633,8 +633,7 @@ def simulate(
     stop = stop or StopRule()
     x = opinion_vector(x0).copy()
     n = x.shape[0]
-    if n != schedule.n:
-        raise ShapeError(f"{n} opinions against a {schedule.n}-agent schedule")
+    _check_dims(x, schedule)
     # Fail fast on per-agent kinds of the wrong size.
     kind.values(x)
 

@@ -5,6 +5,13 @@ from invariant violations (a well-formed matrix with a bad row sum) so
 callers can react differently to each.
 """
 
+import reprlib
+
+
+def _brief(value) -> str:
+    """``reprlib.repr(value)`` cut to 80 characters: a value in a message, whatever its size."""
+    return reprlib.repr(value)[:80]
+
 
 class OpdynError(Exception):
     """Base class for all package errors."""

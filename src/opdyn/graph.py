@@ -26,6 +26,7 @@ from .errors import (
     ScheduleExhaustedError,
     ShapeError,
     ValidationError,
+    _brief,
 )
 from .rng import SplitMix64, indexed_choice
 
@@ -188,7 +189,7 @@ def parse_weight_matrix_text(text: str) -> np.ndarray:
     try:
         n = int(lines[0].strip())
     except ValueError:
-        raise ValidationError(f"first line must be the size, got {lines[0]!r}")
+        raise ValidationError(f"first line must be the size, got {_brief(lines[0])}")
     if len(lines) - 1 != n:
         raise ValidationError(f"expected {n} matrix rows, found {len(lines) - 1}")
     rows = []

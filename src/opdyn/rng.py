@@ -79,26 +79,18 @@ class SplitMix64:
         the temporaries stay small whatever ``m`` is.
         """
         out = np.empty(m)  # raises ValueError for m < 0
-        chunk = min(_BLOCK, m)
-        steps = np.arange(1, chunk + 1, dtype=np.uint64)
+        steps = np.arange(1, min(_BLOCK, m) + 1, dtype=np.uint64)
         steps *= np.uint64(_GAMMA)  # k * gamma mod 2^64: array ops wrap
-        z = np.empty(chunk, dtype=np.uint64)
-        tmp = np.empty(chunk, dtype=np.uint64)
-        for start in range(0, m, max(chunk, 1)):
-            size = min(chunk, m - start)
-            zs, ts = z[:size], tmp[:size]
-            np.add(steps[:size], np.uint64(self._state), out=zs)
-            np.right_shift(zs, np.uint64(30), out=ts)
-            zs ^= ts
-            zs *= np.uint64(_MIX1)
-            np.right_shift(zs, np.uint64(27), out=ts)
-            zs ^= ts
-            zs *= np.uint64(_MIX2)
-            np.right_shift(zs, np.uint64(31), out=ts)
-            zs ^= ts
-            zs >>= np.uint64(11)
-            np.multiply(zs, 2.0**-53, out=out[start:start + size])
-            self._state = (self._state + size * _GAMMA) & _MASK
+        for start in range(0, m, _BLOCK):
+            z = steps[:m - start] + np.uint64(self._state)
+            z ^= z >> np.uint64(30)
+            z *= np.uint64(_MIX1)
+            z ^= z >> np.uint64(27)
+            z *= np.uint64(_MIX2)
+            z ^= z >> np.uint64(31)
+            z >>= np.uint64(11)
+            out[start:start + z.size] = z * 2.0**-53
+            self._state = (self._state + z.size * _GAMMA) & _MASK
         return out
 
     def uniform(self, lo: float, hi: float) -> float:

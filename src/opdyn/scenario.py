@@ -65,7 +65,7 @@ from .dynamics import (
     opinion_vector,
     simulate,
 )
-from .errors import PreconditionError, SchemaError, ValidationError
+from .errors import PreconditionError, SchemaError, ValidationError, _brief
 from .graph import (
     GraphSchedule,
     PeriodicSchedule,
@@ -151,14 +151,14 @@ def _require_keys(obj: dict, allowed: set, required: set, path: str) -> None:
 
 def _as_int(value, path: str) -> int:
     if isinstance(value, bool) or not isinstance(value, int):
-        raise SchemaError(path, f"expected an integer, got {value!r}")
+        raise SchemaError(path, f"expected an integer, got {_brief(value)}")
     return value
 
 
 def _as_number(value, path: str) -> float:
     """A JSON number as a finite double; a bool is not a number."""
     if type(value) not in (int, float):
-        raise SchemaError(path, f"expected a number, got {value!r}")
+        raise SchemaError(path, f"expected a number, got {_brief(value)}")
     try:
         value = float(value)
     except OverflowError:
@@ -214,12 +214,12 @@ def _parse_x0(raw, n: int, path: str = "x0") -> Union[np.ndarray, tuple[float, f
 def _parse_kind(raw, n: int, path: str = "susceptibility") -> SusceptibilityKind:
     if isinstance(raw, str):
         if raw not in _KIND_NAMES:
-            raise SchemaError(path, f"unknown kind {raw!r}; one of {sorted(_KIND_NAMES)}")
+            raise SchemaError(path, f"unknown kind {_brief(raw)}; one of {sorted(_KIND_NAMES)}")
         return _KIND_NAMES[raw]()
     if isinstance(raw, dict):
         _require_keys(raw, {"kind", "openness"}, {"kind"}, path)
         if raw["kind"] != "constant":
-            raise SchemaError(f"{path}.kind", f"only 'constant' takes parameters, got {raw['kind']!r}")
+            raise SchemaError(f"{path}.kind", f"only 'constant' takes parameters, got {_brief(raw['kind'])}")
         if "openness" not in raw:
             raise SchemaError(f"{path}.openness", "missing required field")
         vals = raw["openness"]
@@ -269,12 +269,12 @@ class Scenario:
 
     def __post_init__(self):  # the seed and name rules, for documents and replace() alike
         if type(self.seed) is not int or not 0 <= self.seed < 2**64:
-            raise SchemaError("seed", f"expected an unsigned 64-bit integer, got {self.seed!r}")
+            raise SchemaError("seed", f"expected an unsigned 64-bit integer, got {_brief(self.seed)}")
         if self.name is not None:  # a file stem under the CLI's --out
             if not isinstance(self.name, str):
                 raise SchemaError("name", "expected a string")
             if self.name in (".", "..") or any(c in self.name for c in "/\\\0"):
-                raise SchemaError("name", f"{self.name!r} is not a file name "
+                raise SchemaError("name", f"{_brief(self.name)} is not a file name "
                                           "(no '/', '\\' or NUL; not '.' or '..')")
 
     @cached_property
@@ -327,7 +327,7 @@ def load_scenario(text: Union[str, bytes]) -> Scenario:
         "",
     )
     if _as_int(doc["schema"], "schema") != SCHEMA_VERSION:
-        raise SchemaError("schema", f"unsupported version {doc['schema']!r}, expected {SCHEMA_VERSION}")
+        raise SchemaError("schema", f"unsupported version {_brief(doc['schema'])}, expected {SCHEMA_VERSION}")
 
     n = _as_int(doc["n"], "n")
     if n < 2:
@@ -343,7 +343,7 @@ def load_scenario(text: Union[str, bytes]) -> Scenario:
         raise SchemaError("schedule.kind", "missing required field")
     sched_kind = sched["kind"]
     if not isinstance(sched_kind, str) or sched_kind not in _SCHEDULE_FIELDS:
-        raise SchemaError("schedule.kind", f"unknown kind {sched_kind!r}")
+        raise SchemaError("schedule.kind", f"unknown kind {_brief(sched_kind)}")
     _require_keys(sched, {"kind", "horizon", *_SCHEDULE_FIELDS[sched_kind]}, set(), "schedule")
     horizon = None
     if sched.get("horizon") is not None:

@@ -552,6 +552,18 @@ class TestOracleCommand:
         assert captured.out == ""
         assert f"this one is {kind}" in captured.err
 
+    def test_refuses_periodic_schedules(self, tmp_path, capsys):
+        path = write_scenario(tmp_path, {
+            "schema": 1, "n": 4, "beta": 0.25,
+            "x0": [0.9, -0.3, 0.5, -0.1],
+            "schedule": {"kind": "periodic", "matrices": [QUARTER, QUARTER]},
+            "susceptibility": "degroot",
+        })
+        assert main(["oracle", path]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "static schedules only" in captured.err
+
 
 class TestExitCodeContract:
     def test_unknown_flag_rejected(self, dissenter_path, capsys):

@@ -77,6 +77,26 @@ class TestOpinionVector:
         with pytest.raises(ShapeError):
             od.opinion_vector([[0.0, 0.1]])
 
+    # Every entry that takes opinions checks them with opinion_vector and
+    # _check_dims, so one bad input is refused the same way by each.
+    ENTRIES = {
+        "step": lambda x, w: od.step(x, w, od.StubbornPositive()),
+        "system_matrix": lambda x, w: od.system_matrix(x, w, od.StubbornPositive()),
+        "simulate": lambda x, w: od.simulate(x, od.StaticSchedule(w), od.StubbornPositive()),
+        "degroot_consensus_value": lambda x, w: od.degroot_consensus_value(w, x),
+    }
+
+    @pytest.mark.parametrize("entry", ENTRIES)
+    @pytest.mark.parametrize("x,error,match", [
+        (np.zeros((4, 4)), ShapeError, r"1-D and nonempty, got shape \(4, 4\)"),
+        ([3.0, 0.0, 0.0, 0.0], DomainError, r"x0\[0\]: value 3.0 outside"),
+        ([0.0, np.nan, 0.0, 0.0], DomainError, "non-finite"),
+        ([0.0, 0.5], ShapeError, "^2 opinions against 4 agents$"),
+    ], ids=["matrix", "out_of_range", "nan", "count"])
+    def test_every_entry_refuses_alike(self, entry, x, error, match):
+        with pytest.raises(error, match=match):
+            self.ENTRIES[entry](x, od.uniform_complete_matrix(4))
+
 
 class TestSusceptibility:
     @pytest.mark.parametrize("kind,x,expected", [
@@ -627,6 +647,21 @@ class TestCsvFormatter:
             calls.clear()
             assert od.dynamics._format_block(planted_block) == reference(planted_block)
             assert len(calls) == 1 and calls[0] is planted_block
+
+    def test_a_near_tie_alone_sends_the_block_through_percent(self, monkeypatch):
+        # Every field is in the fast range, so only the near-tie check can send
+        # this block to %: the 17th digit of 1 + 2**-17 is an exact tie.
+        block = np.array([[0, 1 + 2.0**-17, 0.5], [1, 0.25, 1e-9]])
+        reference = od.dynamics._percent_rows
+        calls = []
+
+        def counting(rows):
+            calls.append(rows)
+            return reference(rows)
+
+        monkeypatch.setattr(od.dynamics, "_percent_rows", counting)
+        assert od.dynamics._format_block(block) == reference(block)
+        assert len(calls) == 1 and calls[0] is block
 
     def test_trajectory_like_blocks_take_the_fast_path(self, monkeypatch):
         # cli_session's rows: t up to 20,000, 30 opinions in [-1, 1], spreads down to

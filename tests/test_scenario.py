@@ -270,6 +270,56 @@ class TestLoadScenario:
         with pytest.raises(SchemaError):
             load(doc)
 
+    REFUSED = [
+        ("$", [dissenter_document()]),
+        ("n", dissenter_document(n=1)),
+        ("beta", dissenter_document(beta=0.0)),
+        ("beta", dissenter_document(beta=-0.25)),
+        ("schedule.kind", dissenter_document(schedule={"kind": "spiral", "matrix": QUARTER})),
+        ("schedule.horizon",
+         dissenter_document(schedule={"kind": "static", "matrix": QUARTER, "horizon": 0})),
+        ("schedule.generated", dissenter_document(schedule={"kind": "static", "generated": 0.3})),
+        ("schedule.generated.edge_probability",
+         dissenter_document(schedule={"kind": "static", "generated": {"edge_probability": 1.5}})),
+        ("schedule.generated.edge_probability",
+         dissenter_document(schedule={"kind": "static", "generated": {"edge_probability": -0.1}})),
+        ("schedule.matrices", dissenter_document(schedule={"kind": "periodic", "matrices": []})),
+        ("schedule.pool", dissenter_document(schedule={"kind": "random", "pool": {"0": QUARTER}})),
+        ("x0.uniform", dissenter_document(x0={"uniform": [0.0]})),
+        ("x0.uniform", dissenter_document(x0={"uniform": 0.5})),
+        ("susceptibility.kind", dissenter_document(susceptibility={"kind": "degroot"})),
+        ("susceptibility.openness", dissenter_document(susceptibility={"kind": "constant"})),
+        ("susceptibility.openness",
+         dissenter_document(susceptibility={"kind": "constant", "openness": [0.5, 0.5]})),
+        ("stop", dissenter_document(stop={"max_steps": 0})),
+    ]
+
+    @pytest.mark.parametrize("path,doc", REFUSED, ids=[path for path, _ in REFUSED])
+    def test_refusal_names_its_path(self, path, doc):
+        with pytest.raises(SchemaError) as caught:
+            load(doc)
+        assert caught.value.path == path
+
+    # A value echoed in a message is cut short, however large the field.
+    ECHOED = [
+        ("n", lambda v: {"n": v}),
+        ("seed", lambda v: {"seed": v}),
+        ("name", lambda v: {"name": v}),
+        ("schema", lambda v: {"schema": v}),
+        ("schedule.kind", lambda v: {"schedule": {"kind": v, "matrix": QUARTER}}),
+        ("susceptibility", lambda v: {"susceptibility": v}),
+        ("susceptibility.kind", lambda v: {"susceptibility": {"kind": v}}),
+        ("stop.max_steps", lambda v: {"stop": {"max_steps": v}}),
+    ]
+
+    @pytest.mark.parametrize("value", [[0] * 200_000, "/" * 600_000], ids=["list", "string"])
+    @pytest.mark.parametrize("path,place", ECHOED, ids=[path for path, _ in ECHOED])
+    def test_a_huge_value_is_echoed_briefly(self, path, place, value):
+        with pytest.raises(SchemaError) as caught:
+            load(dissenter_document(**place(value)))
+        assert caught.value.path == path
+        assert len(str(caught.value)) < 300
+
 
 class TestCanonicalDocument:
     GENERATED = {
