@@ -7,7 +7,6 @@ from .errors import (
     DomainError,
     OpdynError,
     PreconditionError,
-    ScheduleExhaustedError,
     SchemaError,
     ShapeError,
     ValidationError,

@@ -62,7 +62,6 @@ import numpy as np
 from .errors import (
     DomainError,
     PreconditionError,
-    ScheduleExhaustedError,
     ShapeError,
     ValidationError,
     _brief,
@@ -616,9 +615,7 @@ def simulate(
     susceptibility; that state is not recorded, and the final state is
     the last finite one), ``"consensus"`` (spread below epsilon),
     ``"target"`` (all opinions within target_epsilon of the predicted
-    limit), ``"max_steps"``, and ``"schedule_exhausted"`` for finite
-    schedules that run out of matrices before any other condition fires
-    (reported, never silent).
+    limit), and ``"max_steps"``, the one bound on a run's length.
 
     The initial state is recorded as step 0, so an already-converged input
     yields a 0-transition record. Each recorded step's min and max, and
@@ -658,7 +655,6 @@ def simulate(
         lows.clear()
         highs.clear()
 
-    reason = "max_steps"
     t = clamp_steps = 0
     mn, mx = float(x.min()), float(x.max())
     while True:
@@ -682,13 +678,8 @@ def simulate(
         if t == stop.max_steps:
             reason = "max_steps"
             break
-        try:
-            matrix = schedule.matrix_at(t)
-        except ScheduleExhaustedError:
-            reason = "schedule_exhausted"
-            break
         finite = x
-        x, mn, mx, clamped = _advance(x, matrix, kind, mn, mx)
+        x, mn, mx, clamped = _advance(x, schedule.matrix_at(t), kind, mn, mx)
         clamp_steps += clamped
         t += 1
     hand_off()

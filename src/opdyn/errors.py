@@ -53,7 +53,3 @@ class SchemaError(ValidationError):
 
 class PreconditionError(OpdynError, ValueError):
     """An operation was called outside its stated preconditions."""
-
-
-class ScheduleExhaustedError(OpdynError, LookupError):
-    """A finite graph schedule has no matrix for the requested step."""

@@ -11,6 +11,10 @@ connectivity is decided by products with the matrices themselves.
 Validity of a matrix is judged against a declared floor ``beta``: every
 nonzero weight must be at least ``beta``. The floor is a user-supplied
 validation parameter, never inferred from data.
+
+A schedule gives a matrix for every step ``t >= 0``, without end, as the
+paper's infinite graph sequences do; a run's length is bounded by its
+stop rule alone.
 """
 
 from __future__ import annotations
@@ -21,13 +25,7 @@ from typing import NamedTuple, Optional, Sequence, Union
 
 import numpy as np
 
-from .errors import (
-    PreconditionError,
-    ScheduleExhaustedError,
-    ShapeError,
-    ValidationError,
-    _brief,
-)
+from .errors import PreconditionError, ShapeError, ValidationError, _brief
 from .rng import SplitMix64, indexed_choice
 
 ROW_SUM_TOL = 1e-12
@@ -258,12 +256,9 @@ def is_strongly_connected(*matrices: WeightMatrix) -> bool:
 # Schedules: the rule producing W(t) for each step t
 # ---------------------------------------------------------------------------
 
-def _check_step(t: int, horizon: Optional[int]) -> None:
+def _check_step(t: int) -> None:
     if t < 0:
         raise PreconditionError(f"step index must be >= 0, got {t}")
-    if horizon is not None and t >= horizon:
-        raise ScheduleExhaustedError(
-            f"schedule covers steps 0..{horizon - 1}, requested {t}")
 
 
 @dataclass(frozen=True, eq=False)
@@ -271,7 +266,6 @@ class StaticSchedule:
     """One fixed matrix for every step."""
 
     matrix: WeightMatrix
-    horizon: Optional[int] = None
 
     @property
     def n(self) -> int:
@@ -282,7 +276,7 @@ class StaticSchedule:
         return (self.matrix,)
 
     def matrix_at(self, t: int) -> WeightMatrix:
-        _check_step(t, self.horizon)
+        _check_step(t)
         return self.matrix
 
 
@@ -291,8 +285,6 @@ class PeriodicSchedule:
     """Cycles through a fixed list of matrices."""
 
     matrices: tuple[WeightMatrix, ...]
-
-    horizon: Optional[int] = None
 
     def __post_init__(self):
         object.__setattr__(self, "matrices", tuple(self.matrices))
@@ -307,7 +299,7 @@ class PeriodicSchedule:
         return self.matrices
 
     def matrix_at(self, t: int) -> WeightMatrix:
-        _check_step(t, self.horizon)
+        _check_step(t)
         return self.matrices[t % len(self.matrices)]
 
 
@@ -321,7 +313,6 @@ class RandomSchedule:
 
     pool: tuple[WeightMatrix, ...]
     seed: int
-    horizon: Optional[int] = None
 
     def __post_init__(self):
         object.__setattr__(self, "pool", tuple(self.pool))
@@ -332,7 +323,7 @@ class RandomSchedule:
         return self.pool[0].n
 
     def matrix_at(self, t: int) -> WeightMatrix:
-        _check_step(t, self.horizon)
+        _check_step(t)
         return self.pool[indexed_choice(self.seed, t, len(self.pool))]
 
 
@@ -342,17 +333,13 @@ GraphSchedule = Union[StaticSchedule, PeriodicSchedule, RandomSchedule]
 def schedule_rjsc_status(schedule: GraphSchedule) -> Optional[bool]:
     """Repeated joint strong connectivity of a schedule, where decidable.
 
-    Bounded (finite ``horizon``): False, since the condition asks for
-    connected windows without end and a bounded schedule runs out of
-    matrices. Static and periodic: every window of one period draws
-    exactly the cycled matrices, so the condition holds iff their union is
-    strongly connected. Random: True when every pool member is strongly
-    connected on its own (then even single-step windows verify); False
-    when even the pool union is not; None otherwise, since the property
-    then depends on the unbounded realization.
+    Static and periodic: every window of one period draws exactly the
+    cycled matrices, so the condition holds iff their union is strongly
+    connected. Random: True when every pool member is strongly connected
+    on its own (then even single-step windows verify); False when even
+    the pool union is not; None otherwise, since the property then depends
+    on the unbounded realization.
     """
-    if schedule.horizon is not None:
-        return False
     if not isinstance(schedule, RandomSchedule):
         return is_strongly_connected(*schedule.pool)
     if all(is_strongly_connected(m) for m in schedule.pool):
@@ -374,28 +361,24 @@ def verify_repeated_joint_connectivity(
     the condition, and the property is about the tail of the sequence, so
     skipping step 0 loses nothing.
 
-    For unbounded static and periodic schedules the window unions repeat
-    with the schedule period, so only the distinct residue classes are
-    examined and the answer is exact for all time; for seeded-random and
-    horizon-bounded schedules every window up to ``horizon`` (clipped to
-    the schedule's own horizon) is examined and the answer certifies that
+    For static and periodic schedules the window unions repeat with the
+    schedule period, so only the distinct residue classes are examined and
+    the answer is exact for all time; for seeded-random schedules every
+    window up to ``horizon`` is examined and the answer certifies that
     range only. A window's union depends only on the set of pool matrices
     it draws, so each distinct set is checked once per call.
     """
     if p < 1 or q < 1:
         raise PreconditionError(f"window parameters must satisfy p,q >= 1, got p={p} q={q}")
-    last = horizon
-    if schedule.horizon is not None:
-        last = min(last, schedule.horizon - 1)
-    if last < q + p - 1:
+    if horizon < q + p - 1:
         raise PreconditionError(
-            f"horizon {last} shorter than the first window ending at {q + p - 1}")
+            f"horizon {horizon} shorter than the first window ending at {q + p - 1}")
 
-    if isinstance(schedule, (StaticSchedule, PeriodicSchedule)) and schedule.horizon is None:
+    if isinstance(schedule, (StaticSchedule, PeriodicSchedule)):
         period = len(schedule.pool)
         count = period // math.gcd(p, period)
     else:
-        count = (last - (q + p - 1)) // p + 1
+        count = (horizon - (q + p - 1)) // p + 1
 
     connected: set[frozenset] = set()  # matrices compare by identity
     for start in range(q, q + count * p, p):
@@ -411,7 +394,8 @@ def find_window_parameters(
     schedule: GraphSchedule, horizon: int, max_p: Optional[int] = None,
 ) -> Optional[tuple[int, int]]:
     """Exhaustive convenience search for a verifying (p, q), smallest p
-    first, quadratic in ``max_p``. Returns None when no pair up to ``max_p``
+    first, then smallest q, over the windows that end by ``horizon``;
+    quadratic in ``max_p``. Returns None when no pair up to ``max_p``
     (default: horizon) verifies, at once when the pool's union is not
     strongly connected; raises ``PreconditionError`` when ``max_p`` < 1."""
     if max_p is not None and max_p < 1:
@@ -420,12 +404,9 @@ def find_window_parameters(
         return None  # every window's union is part of the pool's, so none connects
     cap = horizon if max_p is None else min(max_p, horizon)
     for p in range(1, cap + 1):
-        for q in range(1, p + 1):
-            try:
-                if verify_repeated_joint_connectivity(schedule, p, q, horizon):
-                    return p, q
-            except PreconditionError:
-                continue  # window does not fit inside the horizon
+        for q in range(1, min(p, horizon - p + 1) + 1):  # the first window ends by horizon
+            if verify_repeated_joint_connectivity(schedule, p, q, horizon):
+                return p, q
     return None
 
 

@@ -19,8 +19,8 @@ graph schedule, the susceptibility kind, the stop rule, and a seed:
 Schedules: ``static`` (one ``matrix``, or ``generated`` with an
 ``edge_probability`` for a seeded random strongly connected matrix),
 ``periodic`` (``matrices`` cycled in order), ``random`` (uniform seeded
-draws from ``pool``); any of them may carry a finite ``horizon``, and
-none takes another kind's field.
+draws from ``pool``); none takes another kind's field, and none has a
+length: ``stop.max_steps`` bounds a run.
 Susceptibility is one of the kind names, or
 ``{"kind": "constant", "openness": [...]}`` for per-agent fixed openness.
 
@@ -91,7 +91,7 @@ _KIND_NAMES = {
     "stubborn_extremist": StubbornExtremist,
 }
 
-# The matrix fields each schedule kind takes, besides "kind" and "horizon".
+# The matrix fields each schedule kind takes, besides "kind".
 _SCHEDULE_FIELDS = {
     "static": {"matrix", "generated"},
     "periodic": {"matrices"},
@@ -143,6 +143,7 @@ def generate_initial(low: float, high: float, n: int, seed: int) -> np.ndarray:
 def _require_keys(obj: dict, allowed: set, required: set, path: str) -> None:
     for key in obj:
         if key not in allowed:
+            key = key if len(key) <= 80 else _brief(key)  # echo a huge key cut short
             raise SchemaError(f"{path}.{key}" if path else key, "unknown field")
     for key in required:
         if key not in obj:
@@ -185,7 +186,7 @@ def _parse_matrix(raw, n: int, beta: float, path: str) -> WeightMatrix:
 
 
 def _parse_x0(raw, n: int, path: str = "x0") -> Union[np.ndarray, tuple[float, float]]:
-    """The opinions, or a generator's (low, high) interval."""
+    """The opinions as a read-only array, or a generator's (low, high) interval."""
     if isinstance(raw, list):
         if len(raw) != n:
             raise SchemaError(path, f"expected {n} entries, got {len(raw)}")
@@ -195,6 +196,7 @@ def _parse_x0(raw, n: int, path: str = "x0") -> Union[np.ndarray, tuple[float, f
             if not -1.0 <= x <= 1.0:
                 raise SchemaError(f"{path}[{k}]", f"value {x!r} outside [-1, 1]")
             vals[k] = x
+        vals.setflags(write=False)  # a frozen Scenario's id names these opinions
         return vals
     if isinstance(raw, dict):
         _require_keys(raw, {"uniform"}, {"uniform"}, path)
@@ -263,7 +265,6 @@ class Scenario:
     schedule_kind: str
     matrices: tuple[WeightMatrix, ...]
     generated_edge_probability: Optional[float]
-    horizon: Optional[int]
     kind: SusceptibilityKind
     stop: StopRule
 
@@ -280,7 +281,7 @@ class Scenario:
     @cached_property
     def document(self) -> dict:
         """The canonical document, built on first use: numbers as parsed,
-        every default materialized, a null ``name`` or ``horizon`` left out."""
+        every default materialized, a null ``name`` left out."""
         x0 = {"uniform": list(self.x0)} if isinstance(self.x0, tuple) else self.x0.tolist()
         schedule = {"kind": self.schedule_kind}
         if self.generated_edge_probability is not None:
@@ -290,8 +291,6 @@ class Scenario:
         else:
             (key,) = _SCHEDULE_FIELDS[self.schedule_kind]
             schedule[key] = [m.entries.tolist() for m in self.matrices]
-        if self.horizon is not None:
-            schedule["horizon"] = self.horizon
         kind = ({"kind": "constant", "openness": list(self.kind.openness)}
                 if isinstance(self.kind, Constant) else self.kind.name)
         doc = {"schema": SCHEMA_VERSION, "n": self.n, "beta": self.beta, "x0": x0,
@@ -344,12 +343,7 @@ def load_scenario(text: Union[str, bytes]) -> Scenario:
     sched_kind = sched["kind"]
     if not isinstance(sched_kind, str) or sched_kind not in _SCHEDULE_FIELDS:
         raise SchemaError("schedule.kind", f"unknown kind {_brief(sched_kind)}")
-    _require_keys(sched, {"kind", "horizon", *_SCHEDULE_FIELDS[sched_kind]}, set(), "schedule")
-    horizon = None
-    if sched.get("horizon") is not None:
-        horizon = _as_int(sched["horizon"], "schedule.horizon")
-        if horizon < 1:
-            raise SchemaError("schedule.horizon", f"must be >= 1, got {horizon}")
+    _require_keys(sched, {"kind", *_SCHEDULE_FIELDS[sched_kind]}, set(), "schedule")
     matrices: tuple[WeightMatrix, ...] = ()
     generated_p = None
     if sched_kind == "static":
@@ -385,7 +379,6 @@ def load_scenario(text: Union[str, bytes]) -> Scenario:
         schedule_kind=sched_kind,
         matrices=matrices,
         generated_edge_probability=generated_p,
-        horizon=horizon,
         kind=kind,
         stop=stop,
     )
@@ -426,11 +419,10 @@ def build_schedule(scenario: Scenario) -> GraphSchedule:
                 scenario.n, rng, scenario.generated_edge_probability)
         else:
             matrix = scenario.matrices[0]
-        return StaticSchedule(matrix, horizon=scenario.horizon)
+        return StaticSchedule(matrix)
     if scenario.schedule_kind == "periodic":
-        return PeriodicSchedule(scenario.matrices, horizon=scenario.horizon)
-    return RandomSchedule(
-        scenario.matrices, seed=derive_seed(scenario.seed, _SCHEDULE_STREAM), horizon=scenario.horizon)
+        return PeriodicSchedule(scenario.matrices)
+    return RandomSchedule(scenario.matrices, seed=derive_seed(scenario.seed, _SCHEDULE_STREAM))
 
 
 @dataclass(frozen=True, eq=False)

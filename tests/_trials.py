@@ -131,11 +131,7 @@ def reference_simulate(x0, schedule: od.GraphSchedule, kind: od.SusceptibilityKi
         if t == stop.max_steps:
             reason = "max_steps"
             break
-        try:
-            matrix = schedule.matrix_at(t)
-        except od.ScheduleExhaustedError:
-            reason = "schedule_exhausted"
-            break
+        matrix = schedule.matrix_at(t)
         finite = x
         f = np.minimum(kind.values(x), 1.0)
         np.maximum(f, 0.0, out=f)
@@ -225,16 +221,13 @@ def verify_by_window(schedule: od.GraphSchedule, p: int, q: int, horizon: int) -
     between windows."""
     if p < 1 or q < 1:
         raise od.PreconditionError(f"window parameters must satisfy p,q >= 1, got p={p} q={q}")
-    last = horizon
-    if schedule.horizon is not None:
-        last = min(last, schedule.horizon - 1)
-    if last < q + p - 1:
-        raise od.PreconditionError(f"horizon {last} shorter than the first window")
-    if not isinstance(schedule, od.RandomSchedule) and schedule.horizon is None:
+    if horizon < q + p - 1:
+        raise od.PreconditionError(f"horizon {horizon} shorter than the first window")
+    if not isinstance(schedule, od.RandomSchedule):
         period = len(schedule.pool)
         count = period // math.gcd(p, period)
     else:
-        count = (last - (q + p - 1)) // p + 1
+        count = (horizon - (q + p - 1)) // p + 1
     starts = [q + k * p for k in range(count)]
     return all(
         floyd_warshall_strongly_connected(

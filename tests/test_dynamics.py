@@ -341,13 +341,6 @@ class TestSimulate:
         assert rec.stop_reason == "max_steps"
         assert rec.steps == 5
 
-    def test_schedule_exhaustion_reported(self):
-        w = od.uniform_complete_matrix(3)
-        rec = od.simulate([1.0, 0.0, -0.5], od.StaticSchedule(w, horizon=3),
-                          od.StubbornExtremist(), od.StopRule(max_steps=50, consensus_epsilon=NEVER))
-        assert rec.stop_reason == "schedule_exhausted"
-        assert rec.steps == 3
-
     def test_non_finite_state_stops_the_run(self):
         x0 = np.array([0.3001, -0.5, 0.9])
         rec = od.simulate(x0, od.StaticSchedule(od.uniform_complete_matrix(3)),
@@ -404,16 +397,14 @@ class TestSimulate:
         # sparse rows make agents that hear only tied extremes, whose update
         # rounding can carry past them, so the clamp fires
         density = data.draw(st.sampled_from((0.4, 0.15)))
-        horizon = data.draw(st.none() | st.integers(1, 120))
         form = data.draw(st.sampled_from(("static", "periodic", "random")))
         if form == "static":
-            schedule = od.StaticSchedule(random_valid_matrix(n, rng, density), horizon=horizon)
+            schedule = od.StaticSchedule(random_valid_matrix(n, rng, density))
         elif form == "periodic":
-            schedule = od.PeriodicSchedule(random_periodic_schedule(n, rng).matrices,
-                                           horizon=horizon)
+            schedule = random_periodic_schedule(n, rng)
         else:
             pool = tuple(random_valid_matrix(n, rng, density) for _ in range(3))
-            schedule = od.RandomSchedule(pool, seed=rng.randrange(2**32), horizon=horizon)
+            schedule = od.RandomSchedule(pool, seed=rng.randrange(2**32))
         target = data.draw(st.none() | PALETTE_VALUE)
         stop = od.StopRule(
             max_steps=data.draw(st.integers(1, 300)),

@@ -6,12 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import opdyn as od
-from opdyn.errors import (
-    PreconditionError,
-    ScheduleExhaustedError,
-    ShapeError,
-    ValidationError,
-)
+from opdyn.errors import PreconditionError, ShapeError, ValidationError
 
 from opdyn.rng import SplitMix64
 
@@ -243,6 +238,23 @@ def alternating_two_agent_schedule():
     return od.PeriodicSchedule((w_a, w_b))
 
 
+def draw_schedule(data, family):
+    """A static, periodic or random schedule over a pool drawn from two
+    jointly-only connected half cycles and a matrix of arbitrary support;
+    returns the kind's name and the schedule."""
+    rng = trial_rng(family, data.draw(st.integers(0, 2**16), label="trial"))
+    n = data.draw(st.integers(2, 6), label="n")
+    candidates = [*half_cycle_matrices(n, rng), random_valid_matrix(n, rng)]
+    picks = data.draw(st.lists(st.integers(0, 2), min_size=1, max_size=3), label="pool")
+    pool = tuple(candidates[k] for k in picks)  # may hold one matrix object twice
+    kind = data.draw(st.sampled_from(["static", "periodic", "random"]), label="kind")
+    if kind == "static":
+        return kind, od.StaticSchedule(pool[0])
+    if kind == "periodic":
+        return kind, od.PeriodicSchedule(pool)
+    return kind, od.RandomSchedule(pool, seed=data.draw(st.integers(0, 2**64 - 1), label="seed"))
+
+
 class TestRepeatedJointConnectivity:
     def test_static_strongly_connected(self):
         sched = od.StaticSchedule(od.uniform_complete_matrix(3))
@@ -277,29 +289,10 @@ class TestRepeatedJointConnectivity:
         sched = od.RandomSchedule(pool, seed=99)
         assert od.verify_repeated_joint_connectivity(sched, 1, 1, 50)
 
-    def test_bounded_schedule_clips_to_its_own_horizon(self):
-        sched = od.PeriodicSchedule(alternating_two_agent_schedule().matrices, horizon=4)
-        assert od.verify_repeated_joint_connectivity(sched, 2, 1, 100)
-        with pytest.raises(PreconditionError):
-            od.verify_repeated_joint_connectivity(sched, 4, 1, 100)
-
     @settings(max_examples=200, deadline=None)
     @given(st.data())
     def test_matches_per_window_reference(self, data):
-        rng = trial_rng(12, data.draw(st.integers(0, 2**16), label="trial"))
-        n = data.draw(st.integers(2, 6), label="n")
-        candidates = [*half_cycle_matrices(n, rng), random_valid_matrix(n, rng)]
-        picks = data.draw(st.lists(st.integers(0, 2), min_size=1, max_size=3), label="pool")
-        pool = tuple(candidates[k] for k in picks)  # may hold one matrix object twice
-        kind = data.draw(st.sampled_from(["static", "periodic", "random"]), label="kind")
-        bound = data.draw(st.none() | st.integers(1, 40), label="schedule horizon")
-        if kind == "static":
-            schedule = od.StaticSchedule(pool[0], horizon=bound)
-        elif kind == "periodic":
-            schedule = od.PeriodicSchedule(pool, horizon=bound)
-        else:
-            seed = data.draw(st.integers(0, 2**64 - 1), label="seed")
-            schedule = od.RandomSchedule(pool, seed=seed, horizon=bound)
+        kind, schedule = draw_schedule(data, 12)
         p = data.draw(st.integers(1, 4), label="p")
         q = data.draw(st.integers(1, p), label="q")
         horizon = data.draw(st.integers(1, 40), label="horizon")
@@ -316,15 +309,24 @@ class TestRepeatedJointConnectivity:
         cycle = od.PeriodicSchedule(schedule.pool)
         k = len(cycle.pool)
         whole, each = verify_by_window(cycle, k, 1, k), verify_by_window(cycle, 1, 1, k)
-        # A bounded schedule runs out of matrices, so no unending sequence
-        # of connected windows exists.
         status = od.schedule_rjsc_status(schedule)
-        if bound is not None:
-            assert status is False
-        elif kind == "random":
+        if kind == "random":
             assert status is (True if each else None if whole else False)
         else:
             assert status is whole
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.data())
+    def test_search_matches_brute_force(self, data):
+        _, schedule = draw_schedule(data, 18)
+        horizon = data.draw(st.integers(1, 25), label="horizon")
+        max_p = data.draw(st.none() | st.integers(1, 8), label="max_p")
+        cap = horizon if max_p is None else min(max_p, horizon)
+        # smallest p, then smallest q, among the windows that end by the horizon
+        expected = next(((p, q) for p in range(1, cap + 1) for q in range(1, p + 1)
+                         if q + p - 1 <= horizon and verify_by_window(schedule, p, q, horizon)),
+                        None)
+        assert od.find_window_parameters(schedule, horizon, max_p=max_p) == expected
 
     def test_repeated_matrix_object_in_pool(self):
         a, b = half_cycle_matrices(5, trial_rng(13, 0))
@@ -347,6 +349,13 @@ class TestRepeatedJointConnectivity:
             with pytest.raises(PreconditionError, match="max_p"):
                 od.find_window_parameters(sched, 20, max_p=cap)
 
+    def test_search_skips_windows_that_end_past_the_horizon(self):
+        a, b = half_cycle_matrices(4, trial_rng(13, 0))
+        sched = od.PeriodicSchedule((a, a, b))
+        # (2, 1) draws (a, b), then (a, a); (2, 2)'s first window ends at step 3
+        assert od.find_window_parameters(sched, 2) is None
+        assert od.find_window_parameters(sched, 3) == (3, 1)
+
     def test_search_reports_absence(self):
         sched = od.StaticSchedule(od.WeightMatrix(np.eye(3), beta=0.5))
         assert od.find_window_parameters(sched, 10) is None
@@ -365,14 +374,6 @@ class TestRepeatedJointConnectivity:
         monkeypatch.setattr(od.graph, "is_strongly_connected", counting)
         assert od.find_window_parameters(od.StaticSchedule(chain), 10_000) is None
         assert len(calls) == 1
-
-    def test_bounded_schedule_status_is_false(self):
-        a, b = half_cycle_matrices(6, trial_rng(16, 0))
-        assert od.schedule_rjsc_status(od.PeriodicSchedule((a, b))) is True
-        bounded = od.PeriodicSchedule((a, b), horizon=1)  # a run sees only a
-        assert od.schedule_rjsc_status(bounded) is False
-        rec = od.simulate(np.linspace(-0.5, 0.5, 6), bounded, od.DeGroot())
-        assert rec.stop_reason == "schedule_exhausted"
 
 
 class TestSchedules:
@@ -393,12 +394,6 @@ class TestSchedules:
         assert {id(m) for m in draws_a} <= {id(m) for m in pool}
         c = od.RandomSchedule(pool, seed=8)
         assert any(c.matrix_at(t) is not draws_a[t] for t in range(40))
-
-    def test_horizon_exhaustion(self):
-        sched = od.StaticSchedule(od.uniform_complete_matrix(3), horizon=5)
-        sched.matrix_at(4)
-        with pytest.raises(ScheduleExhaustedError):
-            sched.matrix_at(5)
 
     def test_mixed_sizes_rejected(self):
         with pytest.raises(ShapeError):

@@ -204,7 +204,7 @@ class TestLoadScenario:
             ({"kind": "static", "matrix": QUARTER, "matrices": "not even a list"},
              "schedule.matrices"),
             ({"kind": "static", "generated": {}, "horizon": 5, "pool": [QUARTER]},
-             "schedule.pool"),
+             "schedule.horizon"),
         ):
             with pytest.raises(SchemaError, match="unknown field") as caught:
                 load(dissenter_document(schedule=schedule))
@@ -320,6 +320,15 @@ class TestLoadScenario:
         assert caught.value.path == path
         assert len(str(caught.value)) < 300
 
+    @pytest.mark.parametrize("prefix", ["", "schedule."], ids=["top", "schedule"])
+    def test_a_huge_unknown_key_is_echoed_briefly(self, prefix):
+        doc = dissenter_document(schedule={"kind": "static", "matrix": QUARTER})
+        (doc["schedule"] if prefix else doc)["k" * 600_000] = 1
+        with pytest.raises(SchemaError, match="unknown field") as caught:
+            load(doc)
+        assert caught.value.path.startswith(prefix)
+        assert len(str(caught.value)) < 300
+
 
 class TestCanonicalDocument:
     GENERATED = {
@@ -335,7 +344,6 @@ class TestCanonicalDocument:
             {**self.GENERATED, "x0": {"uniform": [0.0, 1.0]}},
             {**self.GENERATED, "schedule": {"kind": "static", "generated": {"edge_probability": 0.3}}},
             {**self.GENERATED, "name": None},
-            {**self.GENERATED, "schedule": {"kind": "static", "generated": {}, "horizon": None}},
             {**self.GENERATED, "stop": {"max_steps": 10**6, "target": None}, "seed": 0, "beta": 1e-12},
         ]
         scenarios = [load(doc) for doc in spellings]
@@ -346,17 +354,24 @@ class TestCanonicalDocument:
         assert again.scenario_id == scenarios[0].scenario_id
         assert again.document == scenarios[0].document
         assert again.document["schedule"]["generated"] == {"edge_probability": 0.3}
-        assert "name" not in again.document and "horizon" not in again.document["schedule"]
+        assert "name" not in again.document
 
     def test_integer_entries_read_as_floats(self):
         a = load({"schema": 1, "n": 2, "x0": [1, 0],
-                  "schedule": {"kind": "static", "matrix": [[1, 0], [0.5, 0.5]], "horizon": 3},
+                  "schedule": {"kind": "static", "matrix": [[1, 0], [0.5, 0.5]]},
                   "susceptibility": {"kind": "constant", "openness": [1, 0]}})
         b = load({"schema": 1, "n": 2, "x0": [1.0, 0.0],
-                  "schedule": {"horizon": 3, "matrix": [[1.0, 0.0], [0.5, 0.5]], "kind": "static"},
+                  "schedule": {"matrix": [[1.0, 0.0], [0.5, 0.5]], "kind": "static"},
                   "susceptibility": {"openness": [1.0, 0.0], "kind": "constant"}})
         assert a.scenario_id == b.scenario_id
         assert a.document == b.document
+
+    def test_loaded_opinions_are_read_only(self):
+        scenario = load(dissenter_document())
+        before = scenario.scenario_id
+        with pytest.raises(ValueError):
+            scenario.x0[0] = 0.25
+        assert scenario.scenario_id == before == load(scenario.document).scenario_id
 
     def test_an_override_is_part_of_the_id(self):
         scenario = load(dissenter_document())
