@@ -53,14 +53,15 @@ class Violation:
 
 
 class _CSR(NamedTuple):
-    """Compressed sparse rows of a matrix (Saad, *Iterative Methods for
-    Sparse Linear Systems*, 2003, ch. 3): the nonzeros in row-major order
-    with their rows and columns, and the offset where each row starts."""
+    """The nonzeros of a matrix in row-major order with their rows and
+    columns, the coordinate form of compressed sparse rows (Saad,
+    *Iterative Methods for Sparse Linear Systems*, 2003, ch. 3). Its
+    products add each row's (or column's) terms from left to right in
+    this order, starting from 0.0, through ``np.bincount``."""
 
     rows: np.ndarray
     cols: np.ndarray
     vals: np.ndarray
-    starts: np.ndarray
 
 
 # Storage is chosen once per matrix: a CSR copy is kept when the matrix has
@@ -70,22 +71,6 @@ class _CSR(NamedTuple):
 # inside these bounds.
 _CSR_MIN_N = 400
 _CSR_MAX_DENSITY = 0.04
-
-
-def _csr_or_none(arr: np.ndarray) -> Optional[_CSR]:
-    """A CSR copy of the valid matrix ``arr`` when sparse storage pays
-    off, else None. Every row holds its positive diagonal entry, so no
-    segment that ``np.add.reduceat`` sums is empty.
-    """
-    n = arr.shape[0]
-    if n < _CSR_MIN_N:
-        return None
-    support = arr != 0.0  # nonzero on a boolean array is several times faster
-    if np.count_nonzero(support) > _CSR_MAX_DENSITY * n * n:
-        return None
-    rows, cols = np.divmod(np.flatnonzero(support), n)
-    starts = np.searchsorted(rows, np.arange(n))
-    return _CSR(rows, cols, arr[rows, cols], starts)
 
 
 @dataclass(frozen=True, eq=False)
@@ -106,13 +91,17 @@ class WeightMatrix:
         always hears herself).
 
     So every instance is valid. ``entries`` is kept as a read-only float
-    copy.
+    copy. Construction scans the input once for its nonzeros, in row-major
+    order, and runs the finiteness and floor checks on them alone: NaN,
+    ``inf`` and every entry below the floor are nonzeros. Row sums are
+    the dense ``sum(axis=1)``, numpy's pairwise sum of each whole row.
 
     ``matvec`` and ``rmatvec`` compute ``W v`` and ``W^T v``. Construction
     decides, once, whether they run on the dense ``entries`` or on a CSR
-    copy; a large sparse matrix gets the CSR copy, whose sums run in
-    another order and so agree with the dense products to within rounding.
-    :func:`is_strongly_connected` runs on the same products.
+    copy made from the same scan; a large sparse matrix gets the CSR copy,
+    whose sums run left to right over the nonzeros and so agree with the
+    dense products to within rounding. :func:`is_strongly_connected` runs
+    on the same products.
     """
 
     entries: np.ndarray
@@ -127,28 +116,33 @@ class WeightMatrix:
             raise ShapeError(f"matrix must be square, got shape {arr.shape}")
         if arr.shape[0] < 2:
             raise ShapeError(f"matrix needs at least 2 agents, got {arr.shape[0]}")
-        if not np.isfinite(arr).all():
-            i, j = np.argwhere(~np.isfinite(arr))[0]
+        n = arr.shape[0]
+        flat = np.flatnonzero(arr != 0.0)  # the support, row-major whatever the layout
+        vals = np.take(arr, flat)
+        finite = np.isfinite(vals)
+        if not finite.all():
+            i, j = divmod(int(flat[np.argmin(finite)]), n)
             raise ShapeError(f"matrix entry [{i}][{j}] is not finite: {float(arr[i, j])!r}")
         found: list[Violation] = []
         row_sums = arr.sum(axis=1)
         for i in np.flatnonzero(np.abs(row_sums - 1.0) > ROW_SUM_TOL).tolist():
             found.append(Violation(
                 "row_sum", (i,), f"row sums to {float(row_sums[i])!r}, expected 1"))
-        below_floor = (arr != 0.0) & (arr < beta)
-        if below_floor.any():  # enumerating an all-false n x n mask costs more than testing it
-            for i, j in zip(*np.nonzero(below_floor)):
-                found.append(Violation(
-                    "entry_floor", (int(i), int(j)),
-                    f"nonzero entry {float(arr[i, j])!r} below floor {float(beta)!r}"))
+        for k in np.flatnonzero(vals < beta).tolist():
+            found.append(Violation(
+                "entry_floor", divmod(int(flat[k]), n),
+                f"nonzero entry {float(vals[k])!r} below floor {float(beta)!r}"))
         for i in np.flatnonzero(arr.diagonal() == 0.0).tolist():
             found.append(Violation(
                 "zero_diagonal", (i,), "agent must keep a self-weight"))
         if found:
             raise ValidationError(
                 "invalid weight matrix:\n" + "\n".join(map(str, found)), violations=found)
-        # CSR first, so that its temporaries are gone before the copy exists.
-        object.__setattr__(self, "_csr", _csr_or_none(arr))
+        csr = None
+        if n >= _CSR_MIN_N and flat.size <= _CSR_MAX_DENSITY * n * n:
+            csr = _CSR(*np.divmod(flat, n), vals)
+        object.__setattr__(self, "_csr", csr)
+        del flat, vals  # freed before the copy, where memory peaks
         arr = arr.copy()
         arr.setflags(write=False)
         object.__setattr__(self, "entries", arr)
@@ -162,7 +156,7 @@ class WeightMatrix:
         csr = self._csr
         if csr is None:
             return self.entries @ v
-        return np.add.reduceat(csr.vals * v[csr.cols], csr.starts)
+        return np.bincount(csr.rows, csr.vals * v[csr.cols], minlength=self.n)
 
     def rmatvec(self, v: np.ndarray) -> np.ndarray:
         """``W^T v`` as a new array."""
@@ -427,23 +421,29 @@ def random_strongly_connected_matrix(
 
     Draw order from ``rng``: the cycle's shuffle, then one draw per
     off-diagonal entry in row-major order (the extra arcs), then one draw
-    per support entry in row-major order (the weights). The two blocks
-    come from ``SplitMix64.random_block``.
+    per support entry in row-major order (the weights). The arc draws are
+    compared with ``edge_probability`` as integer words, with the outcome
+    of ``random() < edge_probability``, and only their hits are kept, so
+    the support is built from its indices without an ``n x n`` mask. Rows
+    are normalized by the dense row sums, and only the nonzeros divided.
     """
     if n < 2:
         raise PreconditionError("need at least 2 agents")
     if not 0.0 <= edge_probability <= 1.0:
         raise PreconditionError("edge_probability must lie in [0, 1]")
-    support = np.eye(n, dtype=bool)
     order = list(range(n))
     rng.shuffle(order)
-    for k in range(n):
-        a, b = order[k], order[(k + 1) % n]
-        support[b, a] = True  # arc a -> b: b listens to a
-    support[~np.eye(n, dtype=bool)] |= rng.random_block(n * (n - 1)) < edge_probability
+    ring = np.array(order + order[:1])
+    cycle = ring[1:] * n + ring[:-1]  # arc a -> b is entry (b, a): b listens to a
+    i, r = np.divmod(rng._hits(n * (n - 1), edge_probability), n - 1)
+    extra = i * n + r + (r >= i)  # the r-th off-diagonal entry of row i
+    support = np.sort(np.concatenate((np.arange(0, n * n, n + 1), cycle, extra)))
+    first = np.ones(support.size, dtype=bool)  # a cycle arc can be a hit too
+    np.not_equal(support[1:], support[:-1], out=first[1:])
+    support = support[first]
+    weights = 1.0 + rng.random_block(support.size)  # uniform(1, 2), row-major
     entries = np.zeros((n, n))
-    entries[support] = 1.0 + rng.random_block(int(support.sum()))  # uniform(1, 2)
-    del support  # freed before WeightMatrix copies entries, where memory peaks
-    entries /= entries.sum(axis=1, keepdims=True)
-    beta = float(entries[entries > 0].min())
-    return WeightMatrix(entries, beta)
+    np.put(entries, support, weights)
+    weights /= entries.sum(axis=1)[support // n]  # numpy's pairwise sum of each whole row
+    np.put(entries, support, weights)
+    return WeightMatrix(entries, float(weights.min()))

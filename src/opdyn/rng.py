@@ -11,12 +11,15 @@ sequential state) use ``indexed_choice``.
 
 splitmix64 is counter-based (Steele, Lea & Flood, *Fast splittable
 pseudorandom number generators*, OOPSLA 2014): from state ``s``, draw ``k``
-is ``mix64(s + k * gamma)``, so ``SplitMix64.random_block`` computes a run
-of draws at once in numpy ``uint64``, bit-identical to drawing them one by
-one.
+is ``mix64(s + k * gamma)``, so ``SplitMix64`` computes a run of words at
+once in numpy ``uint64`` (``random_block``, ``shuffle`` and the thresholded
+draws of ``_hits``), bit-identical to drawing them one by one.
 """
 
 from __future__ import annotations
+
+import math
+from typing import Iterator
 
 import numpy as np
 
@@ -24,7 +27,7 @@ _MASK = (1 << 64) - 1
 _GAMMA = 0x9E3779B97F4A7C15
 _MIX1 = 0xBF58476D1CE4E5B9
 _MIX2 = 0x94D049BB133111EB
-# Draws per numpy pass in random_block; bounds its uint64 temporaries.
+# Words per numpy pass of the block draws; bounds their uint64 temporaries.
 _BLOCK = 1 << 16
 
 
@@ -71,27 +74,61 @@ class SplitMix64:
         """Uniform double in [0, 1) with 53 random bits."""
         return (self.next_uint64() >> 11) * 2.0**-53
 
+    def _words(self, m: int) -> Iterator[np.ndarray]:
+        """The next ``m`` ``next_uint64()`` words, as uint64 blocks of at
+        most ``_BLOCK`` words.
+
+        Each block comes with the state already past it. The mix runs in
+        place on two buffers that every block reuses, so a caller keeps
+        what it needs of one block before it takes the next.
+        """
+        steps = np.arange(1, min(_BLOCK, m) + 1, dtype=np.uint64)
+        steps *= np.uint64(_GAMMA)  # k * gamma mod 2^64: array ops wrap
+        words, shifted = np.empty_like(steps), np.empty_like(steps)
+        for start in range(0, m, _BLOCK):
+            size = min(_BLOCK, m - start)
+            z, t = words[:size], shifted[:size]
+            np.add(steps[:size], np.uint64(self._state), out=z)
+            np.right_shift(z, np.uint64(30), out=t)
+            z ^= t
+            z *= np.uint64(_MIX1)
+            np.right_shift(z, np.uint64(27), out=t)
+            z ^= t
+            z *= np.uint64(_MIX2)
+            np.right_shift(z, np.uint64(31), out=t)
+            z ^= t
+            self._state = (self._state + size * _GAMMA) & _MASK
+            yield z
+
     def random_block(self, m: int) -> np.ndarray:
         """The next ``m`` ``random()`` draws as one float64 array.
 
         Bit-identical to ``m`` sequential ``random()`` calls and leaves the
-        same final state. Works in chunks of at most ``_BLOCK`` draws, so
-        the temporaries stay small whatever ``m`` is.
+        same final state.
         """
         out = np.empty(m)  # raises ValueError for m < 0
-        steps = np.arange(1, min(_BLOCK, m) + 1, dtype=np.uint64)
-        steps *= np.uint64(_GAMMA)  # k * gamma mod 2^64: array ops wrap
-        for start in range(0, m, _BLOCK):
-            z = steps[:m - start] + np.uint64(self._state)
-            z ^= z >> np.uint64(30)
-            z *= np.uint64(_MIX1)
-            z ^= z >> np.uint64(27)
-            z *= np.uint64(_MIX2)
-            z ^= z >> np.uint64(31)
+        for start, z in zip(range(0, m, _BLOCK), self._words(m)):
             z >>= np.uint64(11)
-            out[start:start + z.size] = z * 2.0**-53
-            self._state = (self._state + z.size * _GAMMA) & _MASK
+            np.multiply(z, 2.0**-53, out=out[start:start + z.size])
         return out
+
+    def _hits(self, m: int, p: float) -> np.ndarray:
+        """The indices ``k`` in ``range(m)`` where the ``k``-th of the next
+        ``m`` ``random()`` draws is below ``p``, for ``0 <= p <= 1``.
+
+        The draws are compared as words, with the same outcome and final
+        state: ``random()`` is ``(w >> 11) * 2**-53`` exactly, and
+        ``p * 2**53`` is exact, so ``random() < p`` holds exactly when
+        ``w < ceil(p * 2**53) << 11``. At ``p = 1`` that bound is 2^64,
+        which no uint64 holds, and every draw is a hit.
+        """
+        if p == 1.0:
+            self._state = (self._state + m * _GAMMA) & _MASK
+            return np.arange(m)
+        limit = np.uint64(math.ceil(p * 2.0**53) << 11)
+        hits = [np.flatnonzero(z < limit) + start
+                for start, z in zip(range(0, m, _BLOCK), self._words(m))]
+        return np.concatenate(hits) if hits else np.arange(0)
 
     def uniform(self, lo: float, hi: float) -> float:
         return lo + (hi - lo) * self.random()
@@ -108,7 +145,21 @@ class SplitMix64:
                 return v % n
 
     def shuffle(self, items: list) -> None:
-        """In-place Fisher-Yates shuffle."""
-        for i in range(len(items) - 1, 0, -1):
-            j = self.randrange(i + 1)
-            items[i], items[j] = items[j], items[i]
+        """In-place Fisher-Yates shuffle: for ``i`` from the last index
+        down to 1, swap item ``i`` with item ``randrange(i + 1)``.
+
+        The words come in blocks. A word that ``randrange`` would reject
+        ends its block, and the next block starts after it, so the draws
+        and the final state are those of the ``randrange`` calls.
+        """
+        i = len(items) - 1
+        while i > 0:
+            state = self._state
+            for k, w in enumerate(next(self._words(min(_BLOCK, i))).tolist()):
+                # randrange(i + 1) rejects w >= 2^64 - 2^64 mod (i + 1), never w <= _MASK - i
+                if w > _MASK - i and w >= _MASK + 1 - (_MASK + 1) % (i + 1):
+                    self._state = (state + (k + 1) * _GAMMA) & _MASK
+                    break
+                j = w % (i + 1)
+                items[i], items[j] = items[j], items[i]
+                i -= 1

@@ -62,6 +62,7 @@ from .dynamics import (
     StubbornPositive,
     SusceptibilityKind,
     TrajectoryRecord,
+    _check_dims,
     opinion_vector,
     simulate,
 )
@@ -186,7 +187,7 @@ def _parse_matrix(raw, n: int, beta: float, path: str) -> WeightMatrix:
 
 
 def _parse_x0(raw, n: int, path: str = "x0") -> Union[np.ndarray, tuple[float, float]]:
-    """The opinions as a read-only array, or a generator's (low, high) interval."""
+    """The opinions as an array, or a generator's (low, high) interval."""
     if isinstance(raw, list):
         if len(raw) != n:
             raise SchemaError(path, f"expected {n} entries, got {len(raw)}")
@@ -196,7 +197,6 @@ def _parse_x0(raw, n: int, path: str = "x0") -> Union[np.ndarray, tuple[float, f
             if not -1.0 <= x <= 1.0:
                 raise SchemaError(f"{path}[{k}]", f"value {x!r} outside [-1, 1]")
             vals[k] = x
-        vals.setflags(write=False)  # a frozen Scenario's id names these opinions
         return vals
     if isinstance(raw, dict):
         _require_keys(raw, {"uniform"}, {"uniform"}, path)
@@ -268,7 +268,7 @@ class Scenario:
     kind: SusceptibilityKind
     stop: StopRule
 
-    def __post_init__(self):  # the seed and name rules, for documents and replace() alike
+    def __post_init__(self):  # the seed, name and x0 rules, for documents and replace() alike
         if type(self.seed) is not int or not 0 <= self.seed < 2**64:
             raise SchemaError("seed", f"expected an unsigned 64-bit integer, got {_brief(self.seed)}")
         if self.name is not None:  # a file stem under the CLI's --out
@@ -277,6 +277,10 @@ class Scenario:
             if self.name in (".", "..") or any(c in self.name for c in "/\\\0"):
                 raise SchemaError("name", f"{_brief(self.name)} is not a file name "
                                           "(no '/', '\\' or NUL; not '.' or '..')")
+        if not isinstance(self.x0, tuple):  # a read-only copy, which the id names
+            x0 = opinion_vector(self.x0)
+            _check_dims(x0, self)
+            object.__setattr__(self, "x0", x0)
 
     @cached_property
     def document(self) -> dict:
@@ -406,7 +410,7 @@ def write_scenario(scenario: Scenario, path) -> None:
 
 def initial_opinions(scenario: Scenario) -> np.ndarray:
     if not isinstance(scenario.x0, tuple):
-        return opinion_vector(scenario.x0)
+        return scenario.x0
     low, high = scenario.x0
     return generate_initial(low, high, scenario.n, derive_seed(scenario.seed, _X0_STREAM))
 

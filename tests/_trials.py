@@ -15,7 +15,7 @@ from pathlib import Path
 import numpy as np
 
 import opdyn as od
-from opdyn.rng import SplitMix64, derive_seed
+from opdyn.rng import _MIX1, _MIX2, SplitMix64, derive_seed
 
 # Effectively disables the consensus stop without violating epsilon > 0.
 NEVER = 1e-300
@@ -44,6 +44,53 @@ def trial_rng(family: int, trial: int) -> SplitMix64:
 
 def random_matrix(n: int, rng: SplitMix64, edge_probability: float = 0.4) -> od.WeightMatrix:
     return od.random_strongly_connected_matrix(n, rng, edge_probability)
+
+
+def unmix64(z: int) -> int:
+    """The inverse of ``mix64``: each multiplication undone by the
+    constant's inverse mod 2^64, each ``z ^= z >> s`` by repeated shifts."""
+    def unshift(y: int, s: int) -> int:
+        x = y
+        for _ in range(64 // s):
+            x = y ^ (x >> s)
+        return x
+    z = unshift(z, 31)
+    z = z * pow(_MIX2, -1, 2**64) % 2**64
+    z = unshift(z, 27)
+    z = z * pow(_MIX1, -1, 2**64) % 2**64
+    return unshift(z, 30)
+
+
+def reference_shuffle(items: list, rng: SplitMix64) -> None:
+    """Fisher-Yates through ``randrange``, one call per swap;
+    ``SplitMix64.shuffle`` must leave the same items and state."""
+    for i in range(len(items) - 1, 0, -1):
+        j = rng.randrange(i + 1)
+        items[i], items[j] = items[j], items[i]
+
+
+def reference_generated_matrix(n: int, rng: SplitMix64, edge_probability: float):
+    """``random_strongly_connected_matrix`` drawn draw by draw: the cycle's
+    shuffle through ``randrange``, one ``random() < edge_probability`` per
+    off-diagonal entry in row-major order, then one ``1.0 + random()`` per
+    support entry in row-major order. Rows are divided by their dense row
+    sums. Returns the entries and the smallest nonzero."""
+    order = list(range(n))
+    reference_shuffle(order, rng)
+    support = np.eye(n, dtype=bool)
+    for k in range(n):
+        support[order[(k + 1) % n], order[k]] = True
+    for i in range(n):
+        for j in range(n):
+            if i != j and rng.random() < edge_probability:
+                support[i, j] = True
+    entries = np.zeros((n, n))
+    for i in range(n):
+        for j in range(n):
+            if support[i, j]:
+                entries[i, j] = 1.0 + rng.random()
+    entries /= entries.sum(axis=1, keepdims=True)
+    return entries, float(entries[entries > 0].min())
 
 
 def random_valid_matrix(n: int, rng: SplitMix64, edge_probability: float = 0.4) -> od.WeightMatrix:

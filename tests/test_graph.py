@@ -1,4 +1,6 @@
+import functools
 import hashlib
+import math
 
 import numpy as np
 import pytest
@@ -8,7 +10,7 @@ from hypothesis import strategies as st
 import opdyn as od
 from opdyn.errors import PreconditionError, ShapeError, ValidationError
 
-from opdyn.rng import SplitMix64
+from opdyn.rng import _GAMMA, SplitMix64
 
 from _trials import (
     arc_support,
@@ -16,10 +18,17 @@ from _trials import (
     half_cycle_matrices,
     matrix_of_arcs,
     random_valid_matrix,
+    reference_generated_matrix,
     reference_violations,
     trial_rng,
+    unmix64,
     verify_by_window,
 )
+
+
+@functools.cache
+def sparse_600() -> od.WeightMatrix:
+    return od.random_strongly_connected_matrix(600, trial_rng(16, -1), 0.005)
 
 
 def ring_matrix(n):
@@ -104,25 +113,44 @@ class TestValidateWeightMatrix:
     @settings(max_examples=300, deadline=None)
     @given(st.data())
     def test_matches_reference_and_gates_construction(self, data):
-        n = data.draw(st.integers(2, 12), label="n")
-        entries = random_valid_matrix(n, trial_rng(16, data.draw(st.integers(0, 2**16)))).entries.copy()
+        n = data.draw(st.sampled_from((*range(2, 13), 600)), label="n")
+        if n == 600:  # sparse enough for the CSR copy
+            entries = sparse_600().entries.copy()
+        else:
+            entries = random_valid_matrix(n, trial_rng(16, data.draw(st.integers(0, 2**16)))).entries.copy()
         beta = float(entries[entries > 0].min())
         cell = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1))
         for fault, (i, j) in data.draw(st.lists(st.tuples(st.sampled_from(
-                ("row_sum", "sub_floor", "negative", "zero_diagonal")), cell), max_size=4),
-                label="faults"):
+                ("row_sum", "sub_floor", "negative", "zero_diagonal", "non_finite")), cell),
+                max_size=4), label="faults"):
             if fault == "row_sum":  # 1e-13 stays inside the tolerance
                 entries[i, i] += data.draw(st.sampled_from((1e-13, -1e-13, 1e-11, 0.25)))
             elif fault == "sub_floor":
                 entries[i, j] = beta * data.draw(st.floats(0.0, 1.0, exclude_max=True))
             elif fault == "negative":
                 entries[i, j] = -data.draw(st.floats(1e-300, 1.0))
-            else:
+            elif fault == "zero_diagonal":
                 entries[i, i] = 0.0
+            else:
+                entries[i, j] = data.draw(st.sampled_from((math.nan, math.inf, -math.inf)))
+        layout = data.draw(st.sampled_from(("C", "F", "T")), label="layout")
+        if layout == "F":
+            entries = np.asfortranarray(entries)
+        elif layout == "T":  # the transpose of a C-ordered array
+            entries = np.ascontiguousarray(entries.T).T
 
+        non_finite = [(i, j) for i in range(n) for j in range(n) if not math.isfinite(entries[i, j])]
+        if non_finite:
+            i, j = non_finite[0]
+            with pytest.raises(ShapeError) as caught:
+                od.WeightMatrix(entries, beta)
+            assert str(caught.value) == f"matrix entry [{i}][{j}] is not finite: {float(entries[i, j])!r}"
+            return
         expected = reference_violations(entries, beta)
         if not expected:
-            assert np.array_equal(od.WeightMatrix(entries, beta).entries, entries)
+            w = od.WeightMatrix(entries, beta)
+            assert np.array_equal(w.entries, entries)
+            assert (w._csr is not None) == (n == 600)
         else:
             with pytest.raises(ValidationError) as caught:
                 od.WeightMatrix(entries, beta)
@@ -447,6 +475,35 @@ class TestRandomMatrixGenerator:
         assert digest == entries_sha256
         assert w.beta.hex() == beta_hex
         assert rng._state == final_state
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.data())
+    def test_matches_draw_by_draw_reference(self, data):
+        n = data.draw(st.integers(2, 40), label="n")
+        choice = data.draw(st.sampled_from(("zero", "one", "tiny", "uniform", "tie", "above_tie")),
+                           label="edge probability")
+        if choice in ("tie", "above_tie"):
+            # A seed whose arc draw k, after the shuffle's n - 1 words, is the word
+            # c << 11. At p = c * 2**-53 that draw equals p, so it is no hit, though
+            # the word equals the integer bound. At the next double up it is a hit,
+            # though p * 2**53 then rounds down to c.
+            k = data.draw(st.integers(0, n * (n - 1) - 1), label="arc")
+            c = data.draw(st.integers(0, 2**53 - 1), label="arc draw")
+            seed = (unmix64(c << 11) - (n + k) * _GAMMA) % 2**64
+            p = c * 2.0**-53
+            if choice == "above_tie":
+                p = math.nextafter(p, 1.0)
+        else:
+            seed = data.draw(st.integers(0, 2**64 - 1), label="seed")
+            p = {"zero": 0.0, "one": 1.0, "tiny": 5e-324}.get(choice)
+            if p is None:
+                p = data.draw(st.floats(0.0, 1.0), label="p")
+        rng, reference_rng = SplitMix64(seed), SplitMix64(seed)
+        w = od.random_strongly_connected_matrix(n, rng, p)
+        entries, beta = reference_generated_matrix(n, reference_rng, p)
+        assert w.entries.tobytes() == entries.tobytes()
+        assert w.beta == beta
+        assert rng._state == reference_rng._state
 
 
 class TestMatrixTextFormat:

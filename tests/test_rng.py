@@ -3,7 +3,9 @@ import hashlib
 import numpy as np
 import pytest
 
-from opdyn.rng import _BLOCK, SplitMix64, derive_seed, indexed_choice
+from opdyn.rng import _BLOCK, _GAMMA, _MASK, SplitMix64, derive_seed, indexed_choice, mix64
+
+from _trials import reference_shuffle, unmix64
 
 
 class TestRandomBlock:
@@ -26,6 +28,40 @@ class TestRandomBlock:
     def test_negative_size_rejected(self):
         with pytest.raises(ValueError):
             SplitMix64(0).random_block(-1)
+
+
+def rejecting_state(n: int) -> int:
+    """A state from which a shuffle of ``n >= 3`` items meets a rejected
+    word: its draw ``n - 3`` is ``randrange(3)``'s, and that word is
+    2^64 - 1, at or above 2^64 - (2^64 mod 3)."""
+    return (unmix64(_MASK) - (n - 2) * _GAMMA) % 2**64
+
+
+class TestShuffle:
+    def test_inverse_mix(self):
+        for z in (0, 1, _MASK, _GAMMA, 2**63, 12345678901234567890):
+            assert mix64(unmix64(z)) == z == unmix64(mix64(z))
+
+    @pytest.mark.parametrize("n", [3, 10, 1000, _BLOCK + 3])
+    def test_rejected_word_ends_its_block(self, n):
+        state = rejecting_state(n)
+        block_rng, scalar_rng = SplitMix64(state), SplitMix64(state)
+        items, expected = list(range(n)), list(range(n))
+        block_rng.shuffle(items)
+        reference_shuffle(expected, scalar_rng)
+        assert items == expected
+        # n - 1 draws and one rejected word
+        assert block_rng._state == scalar_rng._state == (state + n * _GAMMA) % 2**64
+
+    @pytest.mark.parametrize("seed", [0, 7, 2**64 - 1])
+    def test_equals_randrange_loop(self, seed):
+        for n in range(301):
+            block_rng, scalar_rng = SplitMix64(seed + n), SplitMix64(seed + n)
+            items, expected = list(range(n)), list(range(n))
+            block_rng.shuffle(items)
+            reference_shuffle(expected, scalar_rng)
+            assert items == expected
+            assert block_rng._state == scalar_rng._state
 
 
 class TestIndexedChoice:

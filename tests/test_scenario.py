@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import opdyn as od
-from opdyn.errors import PreconditionError, SchemaError
+from opdyn.errors import DomainError, PreconditionError, SchemaError, ShapeError
 
 from _trials import bench_workloads
 
@@ -130,6 +130,24 @@ class TestLoadScenario:
                 replace(load(dissenter_document()), seed=seed)
             assert caught.value.path == "seed"
         assert load(dissenter_document(seed=2**64 - 1)).seed == 2**64 - 1
+
+    def test_x0_rule(self):
+        scenario = load(dissenter_document())
+        opinions = np.array([0.5, -0.5, 0.25, -0.25])
+        replaced = replace(scenario, x0=opinions)
+        opinions[0] = 0.9  # the scenario keeps its own read-only copy
+        assert replaced.x0.tolist() == [0.5, -0.5, 0.25, -0.25]
+        assert od.initial_opinions(replaced).tolist() == [0.5, -0.5, 0.25, -0.25]
+        assert replaced.scenario_id == replace(scenario, x0=[0.5, -0.5, 0.25, -0.25]).scenario_id
+        assert replaced.scenario_id == load(replaced.document).scenario_id
+        with pytest.raises(ValueError):
+            replaced.x0[0] = 0.9
+        with pytest.raises(DomainError):
+            replace(scenario, x0=np.array([3.0, 0.0, 0.0, 0.0]))
+        for x0 in (np.zeros(5), np.zeros(3), np.zeros((2, 2))):
+            with pytest.raises(ShapeError):
+                replace(scenario, x0=x0)
+        assert replace(scenario, x0=(-0.5, 0.5)).x0 == (-0.5, 0.5)  # a generator's interval
 
     def test_name_rule(self):
         # the name is the CLI's file stem under --out, so it is one file name

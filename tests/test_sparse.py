@@ -1,8 +1,9 @@
 """The CSR product that large sparse weight matrices use.
 
 A ``WeightMatrix`` with at least ``_CSR_MIN_N`` agents and density at most
-``_CSR_MAX_DENSITY`` keeps a CSR copy, and its products sum in another
-order than the dense ones. These tests hold that path to the dense
+``_CSR_MAX_DENSITY`` keeps a CSR copy, and its products sum each row (or
+column) from left to right over the nonzeros, another order than the
+dense ones. These tests pin that order, hold that path to the dense
 ``entries @`` form and the gap form within rounding, and hold the small
 sizes to the dense path bit for bit.
 """
@@ -78,6 +79,19 @@ class TestCsrProduct:
         v = np.linspace(-1.0, 1.0, 600)
         assert np.abs(w.matvec(v) - entries @ v).max() <= 1e-12
         assert np.abs(w.rmatvec(v) - entries.T @ v).max() <= 1e-12
+
+
+    def test_products_sum_each_row_and_column_left_to_right(self):
+        w = od.random_strongly_connected_matrix(500, trial_rng(45, 0), 0.01)
+        assert w._csr is not None
+        rng = trial_rng(45, 1)
+        v = np.array([rng.uniform(-2.0, 2.0) for _ in range(500)])
+        row_sums, column_sums = [0.0] * 500, [0.0] * 500
+        for i, j in zip(*np.nonzero(w.entries)):  # row-major order
+            row_sums[i] += float(w.entries[i, j]) * float(v[j])
+            column_sums[j] += float(w.entries[i, j]) * float(v[i])
+        assert w.matvec(v).tobytes() == np.array(row_sums).tobytes()
+        assert w.rmatvec(v).tobytes() == np.array(column_sums).tobytes()
 
 
 class TestDensePathKept:
