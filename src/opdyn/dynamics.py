@@ -233,13 +233,42 @@ def system_matrix(x, matrix: WeightMatrix, kind: SusceptibilityKind) -> np.ndarr
     return s
 
 
+# Up to this many agents the kernel reads its extremes from a Python list,
+# above it from numpy's two reductions. timeit of _extremes on uniform
+# states, best of 40 x 5,000 on a 2-core Xeon (numpy 2.4): list against
+# reductions 0.9 against 2.3 us at n = 5, 1.9 against 2.2 at n = 24, 2.2-2.3
+# each at n = 30, 2.8 against 2.3 at n = 40 (float(u.min()) and
+# float(u.max()) took 2.6-2.7 us throughout).
+_LIST_EXTREMES_MAX_N = 30
+
+
+def _extremes(u: np.ndarray) -> tuple[float, float]:
+    """``(min u, max u)`` as Python floats, the bits of ``np.minimum.reduce``
+    and ``np.maximum.reduce``.
+
+    For a short ``u`` the list's ``min`` and ``max`` give them, unless the
+    list's sum is NaN (a NaN is present, which Python's ``min`` and ``max``
+    may skip; or both infinities are) or an extreme is zero (both zeros
+    compare equal, and numpy may pick the other one): those go to numpy.
+    Any other extreme is the one value that compares equal to it.
+    """
+    if u.shape[0] <= _LIST_EXTREMES_MAX_N:
+        vals = u.tolist()
+        mn, mx = min(vals), max(vals)
+        total = sum(vals)
+        if total == total and mn != 0.0 and mx != 0.0:
+            return mn, mx
+    return float(np.minimum.reduce(u)), float(np.maximum.reduce(u))
+
+
 def _advance(x: np.ndarray, matrix: WeightMatrix, kind: SusceptibilityKind,
              lo: float, hi: float) -> tuple[np.ndarray, float, float, bool]:
     """The update kernel: ``u = x + f * (W d - d)`` with ``d = x - x[0]``,
     clamped to ``[lo, hi]`` (the min and max of ``x``) only if it leaves it.
 
-    Returns ``(u, min u, max u, clamped)``; ``x`` is not modified. A NaN
-    step fails both range tests and comes back unclamped, extremes NaN.
+    Returns ``(u, min u, max u, clamped)``; ``x`` is not modified. The
+    extremes come from ``_extremes``, bit for bit numpy's reductions, so a
+    NaN step fails both range tests and comes back unclamped, extremes NaN.
     """
     f = kind.values(x)
     d = x - x[0]
@@ -247,7 +276,7 @@ def _advance(x: np.ndarray, matrix: WeightMatrix, kind: SusceptibilityKind,
     u -= d
     u *= f
     u += x
-    mn, mx = float(u.min()), float(u.max())
+    mn, mx = _extremes(u)
     if mn < lo or mx > hi:
         np.minimum(u, hi, out=u)
         np.maximum(u, lo, out=u)
@@ -268,7 +297,7 @@ def step(x, matrix: WeightMatrix, kind: SusceptibilityKind) -> np.ndarray:
     """
     xa = opinion_vector(x)
     _check_dims(xa, matrix)
-    return _advance(xa, matrix, kind, float(xa.min()), float(xa.max()))[0]
+    return _advance(xa, matrix, kind, *_extremes(xa))[0]
 
 
 # ---------------------------------------------------------------------------
@@ -634,7 +663,9 @@ def simulate(
     # Fail fast on per-agent kinds of the wrong size.
     kind.values(x)
 
-    target = stop.target
+    max_steps, epsilon = stop.max_steps, stop.consensus_epsilon
+    target, target_epsilon = stop.target, stop.target_epsilon
+    matrix_at = schedule.matrix_at
     block_rows = _block_rows(n)
     mins, maxs, kept = array("d"), array("d"), array("d")
     # the staged block: extremes, and states when they are kept or written
@@ -656,7 +687,7 @@ def simulate(
         highs.clear()
 
     t = clamp_steps = 0
-    mn, mx = float(x.min()), float(x.max())
+    mn, mx = _extremes(x)
     while True:
         if mx != mx:  # max propagates NaN, the one non-finite value a step can yield
             reason = "non_finite"
@@ -668,18 +699,18 @@ def simulate(
             rows.append(x)  # _advance returns a fresh array each step
         if len(lows) == block_rows:
             hand_off()
-        if mx - mn < stop.consensus_epsilon:
+        if mx - mn < epsilon:
             reason = "consensus"
             break
         # max |x_i - target|, bit for bit: rounding is monotone and sign-symmetric
-        if target is not None and max(mx - target, target - mn) < stop.target_epsilon:
+        if target is not None and max(mx - target, target - mn) < target_epsilon:
             reason = "target"
             break
-        if t == stop.max_steps:
+        if t == max_steps:
             reason = "max_steps"
             break
         finite = x
-        x, mn, mx, clamped = _advance(x, schedule.matrix_at(t), kind, mn, mx)
+        x, mn, mx, clamped = _advance(x, matrix_at(t), kind, mn, mx)
         clamp_steps += clamped
         t += 1
     hand_off()

@@ -26,7 +26,7 @@ from typing import NamedTuple, Optional, Sequence, Union
 import numpy as np
 
 from .errors import PreconditionError, ShapeError, ValidationError, _brief
-from .rng import SplitMix64, indexed_choice
+from .rng import SplitMix64, _indexed_choices
 
 ROW_SUM_TOL = 1e-12
 
@@ -155,14 +155,14 @@ class WeightMatrix:
         """``W v`` as a new array."""
         csr = self._csr
         if csr is None:
-            return self.entries @ v
+            return self.entries.dot(v)
         return np.bincount(csr.rows, csr.vals * v[csr.cols], minlength=self.n)
 
     def rmatvec(self, v: np.ndarray) -> np.ndarray:
         """``W^T v`` as a new array."""
         csr = self._csr
         if csr is None:
-            return self.entries.T @ v
+            return self.entries.T.dot(v)
         return np.bincount(csr.cols, csr.vals * v[csr.rows], minlength=self.n)
 
 
@@ -297,12 +297,25 @@ class PeriodicSchedule:
         return self.matrices[t % len(self.matrices)]
 
 
+# A random schedule draws the pool indices of the steps from t on in one
+# numpy block when matrix_at(t) falls outside its last block: t + _FIRST_DRAW
+# of them, at most _MAX_DRAW, so a run's blocks double from _FIRST_DRAW.
+# timeit on a 2-core Xeon (numpy 2.4): a block costs about 20 us at 64 draws
+# and 38 us at 1024 (0.31 and 0.04 us a step), one indexed_choice 1.3-1.9 us;
+# a block is mostly fixed cost, and runs are often short (50 steps and up).
+_FIRST_DRAW = 64
+_MAX_DRAW = 1024
+
+
 @dataclass(frozen=True, eq=False)
 class RandomSchedule:
     """Uniform draw from a matrix pool at every step.
 
-    The draw at step ``t`` is a pure function of (seed, t), so the
-    realization is reproducible and randomly accessible.
+    The draw at step ``t`` is a pure function of (seed, t), ``indexed_choice(
+    seed, t, len(pool))``, so the realization is reproducible and randomly
+    accessible. ``matrix_at`` reads it from a block of consecutive steps'
+    draws that it computes at once and keeps, as one ``(start, indices)``
+    tuple; a step outside the block draws a new one starting there.
     """
 
     pool: tuple[WeightMatrix, ...]
@@ -311,14 +324,20 @@ class RandomSchedule:
     def __post_init__(self):
         object.__setattr__(self, "pool", tuple(self.pool))
         _check_same_shape(self.pool)
+        object.__setattr__(self, "_drawn", (0, []))
 
     @property
     def n(self) -> int:
         return self.pool[0].n
 
     def matrix_at(self, t: int) -> WeightMatrix:
-        _check_step(t)
-        return self.pool[indexed_choice(self.seed, t, len(self.pool))]
+        start, indices = self._drawn
+        if not 0 <= t - start < len(indices):
+            _check_step(t)
+            start, indices = t, _indexed_choices(
+                self.seed, t, min(t + _FIRST_DRAW, _MAX_DRAW), len(self.pool))
+            object.__setattr__(self, "_drawn", (start, indices))
+        return self.pool[indices[t - start]]
 
 
 GraphSchedule = Union[StaticSchedule, PeriodicSchedule, RandomSchedule]

@@ -7,7 +7,8 @@ word, so no libm or platform RNG enters the pipeline.
 
 Independent streams are derived by hashing (master seed, stream index);
 see ``derive_seed``. Random-access draws (one value per time step, no
-sequential state) use ``indexed_choice``.
+sequential state) use ``indexed_choice``, or ``_indexed_choices`` for a
+run of consecutive steps.
 
 splitmix64 is counter-based (Steele, Lea & Flood, *Fast splittable
 pseudorandom number generators*, OOPSLA 2014): from state ``s``, draw ``k``
@@ -42,6 +43,19 @@ def mix64(z: int) -> int:
     return z
 
 
+def _mix_in_place(z: np.ndarray, scratch: np.ndarray) -> None:
+    """``mix64`` of every word of the uint64 array ``z``, in place;
+    ``scratch`` is a uint64 array of the same size that it overwrites."""
+    np.right_shift(z, np.uint64(30), out=scratch)
+    z ^= scratch
+    z *= np.uint64(_MIX1)
+    np.right_shift(z, np.uint64(27), out=scratch)
+    z ^= scratch
+    z *= np.uint64(_MIX2)
+    np.right_shift(z, np.uint64(31), out=scratch)
+    z ^= scratch
+
+
 def derive_seed(master: int, stream: int) -> int:
     """Seed for an independent substream of ``master``.
 
@@ -56,6 +70,21 @@ def indexed_choice(seed: int, step: int, n: int) -> int:
     if n <= 0:
         raise ValueError("choice over an empty range")
     return derive_seed(seed, step) % n
+
+
+def _indexed_choices(seed: int, start: int, m: int, n: int) -> list[int]:
+    """``indexed_choice(seed, t, n)`` for ``t`` in ``range(start, start + m)``,
+    ``0 < m <= _BLOCK``, computed at once in uint64 numpy.
+
+    The inner ``mix64((t + 1) * gamma)`` of ``derive_seed`` is the splitmix
+    stream from state ``start * gamma``; the seed is xored in and the outer
+    ``mix64`` applied to the whole block.
+    """
+    (z,) = SplitMix64(start * _GAMMA)._words(m)
+    z ^= np.uint64(seed & _MASK)
+    _mix_in_place(z, np.empty_like(z))
+    z %= np.uint64(n)
+    return z.tolist()
 
 
 class SplitMix64:
@@ -89,14 +118,7 @@ class SplitMix64:
             size = min(_BLOCK, m - start)
             z, t = words[:size], shifted[:size]
             np.add(steps[:size], np.uint64(self._state), out=z)
-            np.right_shift(z, np.uint64(30), out=t)
-            z ^= t
-            z *= np.uint64(_MIX1)
-            np.right_shift(z, np.uint64(27), out=t)
-            z ^= t
-            z *= np.uint64(_MIX2)
-            np.right_shift(z, np.uint64(31), out=t)
-            z ^= t
+            _mix_in_place(z, t)
             self._state = (self._state + size * _GAMMA) & _MASK
             yield z
 

@@ -38,6 +38,7 @@ from __future__ import annotations
 import enum
 import hashlib
 import json
+import numbers
 from dataclasses import asdict, dataclass, fields, replace
 from functools import cached_property
 from typing import Mapping, Optional, Union
@@ -203,13 +204,8 @@ def _parse_x0(raw, n: int, path: str = "x0") -> Union[np.ndarray, tuple[float, f
         pair = raw["uniform"]
         if not isinstance(pair, list) or len(pair) != 2:
             raise SchemaError(f"{path}.uniform", "expected [low, high]")
-        low = _as_number(pair[0], f"{path}.uniform[0]")
-        high = _as_number(pair[1], f"{path}.uniform[1]")
-        try:
-            _check_interval(low, high)
-        except PreconditionError as exc:
-            raise SchemaError(f"{path}.uniform", str(exc)) from None
-        return low, high
+        # the interval rule is Scenario's, for documents and replace() alike
+        return _as_number(pair[0], f"{path}.uniform[0]"), _as_number(pair[1], f"{path}.uniform[1]")
     raise SchemaError(path, "expected a list of opinions or a generator object")
 
 
@@ -253,6 +249,20 @@ def _parse_stop(raw, path: str = "stop") -> StopRule:
         raise SchemaError(path, str(exc))
 
 
+def _interval(pair: tuple) -> tuple[float, float]:
+    """A generator's ``(low, high)`` as two doubles from which opinions
+    can be drawn, or ``SchemaError`` at ``x0.uniform``."""
+    if len(pair) != 2 or not all(
+            isinstance(v, numbers.Real) and not isinstance(v, bool) for v in pair):
+        raise SchemaError("x0.uniform", f"expected two numbers (low, high), got {_brief(pair)}")
+    try:
+        low, high = float(pair[0]), float(pair[1])
+        _check_interval(low, high)
+    except (OverflowError, PreconditionError) as exc:
+        raise SchemaError("x0.uniform", str(exc)) from None
+    return low, high
+
+
 @dataclass(frozen=True, eq=False)
 class Scenario:
     """A fully validated experiment definition."""
@@ -277,7 +287,9 @@ class Scenario:
             if self.name in (".", "..") or any(c in self.name for c in "/\\\0"):
                 raise SchemaError("name", f"{_brief(self.name)} is not a file name "
                                           "(no '/', '\\' or NUL; not '.' or '..')")
-        if not isinstance(self.x0, tuple):  # a read-only copy, which the id names
+        if isinstance(self.x0, tuple):  # a generator's interval, as two doubles
+            object.__setattr__(self, "x0", _interval(self.x0))
+        else:  # a read-only copy, which the id names
             x0 = opinion_vector(self.x0)
             _check_dims(x0, self)
             object.__setattr__(self, "x0", x0)

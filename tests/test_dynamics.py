@@ -1,6 +1,7 @@
 import hashlib
 import math
 import os
+import struct
 import subprocess
 import sys
 import tempfile
@@ -21,6 +22,7 @@ from opdyn.errors import (
     ShapeError,
     ValidationError,
 )
+from opdyn.dynamics import _LIST_EXTREMES_MAX_N, _extremes
 from opdyn.rng import SplitMix64
 
 from _trials import (
@@ -277,6 +279,58 @@ class TestStep:
                 assert x.min() >= -1.0 - 1e-12 and x.max() <= 1.0 + 1e-12
                 assert x.min() >= mn - 1e-12 and x.max() <= mx + 1e-12
                 mn, mx = x.min(), x.max()
+
+
+def bits(value: float) -> bytes:
+    return struct.pack("<d", value)
+
+
+# Values on which Python's min and max can part from numpy's reductions:
+# both zeros (equal, with a sign to pick), NaN (unordered), the infinities
+# (together they sum to NaN), and subnormals and ordinary values among them.
+EXTREME_VALUE = st.one_of(
+    st.sampled_from((0.0, -0.0, math.nan, math.inf, -math.inf, 5e-324, -5e-324,
+                     1e-300, -1e-300, 0.5, -0.25)),
+    st.floats(allow_nan=False))
+
+
+class TestExtremes:
+    @settings(max_examples=500, deadline=None)
+    @given(st.lists(EXTREME_VALUE, min_size=1, max_size=_LIST_EXTREMES_MAX_N + 8))
+    def test_bits_are_numpys_reductions(self, values):
+        u = np.array(values)
+        mn, mx = _extremes(u)
+        assert type(mn) is float and type(mx) is float
+        assert bits(mn) == bits(float(np.minimum.reduce(u)))
+        assert bits(mx) == bits(float(np.maximum.reduce(u)))
+
+    # A stubborn-neutral run from both zeros, recorded when the loop took
+    # every extreme with ndarray.min and max: sha256 of the record's mins,
+    # maxs and states, and of its CSV. Its first min is -0.0 and its first
+    # max +0.0, where Python's min and max would pick the first zero.
+    BOTH_ZEROS_PINS = [
+        ([0.0, -0.0, 0.5],
+         "b2b4b0f9b9ec2d0b73d2010f9e1f498bcbdf2c61b3a899bbf45295650bb39a88",
+         "2343edbf3132f2695a8f4171ef016ca8ff0c90f34be8fe8701ae9eeb782fda2a",
+         "31249c0b4491bdfc27821282221d124c06e6556fea57ae123d9133deb69469d0",
+         "97f115a7b916aeabc58fb12c22070230d70b7273e37a1be31ce3d816e25818ee"),
+        ([-0.0, 0.0, -0.5],
+         "18a9a976309426542230255e582e10c65896b2400e183467f3935d51c87c8585",
+         "5d81987966a0197c8a663d8800d87b97c0c5ea4f619d42f44e22bf5321d14cbb",
+         "4c28996241bbb410e7008ff962e3aac20e6409045ec85e061b6349b7a3764ac7",
+         "2ed639faddd1162bce6536eb022051e4278a854d7af80f0ac694ba4da9b8fcad"),
+    ]
+
+    @pytest.mark.parametrize("x0,mins,maxs,states,csv", BOTH_ZEROS_PINS)
+    def test_a_run_between_both_zeros_is_pinned(self, tmp_path, x0, mins, maxs, states, csv):
+        w = od.WeightMatrix([[0.5, 0.25, 0.25], [0.25, 0.5, 0.25], [0.25, 0.25, 0.5]], 0.25)
+        with od.TrajectoryCsv(tmp_path / "zeros.csv", 3) as writer:
+            record = od.simulate(x0, od.StaticSchedule(w), od.StubbornNeutral(),
+                                 od.StopRule(max_steps=300), writer=writer)
+        assert (record.stop_reason, record.steps) == ("max_steps", 300)
+        assert np.signbit(record.mins[0]) and not np.signbit(record.maxs[0])
+        written = (record.mins, record.maxs, record.states, (tmp_path / "zeros.csv").read_bytes())
+        assert [hashlib.sha256(data).hexdigest() for data in written] == [mins, maxs, states, csv]
 
 
 def scalar_two_agent_oracle(x1, x2, w21, steps):

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 import opdyn as od
 from opdyn.errors import PreconditionError, ShapeError, ValidationError
 
-from opdyn.rng import _GAMMA, SplitMix64
+from opdyn.rng import _GAMMA, SplitMix64, indexed_choice
 
 from _trials import (
     arc_support,
@@ -422,6 +422,25 @@ class TestSchedules:
         assert {id(m) for m in draws_a} <= {id(m) for m in pool}
         c = od.RandomSchedule(pool, seed=8)
         assert any(c.matrix_at(t) is not draws_a[t] for t in range(40))
+
+    # Runs of steps: a start (0, a step next to an edge of the blocks that
+    # a run from 0 draws, anywhere up to 4000, or far off), walked forward
+    # one step at a time. Later runs can jump back or far ahead.
+    STEP_RUNS = st.lists(st.tuples(
+        st.one_of(st.just(0), st.sampled_from((63, 64, 191, 192, 447, 448, 959, 960, 1983, 1984)),
+                  st.integers(0, 4000), st.integers(0, 2**63)),
+        st.integers(1, 300)), min_size=1, max_size=8)
+
+    @settings(max_examples=150, deadline=None)
+    @given(seed=st.integers(0, 2**64 - 1), k=st.integers(1, 5), runs=STEP_RUNS)
+    def test_random_access_draws_are_indexed_choice(self, seed, k, runs):
+        pool = tuple(od.uniform_complete_matrix(2) for _ in range(k))  # told apart by identity
+        sched = od.RandomSchedule(pool, seed=seed)
+        for start, length in runs:
+            for t in range(start, start + length):
+                assert sched.matrix_at(t) is pool[indexed_choice(seed, t, k)]
+        with pytest.raises(PreconditionError):
+            sched.matrix_at(-1)
 
     def test_mixed_sizes_rejected(self):
         with pytest.raises(ShapeError):

@@ -149,6 +149,27 @@ class TestLoadScenario:
                 replace(scenario, x0=x0)
         assert replace(scenario, x0=(-0.5, 0.5)).x0 == (-0.5, 0.5)  # a generator's interval
 
+    def test_interval_rule_holds_for_documents_and_replace_alike(self):
+        scenario = load(dissenter_document())
+        for pair, match in (((3.0, 5.0), "not contained"), ((0.5, 0.1), "empty interval"),
+                            ((math.nan, 0.2), "empty interval"), ((-math.inf, 0.2), "not contained"),
+                            ((0.5, float(np.nextafter(0.5, 1.0))), "strictly inside")):
+            with pytest.raises(SchemaError, match=match) as caught:
+                replace(scenario, x0=pair)
+            assert caught.value.path == "x0.uniform"
+            if math.isfinite(pair[0]):
+                with pytest.raises(SchemaError, match=match) as caught:
+                    load(dissenter_document(x0={"uniform": list(pair)}))
+                assert caught.value.path == "x0.uniform"
+        for pair in ((), (0.5,), (0.1, 0.2, 0.3), ("0.1", 0.2), (True, 0.5), (None, 0.5)):
+            with pytest.raises(SchemaError, match="two numbers") as caught:
+                replace(scenario, x0=pair)
+            assert caught.value.path == "x0.uniform"
+        # the interval is kept as two doubles, so it names the document's run
+        replaced = replace(scenario, x0=(0, np.float64(1.0)))
+        assert replaced.x0 == (0.0, 1.0) and all(type(v) is float for v in replaced.x0)
+        assert replaced.scenario_id == load(dissenter_document(x0={"uniform": [0.0, 1.0]})).scenario_id
+
     def test_name_rule(self):
         # the name is the CLI's file stem under --out, so it is one file name
         for name in ("../escaped", "sub/dir", "a\\b", "a\0b", ".", "..", 7):

@@ -102,10 +102,14 @@ class TestDensePathKept:
         assert od.random_strongly_connected_matrix(400, trial_rng(43, 0), 0.1)._csr is None
 
     def test_products_are_the_dense_ones_bit_for_bit(self):
-        w = random_valid_matrix(8, trial_rng(44, 0))
-        v = np.array([trial_rng(44, 1).uniform(-1.0, 1.0) for _ in range(8)])
-        assert np.array_equal(w.matvec(v), w.entries @ v)
-        assert np.array_equal(w.rmatvec(v), w.entries.T @ v)
+        for n in (3, 5, 8, 30, 100, 399):
+            w = random_valid_matrix(n, trial_rng(44, n))
+            assert w._csr is None
+            rng = trial_rng(45, n)
+            for scale in (1.0, 1.0, 2.0, 1e-300, 1e300):
+                v = scale * (2.0 * rng.random_block(n) - 1.0)
+                assert np.array_equal(w.matvec(v), w.entries @ v)
+                assert np.array_equal(w.rmatvec(v), w.entries.T @ v)
 
 
 # The benchmark's cli_session document (n = 30) at two seeds, and the sha256
