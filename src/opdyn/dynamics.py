@@ -86,7 +86,10 @@ def _block_rows(n: int) -> int:
 
 def opinion_vector(values) -> np.ndarray:
     """Validate opinions into a read-only float array in [-1, 1]."""
-    arr = np.asarray(values, dtype=float)
+    try:
+        arr = np.asarray(values, dtype=float)
+    except (TypeError, ValueError):  # a string, a ragged list
+        raise ShapeError(f"opinions must be an array of numbers, got {_brief(values)}") from None
     if arr.ndim != 1 or arr.size == 0:
         raise ShapeError(f"opinion vector must be 1-D and nonempty, got shape {arr.shape}")
     if not np.all(np.isfinite(arr)):
@@ -314,7 +317,8 @@ class StopRule:
     ``target``/``target_epsilon`` stop once every opinion is within
     ``target_epsilon`` of a predicted limit; useful near the extremes,
     where convergence has no geometric rate and spread alone is a poor
-    stopping signal.
+    stopping signal. The three are real numbers (a bool is not), kept as
+    floats, as ``max_steps`` is kept as an ``int``.
     """
 
     max_steps: int = 10**6
@@ -323,8 +327,20 @@ class StopRule:
     target_epsilon: Optional[float] = None
 
     def __post_init__(self):
-        if isinstance(self.max_steps, bool) or not isinstance(self.max_steps, numbers.Integral):
-            raise ValidationError(f"max_steps must be an integer, got {_brief(self.max_steps)}")
+        if type(self.max_steps) is not int:
+            if isinstance(self.max_steps, bool) or not isinstance(self.max_steps, numbers.Integral):
+                raise ValidationError(f"max_steps must be an integer, got {_brief(self.max_steps)}")
+            object.__setattr__(self, "max_steps", int(self.max_steps))
+        for name in ("consensus_epsilon", "target", "target_epsilon"):
+            value = getattr(self, name)
+            if type(value) is float or (value is None and name != "consensus_epsilon"):
+                continue
+            if isinstance(value, bool) or not isinstance(value, numbers.Real):
+                raise ValidationError(f"{name} must be a number, got {_brief(value)}")
+            try:
+                object.__setattr__(self, name, float(value))
+            except OverflowError:
+                raise ValidationError(f"{name} {_brief(value)} is too large for a double") from None
         if self.max_steps < 1:
             raise ValidationError(f"max_steps must be >= 1, got {self.max_steps}")
         if not self.consensus_epsilon > 0.0:

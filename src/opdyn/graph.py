@@ -78,9 +78,10 @@ class WeightMatrix:
     """Row-stochastic influence matrix with its declared weight floor.
 
     Construction raises ``PreconditionError`` unless ``beta > 0``, and
-    ``ShapeError`` on a non-square input or one with fewer than 2 agents,
-    or naming the row and column of its first non-finite entry. Otherwise
-    it checks every clause of the weight rules and raises
+    ``ShapeError`` on an input that is not an array of numbers, a
+    non-square one or one with fewer than 2 agents, or naming the row and
+    column of its first non-finite entry. Otherwise it checks every clause
+    of the weight rules and raises
     ``ValidationError`` unless all hold; its ``violations`` holds every
     finding, clause by clause in this order, each in row-major order:
 
@@ -111,7 +112,10 @@ class WeightMatrix:
         beta = self.beta
         if not beta > 0:  # NaN too
             raise PreconditionError(f"beta must be positive, got {beta}")
-        arr = np.asarray(self.entries, dtype=float)
+        try:
+            arr = np.asarray(self.entries, dtype=float)
+        except (TypeError, ValueError):  # a string, a ragged list
+            raise ShapeError(f"matrix must be an array of numbers, got {_brief(self.entries)}") from None
         if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
             raise ShapeError(f"matrix must be square, got shape {arr.shape}")
         if arr.shape[0] < 2:
@@ -375,11 +379,13 @@ def verify_repeated_joint_connectivity(
     skipping step 0 loses nothing.
 
     For static and periodic schedules the window unions repeat with the
-    schedule period, so only the distinct residue classes are examined and
-    the answer is exact for all time; for seeded-random schedules every
-    window up to ``horizon`` is examined and the answer certifies that
-    range only. A window's union depends only on the set of pool matrices
-    it draws, so each distinct set is checked once per call.
+    schedule period, so only the distinct residue classes are examined,
+    each over its first ``min(p, period)`` steps (any ``period``
+    consecutive steps draw the whole pool), and the answer is exact for
+    all time; for seeded-random schedules every window up to ``horizon``
+    is examined and the answer certifies that range only. A window's union
+    depends only on the set of pool matrices it draws, so each distinct
+    set is checked once per call.
     """
     if p < 1 or q < 1:
         raise PreconditionError(f"window parameters must satisfy p,q >= 1, got p={p} q={q}")
@@ -390,12 +396,14 @@ def verify_repeated_joint_connectivity(
     if isinstance(schedule, (StaticSchedule, PeriodicSchedule)):
         period = len(schedule.pool)
         count = period // math.gcd(p, period)
+        length = min(p, period)  # any `period` consecutive steps draw the whole pool
     else:
         count = (horizon - (q + p - 1)) // p + 1
+        length = p
 
     connected: set[frozenset] = set()  # matrices compare by identity
     for start in range(q, q + count * p, p):
-        drawn = frozenset(schedule.matrix_at(t) for t in range(start, start + p))
+        drawn = frozenset(schedule.matrix_at(t) for t in range(start, start + length))
         if drawn not in connected:
             if not is_strongly_connected(*drawn):
                 return False

@@ -30,7 +30,11 @@ through fixed substreams (0: initial opinions, 1: schedule draws,
 2: generated matrices), so a (document, seed) pair is fully reproducible.
 A ``Scenario``'s document and id are rebuilt from its parsed fields, so
 documents describing one run share one id, and an override is a
-``dataclasses.replace`` whose id names the run it makes.
+``dataclasses.replace`` whose id names the run it makes. The loader checks
+only what a JSON reader can (syntax, keys, the schema version, JSON types,
+finite numbers, the counts of x0 entries and matrix rows); every rule on
+the fields is ``Scenario.__post_init__``'s, so a ``replace`` is refused
+with the ``SchemaError`` path a document with that value gets.
 """
 
 from __future__ import annotations
@@ -158,20 +162,26 @@ def _as_int(value, path: str) -> int:
     return value
 
 
-def _as_number(value, path: str) -> float:
-    """A JSON number as a finite double; a bool is not a number."""
-    if type(value) not in (int, float):
+def _as_real(value, path: str) -> float:
+    """A real number as a double; a bool is not a number."""
+    if type(value) is not float and (isinstance(value, bool) or not isinstance(value, numbers.Real)):
         raise SchemaError(path, f"expected a number, got {_brief(value)}")
     try:
-        value = float(value)
+        return float(value)
     except OverflowError:
         raise SchemaError(path, "integer too large for a double") from None
+
+
+def _as_number(value, path: str) -> float:
+    """A JSON number as a finite double."""
+    value = _as_real(value, path)
     if value - value != 0.0:  # NaN and the infinities
         raise SchemaError(path, f"expected a finite number, got {value!r}")
     return value
 
 
-def _parse_matrix(raw, n: int, beta: float, path: str) -> WeightMatrix:
+def _parse_matrix(raw, n: int, path: str) -> list:
+    """A JSON matrix as n rows of n finite numbers; the Scenario checks its weights."""
     if not isinstance(raw, list) or len(raw) != n:
         raise SchemaError(path, f"expected a {n}x{n} matrix as a list of {n} rows")
     for i, row in enumerate(raw):
@@ -180,11 +190,7 @@ def _parse_matrix(raw, n: int, beta: float, path: str) -> WeightMatrix:
         for j, v in enumerate(row):
             if type(v) is not float or v - v != 0.0:  # all but a finite double
                 _as_number(v, f"{path}[{i}][{j}]")
-    try:
-        return WeightMatrix(raw, beta)
-    except ValidationError as exc:  # the findings alone, without the headline
-        violations = "\n".join(map(str, exc.violations))
-        raise SchemaError(path, f"matrix violates weight rules: {violations}") from None
+    return raw
 
 
 def _parse_x0(raw, n: int, path: str = "x0") -> Union[np.ndarray, tuple[float, float]]:
@@ -209,7 +215,7 @@ def _parse_x0(raw, n: int, path: str = "x0") -> Union[np.ndarray, tuple[float, f
     raise SchemaError(path, "expected a list of opinions or a generator object")
 
 
-def _parse_kind(raw, n: int, path: str = "susceptibility") -> SusceptibilityKind:
+def _parse_kind(raw, path: str = "susceptibility") -> SusceptibilityKind:
     if isinstance(raw, str):
         if raw not in _KIND_NAMES:
             raise SchemaError(path, f"unknown kind {_brief(raw)}; one of {sorted(_KIND_NAMES)}")
@@ -221,8 +227,8 @@ def _parse_kind(raw, n: int, path: str = "susceptibility") -> SusceptibilityKind
         if "openness" not in raw:
             raise SchemaError(f"{path}.openness", "missing required field")
         vals = raw["openness"]
-        if not isinstance(vals, list) or len(vals) != n:
-            raise SchemaError(f"{path}.openness", f"expected {n} values")
+        if not isinstance(vals, list):
+            raise SchemaError(f"{path}.openness", "expected a list of values")
         openness = tuple(_as_number(v, f"{path}.openness[{k}]") for k, v in enumerate(vals))
         try:
             return Constant(openness)
@@ -263,9 +269,40 @@ def _interval(pair: tuple) -> tuple[float, float]:
     return low, high
 
 
+def _agent_count(n) -> None:
+    """The ``n`` rule: an integer of at least 2, or ``SchemaError`` at ``n``."""
+    if _as_int(n, "n") < 2:
+        raise SchemaError("n", f"need at least 2 agents, got {n}")
+
+
+def _schedule_fields(kind) -> set:
+    """The matrix fields a schedule kind takes, or ``SchemaError`` at ``schedule.kind``."""
+    if not isinstance(kind, str) or kind not in _SCHEDULE_FIELDS:
+        raise SchemaError("schedule.kind", f"unknown kind {_brief(kind)}")
+    return _SCHEDULE_FIELDS[kind]
+
+
+def _weight_matrix(m, n: int, beta: float, path: str) -> WeightMatrix:
+    """``m`` as an n-agent ``WeightMatrix`` valid for ``beta``, or
+    ``SchemaError`` at ``path``. An array-like is wrapped, and a
+    ``WeightMatrix`` with a lower floor than ``beta`` checked again."""
+    if not isinstance(m, WeightMatrix) or m.beta < beta:
+        try:
+            m = WeightMatrix(m.entries if isinstance(m, WeightMatrix) else m, beta)
+        except ValidationError as exc:  # the findings alone, without the headline
+            violations = "\n".join(map(str, exc.violations))
+            raise SchemaError(path, f"matrix violates weight rules: {violations}") from None
+    if m.n != n:
+        raise SchemaError(path, f"expected a {n}x{n} matrix, got {m.n}x{m.n}")
+    return m
+
+
 @dataclass(frozen=True, eq=False)
 class Scenario:
-    """A fully validated experiment definition."""
+    """A fully validated experiment definition. Every rule on the fields
+    is checked here, for a loaded document and a ``dataclasses.replace``
+    alike, and numbers are kept as a document holds them, so a document
+    with finite numbers and a named kind reloads to the same id."""
 
     n: int
     beta: float
@@ -278,7 +315,12 @@ class Scenario:
     kind: SusceptibilityKind
     stop: StopRule
 
-    def __post_init__(self):  # the seed, name and x0 rules, for documents and replace() alike
+    def __post_init__(self):
+        _agent_count(self.n)
+        beta = _as_real(self.beta, "beta")
+        if not beta > 0:  # NaN too
+            raise SchemaError("beta", f"must be positive, got {beta}")
+        object.__setattr__(self, "beta", beta)
         if type(self.seed) is not int or not 0 <= self.seed < 2**64:
             raise SchemaError("seed", f"expected an unsigned 64-bit integer, got {_brief(self.seed)}")
         if self.name is not None:  # a file stem under the CLI's --out
@@ -293,6 +335,40 @@ class Scenario:
             x0 = opinion_vector(self.x0)
             _check_dims(x0, self)
             object.__setattr__(self, "x0", x0)
+        self._check_schedule()
+        kind = self.kind
+        if isinstance(kind, Constant):
+            if len(kind.openness) != self.n:
+                raise SchemaError("susceptibility.openness",
+                                  f"expected {self.n} values, got {len(kind.openness)}")
+        elif not (isinstance(getattr(kind, "name", None), str) and hasattr(kind, "values")):
+            raise SchemaError("susceptibility", f"expected a susceptibility kind, got {_brief(kind)}")
+        if not isinstance(self.stop, StopRule):
+            raise SchemaError("stop", f"expected a StopRule, got {_brief(self.stop)}")
+
+    def _check_schedule(self) -> None:
+        """The schedule rules; keeps the matrices as a tuple of ``WeightMatrix``."""
+        keys = _schedule_fields(self.schedule_kind)
+        p = self.generated_edge_probability
+        if p is not None:
+            if "generated" not in keys:
+                raise SchemaError("schedule.generated", f"a {self.schedule_kind} schedule is not generated")
+            p = _as_real(p, "schedule.generated.edge_probability")
+            if not 0.0 <= p <= 1.0:
+                raise SchemaError("schedule.generated.edge_probability", "must lie in [0, 1]")
+            object.__setattr__(self, "generated_edge_probability", p)
+        matrices, n, beta = self.matrices, self.n, self.beta
+        if self.schedule_kind == "static":
+            if not isinstance(matrices, (tuple, list)) or len(matrices) != (1 if p is None else 0):
+                raise SchemaError("schedule", "static takes exactly one of 'matrix' or 'generated'")
+            matrices = tuple(_weight_matrix(m, n, beta, "schedule.matrix") for m in matrices)
+        else:
+            (key,) = keys
+            if not isinstance(matrices, (tuple, list)) or not matrices:
+                raise SchemaError(f"schedule.{key}", "expected a nonempty list of matrices")
+            matrices = tuple(_weight_matrix(m, n, beta, f"schedule.{key}[{k}]")
+                             for k, m in enumerate(matrices))
+        object.__setattr__(self, "matrices", matrices)
 
     @cached_property
     def document(self) -> dict:
@@ -326,8 +402,9 @@ def load_scenario(text: Union[str, bytes]) -> Scenario:
     """Parse and fully validate a scenario JSON document, given as text or
     as a file's raw bytes (UTF-8, a byte-order mark accepted).
 
-    Every number must be finite and every explicit matrix valid for the
-    scenario's ``beta``; a rejection carries its field path, ``$`` for input that is not JSON.
+    Every number must be finite, and the ``Scenario`` checks every rule on
+    the parsed fields; a rejection carries its field path, ``$`` for input
+    that is not JSON.
     """
     try:
         doc = json.loads(text)
@@ -344,12 +421,9 @@ def load_scenario(text: Union[str, bytes]) -> Scenario:
     if _as_int(doc["schema"], "schema") != SCHEMA_VERSION:
         raise SchemaError("schema", f"unsupported version {_brief(doc['schema'])}, expected {SCHEMA_VERSION}")
 
-    n = _as_int(doc["n"], "n")
-    if n < 2:
-        raise SchemaError("n", f"need at least 2 agents, got {n}")
+    n = doc["n"]
+    _agent_count(n)  # before x0 and the matrices are read as n entries
     beta = _as_number(doc.get("beta", DEFAULT_BETA), "beta")
-    if not beta > 0:  # NaN too
-        raise SchemaError("beta", f"must be positive, got {beta}")
 
     sched = doc["schedule"]
     if not isinstance(sched, dict):
@@ -357,33 +431,26 @@ def load_scenario(text: Union[str, bytes]) -> Scenario:
     if "kind" not in sched:
         raise SchemaError("schedule.kind", "missing required field")
     sched_kind = sched["kind"]
-    if not isinstance(sched_kind, str) or sched_kind not in _SCHEDULE_FIELDS:
-        raise SchemaError("schedule.kind", f"unknown kind {_brief(sched_kind)}")
-    _require_keys(sched, {"kind", *_SCHEDULE_FIELDS[sched_kind]}, set(), "schedule")
-    matrices: tuple[WeightMatrix, ...] = ()
+    _require_keys(sched, {"kind", *_schedule_fields(sched_kind)}, set(), "schedule")
+    matrices = []
     generated_p = None
     if sched_kind == "static":
-        if ("matrix" in sched) == ("generated" in sched):
-            raise SchemaError("schedule", "static takes exactly one of 'matrix' or 'generated'")
         if "matrix" in sched:
-            matrices = (_parse_matrix(sched["matrix"], n, beta, "schedule.matrix"),)
-        else:
+            matrices.append(_parse_matrix(sched["matrix"], n, "schedule.matrix"))
+        if "generated" in sched:
             gen = sched["generated"]
             if not isinstance(gen, dict):
                 raise SchemaError("schedule.generated", "expected an object")
             _require_keys(gen, {"edge_probability"}, set(), "schedule.generated")
             generated_p = _as_number(gen.get("edge_probability", 0.3), "schedule.generated.edge_probability")
-            if not 0.0 <= generated_p <= 1.0:
-                raise SchemaError("schedule.generated.edge_probability", "must lie in [0, 1]")
     else:
         (key,) = _SCHEDULE_FIELDS[sched_kind]
-        raw_list = sched.get(key)
-        if not isinstance(raw_list, list) or not raw_list:
-            raise SchemaError(f"schedule.{key}", "expected a nonempty list of matrices")
-        matrices = tuple(
-            _parse_matrix(m, n, beta, f"schedule.{key}[{k}]") for k, m in enumerate(raw_list))
+        raw_list = sched.get(key, [])
+        if not isinstance(raw_list, list):
+            raise SchemaError(f"schedule.{key}", "expected a list of matrices")
+        matrices = [_parse_matrix(m, n, f"schedule.{key}[{k}]") for k, m in enumerate(raw_list)]
 
-    kind = _parse_kind(doc["susceptibility"], n)
+    kind = _parse_kind(doc["susceptibility"])
     stop = _parse_stop(doc.get("stop"))
 
     return Scenario(

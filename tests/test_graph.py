@@ -356,6 +356,23 @@ class TestRepeatedJointConnectivity:
                         None)
         assert od.find_window_parameters(schedule, horizon, max_p=max_p) == expected
 
+    @pytest.mark.parametrize("kind", ["static", "periodic"])
+    def test_a_window_longer_than_the_period_walks_one_period(self, kind):
+        a, b = half_cycle_matrices(5, trial_rng(13, 0))
+        lookups = []
+
+        class Counting(od.StaticSchedule if kind == "static" else od.PeriodicSchedule):
+            def matrix_at(self, t):
+                lookups.append(t)
+                return super().matrix_at(t)
+
+        schedule = Counting(a) if kind == "static" else Counting((a, a, b))
+        period, p = len(schedule.pool), 10**9
+        windows = period // math.gcd(p, period)
+        # a alone is half a cycle; a and b together are strongly connected
+        assert od.verify_repeated_joint_connectivity(schedule, p, 1, p) is (kind == "periodic")
+        assert 0 < len(lookups) <= windows * period
+
     def test_repeated_matrix_object_in_pool(self):
         a, b = half_cycle_matrices(5, trial_rng(13, 0))
         sched = od.PeriodicSchedule((a, a, b))

@@ -1,7 +1,7 @@
 import hashlib
 import json
 import math
-from dataclasses import asdict, replace
+from dataclasses import asdict, fields, replace
 
 import numpy as np
 import pytest
@@ -682,3 +682,152 @@ def test_a_field_of_any_json_value_loads_to_strict_json_or_is_refused(base, fiel
         return
     text = json.dumps(scenario.document)
     assert json.loads(text, parse_constant=refuse_constant) == scenario.document
+    assert od.load_scenario(text).scenario_id == scenario.scenario_id
+
+
+# The documents a rule is tried on; each loads.
+PERIODIC = dissenter_document(schedule={"kind": "periodic", "matrices": [QUARTER, QUARTER]})
+RANDOM = dissenter_document(schedule={"kind": "random", "pool": [QUARTER]})
+GENERATED = LOADABLE[1]
+THREE_AGENTS = [[0.5, 0.25, 0.25], [0.25, 0.5, 0.25], [0.25, 0.25, 0.5]]
+LOW_FLOOR = [[0.7, 0.1, 0.1, 0.1], *QUARTER[1:]]  # valid for a floor of 0.1, not of 0.25
+
+# One row per rule on a Scenario's fields: (id, document, field, value,
+# the document's overrides that hold the same value, the path both refuse at).
+RULES = [
+    ("n_one", GENERATED, "n", 1, {"n": 1}, "n"),
+    ("n_float", GENERATED, "n", 3.0, {"n": 3.0}, "n"),
+    ("n_bool", GENERATED, "n", True, {"n": True}, "n"),
+    ("beta_zero", dissenter_document(), "beta", 0.0, {"beta": 0.0}, "beta"),
+    ("beta_negative", GENERATED, "beta", -0.25, {"beta": -0.25}, "beta"),
+    ("beta_string", GENERATED, "beta", "0.25", {"beta": "0.25"}, "beta"),
+    ("beta_above_the_floor", PERIODIC, "beta", 0.4, {"beta": 0.4}, "schedule.matrices[0]"),
+    ("schedule_kind_unknown", dissenter_document(), "schedule_kind", "bogus",
+     {"schedule": {"kind": "bogus", "matrix": QUARTER}}, "schedule.kind"),
+    ("schedule_kind_number", dissenter_document(), "schedule_kind", 7,
+     {"schedule": {"kind": 7, "matrix": QUARTER}}, "schedule.kind"),
+    ("generated_periodic", PERIODIC, "generated_edge_probability", 0.5,
+     {"schedule": {**PERIODIC["schedule"], "generated": {"edge_probability": 0.5}}},
+     "schedule.generated"),
+    ("generated_and_matrix", dissenter_document(), "generated_edge_probability", 0.5,
+     {"schedule": {"kind": "static", "matrix": QUARTER, "generated": {"edge_probability": 0.5}}},
+     "schedule"),
+    ("static_without_a_matrix", GENERATED, "generated_edge_probability", None,
+     {"schedule": {"kind": "static"}}, "schedule"),
+    ("edge_probability_above_one", GENERATED, "generated_edge_probability", 1.5,
+     {"schedule": {"kind": "static", "generated": {"edge_probability": 1.5}}},
+     "schedule.generated.edge_probability"),
+    ("edge_probability_below_zero", GENERATED, "generated_edge_probability", -0.1,
+     {"schedule": {"kind": "static", "generated": {"edge_probability": -0.1}}},
+     "schedule.generated.edge_probability"),
+    ("edge_probability_bool", GENERATED, "generated_edge_probability", True,
+     {"schedule": {"kind": "static", "generated": {"edge_probability": True}}},
+     "schedule.generated.edge_probability"),
+    # a document holds one static matrix; its nearest fault is a second source
+    ("static_two_matrices", dissenter_document(), "matrices", (QUARTER, QUARTER),
+     {"schedule": {"kind": "static", "matrix": QUARTER, "generated": {}}}, "schedule"),
+    ("matrices_empty", PERIODIC, "matrices", (),
+     {"schedule": {"kind": "periodic", "matrices": []}}, "schedule.matrices"),
+    ("pool_empty", RANDOM, "matrices", [],
+     {"schedule": {"kind": "random", "pool": []}}, "schedule.pool"),
+    ("matrices_not_a_list", PERIODIC, "matrices", 5,
+     {"schedule": {"kind": "periodic", "matrices": 5}}, "schedule.matrices"),
+    ("matrix_of_three_agents", PERIODIC, "matrices", (od.WeightMatrix(THREE_AGENTS, 0.25),),
+     {"schedule": {"kind": "periodic", "matrices": [THREE_AGENTS]}}, "schedule.matrices[0]"),
+    ("matrix_breaks_weight_rules", dissenter_document(), "matrices", ([[0.6] * 4] * 4,),
+     {"schedule": {"kind": "static", "matrix": [[0.6] * 4] * 4}}, "schedule.matrix"),
+    ("matrix_below_beta", PERIODIC, "matrices", (QUARTER, od.WeightMatrix(LOW_FLOOR, 0.1)),
+     {"schedule": {"kind": "periodic", "matrices": [QUARTER, LOW_FLOOR]}}, "schedule.matrices[1]"),
+    ("openness_count", dissenter_document(), "kind", od.Constant((0.5,) * 3),
+     {"susceptibility": {"kind": "constant", "openness": [0.5] * 3}}, "susceptibility.openness"),
+    ("kind_not_a_kind", dissenter_document(), "kind", 7, {"susceptibility": 7}, "susceptibility"),
+    ("stop_not_a_rule", dissenter_document(), "stop", 5, {"stop": 5}, "stop"),
+]
+
+
+class TestOneOwnerPerRule:
+    @pytest.mark.parametrize("base,field,value,overrides,path", [row[1:] for row in RULES],
+                             ids=[row[0] for row in RULES])
+    def test_a_value_is_refused_alike_by_both_doors(self, base, field, value, overrides, path):
+        with pytest.raises(SchemaError) as caught:
+            load({**base, **overrides})
+        assert caught.value.path == path
+        with pytest.raises(SchemaError) as caught:
+            replace(load(base), **{field: value})
+        assert caught.value.path == path
+
+    @pytest.mark.parametrize("base,field,value", [
+        (GENERATED, "n", 3),
+        (dissenter_document(), "beta", 0.1),
+        (dissenter_document(), "schedule_kind", "periodic"),
+        (dissenter_document(), "matrices", ([[0.5, 0.5, 0.0, 0.0], *QUARTER[1:]],)),
+        (PERIODIC, "beta", np.float32(0.125)),
+        (GENERATED, "generated_edge_probability", np.float64(0.5)),
+    ])
+    def test_a_valid_override_reloads_and_runs(self, base, field, value):
+        replaced = replace(load(base), **{field: value})
+        assert load(replaced.document).scenario_id == replaced.scenario_id
+        assert all(type(v) is float for v in (replaced.beta, replaced.generated_edge_probability)
+                   if v is not None)
+        _, summary = od.run_scenario(replaced, stop=od.StopRule(max_steps=3))
+        assert summary.steps <= 3
+
+    def test_a_matrix_kept_as_built_when_its_floor_covers_beta(self):
+        scenario = load(dissenter_document())
+        assert replace(scenario, seed=8).matrices[0] is scenario.matrices[0]
+        replaced = replace(scenario, beta=0.125)
+        assert replaced.matrices[0] is scenario.matrices[0]
+        wrapped = replace(scenario, matrices=(QUARTER,))
+        assert isinstance(wrapped.matrices[0], od.WeightMatrix) and wrapped.matrices[0].beta == 0.25
+
+
+# Any number, NaN and the infinities included, strings, tuples and numpy scalars.
+SCALARS = (st.integers() | st.floats() | st.booleans() | st.text(max_size=6)
+           | st.builds(np.int64, st.integers(-2**63, 2**63 - 1))
+           | st.builds(np.float64, st.floats()) | st.builds(np.float32, st.floats(width=32)))
+ANY_VALUE = SCALARS | st.tuples(SCALARS) | st.tuples(SCALARS, SCALARS)
+# Values of each field that often build, so both outcomes are tried.
+PLAUSIBLE = {
+    "n": st.integers(2, 6),
+    "beta": st.floats(0, 0.3),
+    "seed": st.integers(0, 2**64 - 1),
+    "name": st.text(max_size=6),
+    "x0": st.tuples(st.floats(-1, 1), st.floats(-1, 1)) | st.lists(st.floats(-1, 1), min_size=4, max_size=5),
+    "schedule_kind": st.sampled_from(["static", "periodic", "random"]),
+    "matrices": st.sampled_from([(), (QUARTER,), (QUARTER, LOW_FLOOR)]),
+    "generated_edge_probability": st.none() | st.floats(0, 1),
+    "kind": st.sampled_from([od.DeGroot(), od.Constant((0.5,) * 4), od.Constant((0.5,) * 5)]),
+    "stop": st.builds(od.StopRule, max_steps=st.integers(1, 10)),
+    "stop.max_steps": st.integers(1, 10**6),
+    "stop.consensus_epsilon": st.floats(0, 1) | st.just(math.inf),
+    "stop.target": st.floats(-1, 1),
+    "stop.target_epsilon": st.floats(0, 1),
+}
+
+
+@settings(max_examples=300, deadline=None)
+@given(base=st.sampled_from([dissenter_document(), PERIODIC, RANDOM,
+                             {**GENERATED, "x0": [0.5, -0.5, 0.25, 0.0, 1.0]}]),
+       field=st.sampled_from([field.name for field in fields(od.Scenario)]
+                             + [f"stop.{field.name}" for field in fields(od.StopRule)]),
+       data=st.data())
+def test_a_replace_of_any_value_is_refused_or_reloads_and_runs(tmp_path_factory, base, field, data):
+    plausible = data.draw(st.booleans(), label="plausible")
+    value = data.draw(PLAUSIBLE[field] if plausible else ANY_VALUE, label="value")
+    scenario = load(base)
+    try:
+        if field.startswith("stop."):
+            replaced = replace(scenario, stop=replace(scenario.stop, **{field[5:]: value}))
+        else:
+            replaced = replace(scenario, **{field: value})
+    except od.OpdynError:
+        return
+    path = tmp_path_factory.mktemp("replaced") / "scenario.json"
+    try:
+        od.write_scenario(replaced, path)
+    except ValueError as exc:  # JSON has no NaN or infinity
+        assert "not JSON compliant" in str(exc)
+        assert not path.exists()
+        return
+    assert od.load_scenario_file(path).scenario_id == replaced.scenario_id
+    od.run_scenario(replaced, stop=od.StopRule(max_steps=3))
