@@ -1,13 +1,13 @@
 """Command-line entry point.
 
 Exit codes: 0 on success, 1 on validation or precondition failure
-(including usage errors) and when ``simulate`` stops on a non-finite state
-or finds a lemma violation in its trajectory (after writing its
-artifacts), 2 on I/O failure. Artifact paths are relative to ``--out``
-(default ``./out``). ``simulate`` and ``compare`` stream their trajectory
-CSVs through ``TrajectoryCsv``s, which move them into place only when
-every run has finished; a run that fails leaves none behind. ``oracle``
-applies to degroot scenarios on static schedules only.
+(including usage errors) and when a ``simulate`` or ``compare`` run stops
+on a non-finite state or breaks a lemma along its trajectory (after
+writing the artifacts), 2 on I/O failure. Artifact paths are relative to
+``--out`` (default ``./out``). ``simulate`` and ``compare`` stream their
+trajectory CSVs through ``TrajectoryCsv``s, which move them into place
+only when every run has finished; a run that fails leaves none behind.
+``oracle`` applies to degroot scenarios on static schedules only.
 ``--seed``, ``--epsilon`` and ``--max-steps`` replace the scenario's
 fields, so they change its ``scenario_id`` (an unnamed scenario's stem).
 """
@@ -20,7 +20,7 @@ import dataclasses
 import sys
 from pathlib import Path
 
-from .analysis import classify_limit, degroot_consensus_value
+from .analysis import check_lemmas, classify_limit, degroot_consensus_value
 from .dynamics import DeGroot, TrajectoryCsv
 from .errors import OpdynError, ValidationError
 from .graph import (
@@ -72,6 +72,22 @@ def _out_prefix(args, scenario: Scenario) -> str:
     return str(out / (scenario.name or scenario.scenario_id))
 
 
+def _exit_code(record, lemmas, run: str = "") -> int:
+    """1, after saying why on stderr, when a run stopped on a non-finite
+    state or its trajectory breaks a lemma; 0 otherwise. ``run`` names
+    the run in the message."""
+    if record.stop_reason == "non_finite":
+        print(f"error: {run}step {record.steps + 1} produced a non-finite state; "
+              f"the artifacts end at step {record.steps}", file=sys.stderr)
+        return 1
+    if not lemmas.ok:
+        step, clause = min((step, clause) for clause, step in dataclasses.asdict(lemmas).items()
+                           if step is not None)
+        print(f"error: {run}lemma violation at step {step} ({clause})", file=sys.stderr)
+        return 1
+    return 0
+
+
 def _cmd_simulate(args) -> int:
     scenario = _load(args)
     prefix = _out_prefix(args, scenario)
@@ -83,17 +99,7 @@ def _cmd_simulate(args) -> int:
     else:
         print(f"stopped: {summary.stop_reason} after {summary.steps} steps "
               f"(spread {record.maxs[-1] - record.mins[-1]:.3e})")
-    if summary.stop_reason == "non_finite":
-        print(f"error: step {summary.steps + 1} produced a non-finite state; "
-              f"the artifacts end at step {summary.steps}", file=sys.stderr)
-        return 1
-    lemmas = summary.lemmas
-    if not lemmas.ok:
-        step, clause = min((step, clause) for clause, step in dataclasses.asdict(lemmas).items()
-                           if step is not None)
-        print(f"error: lemma violation at step {step} ({clause})", file=sys.stderr)
-        return 1
-    return 0
+    return _exit_code(record, summary.lemmas)
 
 
 def _cmd_validate(args) -> int:
@@ -187,7 +193,8 @@ def _cmd_compare(args) -> int:
     else:
         difference = "difference undefined: not both runs reached consensus"
     print(f"{' | '.join(outcomes)} ({difference})")
-    return 0
+    return max(_exit_code(record, check_lemmas(record), f"{kind_name} run: ")
+               for kind_name, record in records.items())
 
 
 def _cmd_oracle(args) -> int:

@@ -301,8 +301,8 @@ def _weight_matrix(m, n: int, beta: float, path: str) -> WeightMatrix:
 class Scenario:
     """A fully validated experiment definition. Every rule on the fields
     is checked here, for a loaded document and a ``dataclasses.replace``
-    alike, and numbers are kept as a document holds them, so a document
-    with finite numbers and a named kind reloads to the same id."""
+    alike. Numbers are kept as a document holds them and the kind is one a
+    document names, so a finite scenario's document reloads to its run."""
 
     n: int
     beta: float
@@ -336,13 +336,13 @@ class Scenario:
             _check_dims(x0, self)
             object.__setattr__(self, "x0", x0)
         self._check_schedule()
-        kind = self.kind
-        if isinstance(kind, Constant):
+        kind = self.kind  # exactly a class the document names, so the name is the kind
+        if type(kind) is Constant:
             if len(kind.openness) != self.n:
                 raise SchemaError("susceptibility.openness",
                                   f"expected {self.n} values, got {len(kind.openness)}")
-        elif not (isinstance(getattr(kind, "name", None), str) and hasattr(kind, "values")):
-            raise SchemaError("susceptibility", f"expected a susceptibility kind, got {_brief(kind)}")
+        elif type(kind) not in _KIND_NAMES.values():
+            raise SchemaError("susceptibility", f"expected a kind a document names, got {_brief(kind)}")
         if not isinstance(self.stop, StopRule):
             raise SchemaError("stop", f"expected a StopRule, got {_brief(self.stop)}")
 

@@ -6,9 +6,11 @@ from dataclasses import replace
 
 import pytest
 
+import opdyn.cli
 import opdyn.scenario
 from opdyn.analysis import LemmaReport
 from opdyn.cli import main
+from opdyn.dynamics import StubbornNeutral
 from opdyn.errors import DomainError
 
 from _trials import bench_workloads, nan_spike_kind
@@ -21,6 +23,19 @@ def write_scenario(tmp_path, doc, name="scenario.json"):
     path = tmp_path / name
     path.write_text(json.dumps(doc))
     return str(path)
+
+
+def swap_stubborn_neutral(monkeypatch, make_kind):
+    """Simulate every ``StubbornNeutral`` run of ``opdyn.scenario`` with
+    ``make_kind()`` instead: a failure injected into a CLI run, while the
+    scenario keeps a kind its document names."""
+    simulate = opdyn.scenario.simulate
+
+    def swapped(x0, schedule, kind, *args, **kwargs):
+        kind = make_kind() if type(kind) is StubbornNeutral else kind
+        return simulate(x0, schedule, kind, *args, **kwargs)
+
+    monkeypatch.setattr(opdyn.scenario, "simulate", swapped)
 
 
 @pytest.fixture
@@ -84,7 +99,7 @@ class TestSimulateCommand:
         assert "lemma violation at step 2 (max_step)" in capsys.readouterr().err
 
     def test_non_finite_state_exits_one_after_writing(self, tmp_path, capsys, monkeypatch):
-        monkeypatch.setitem(opdyn.scenario._KIND_NAMES, "stubborn_neutral", nan_spike_kind)
+        swap_stubborn_neutral(monkeypatch, nan_spike_kind)
         path = write_scenario(tmp_path, {
             "schema": 1,
             "name": "spike",
@@ -417,6 +432,29 @@ class TestCompareCommand:
             assert name in err
         assert main(["compare", path, "--against", "stubborn_extremist", "--out", out]) == 0
 
+    def test_non_finite_state_exits_one_after_writing(self, tmp_path, capsys, monkeypatch):
+        swap_stubborn_neutral(monkeypatch, nan_spike_kind)
+        path = write_scenario(tmp_path, {**SEVERAL_STEPS, "x0": [0.3001, -0.5, 0.2, 0.4]})
+        out = tmp_path / "out"
+        assert main(["compare", path, "--out", str(out)]) == 1
+        captured = capsys.readouterr()
+        assert "stubborn_neutral -> no consensus: non_finite after 0 steps" in captured.out
+        assert "error: stubborn_neutral run: step 1 produced a non-finite state" in captured.err
+        assert len((out / "several.stubborn_neutral.csv").read_text().splitlines()) == 2
+        assert (out / "several.degroot.csv").exists()
+
+    def test_lemma_violation_exits_one_after_writing(self, dissenter_path, tmp_path,
+                                                      capsys, monkeypatch):
+        forged = LemmaReport(interval_step=None, min_step=3, max_step=2)
+        monkeypatch.setattr(opdyn.cli, "check_lemmas", lambda record: forged)
+        out = tmp_path / "out"
+        assert main(["compare", dissenter_path, "--out", str(out)]) == 1
+        assert capsys.readouterr().err.splitlines() == [
+            "error: degroot run: lemma violation at step 2 (max_step)",
+            "error: stubborn_neutral run: lemma violation at step 2 (max_step)"]
+        assert sorted(p.name for p in out.iterdir()) == [
+            "dissenter.degroot.csv", "dissenter.stubborn_neutral.csv"]
+
     def test_against_rejected_for_non_degroot_scenario(self, generated_path, tmp_path, capsys):
         out = tmp_path / "cmp"
         assert main(["compare", generated_path, "--against", "stubborn_neutral",
@@ -429,8 +467,6 @@ class TestCompareCommand:
 class FailsAtStep:
     """stubborn_neutral's susceptibility, except that the update into
     state ``step`` raises ``error``."""
-
-    name = "stubborn_neutral"
 
     def __init__(self, error: BaseException, step: int = 3):
         self.error = error
@@ -466,8 +502,7 @@ class TestStreamedCsvs:
     @pytest.mark.parametrize("command", ["simulate", "compare"])
     @pytest.mark.parametrize("error", [KeyboardInterrupt(), DomainError("raised at step 3")])
     def test_a_failed_run_leaves_no_csv(self, tmp_path, capsys, monkeypatch, command, error):
-        monkeypatch.setitem(opdyn.scenario._KIND_NAMES, "stubborn_neutral",
-                            lambda: FailsAtStep(error))
+        swap_stubborn_neutral(monkeypatch, lambda: FailsAtStep(error))
         path = write_scenario(tmp_path, SEVERAL_STEPS)
         out = tmp_path / "out"
         if isinstance(error, KeyboardInterrupt):
@@ -483,8 +518,7 @@ class TestStreamedCsvs:
         out = tmp_path / "out"
         assert main(["simulate", path, "--out", str(out)]) == 0
         earlier = (out / "several.trajectory.csv").read_bytes()
-        monkeypatch.setitem(opdyn.scenario._KIND_NAMES, "stubborn_neutral",
-                            lambda: FailsAtStep(DomainError("raised at step 3")))
+        swap_stubborn_neutral(monkeypatch, lambda: FailsAtStep(DomainError("raised at step 3")))
         assert main(["simulate", path, "--out", str(out), "--max-steps", "50"]) == 1
         assert (out / "several.trajectory.csv").read_bytes() == earlier
         assert sorted(p.name for p in out.iterdir()) == [

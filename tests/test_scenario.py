@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 import opdyn as od
 from opdyn.errors import DomainError, PreconditionError, SchemaError, ShapeError
+from opdyn.scenario import _KIND_NAMES
 
 from _trials import bench_workloads
 
@@ -692,6 +693,30 @@ GENERATED = LOADABLE[1]
 THREE_AGENTS = [[0.5, 0.25, 0.25], [0.25, 0.5, 0.25], [0.25, 0.25, 0.5]]
 LOW_FLOOR = [[0.7, 0.1, 0.1, 0.1], *QUARTER[1:]]  # valid for a floor of 0.1, not of 0.25
 
+DEGROOT = dissenter_document(susceptibility="degroot")
+
+
+class PositiveNamedDegroot(od.StubbornPositive):
+    name = "degroot"
+
+
+class NeutralByDuckTyping:
+    """stubborn_neutral's name with DeGroot's f = 1, in no kind class."""
+
+    name = "stubborn_neutral"
+
+    def values(self, x):
+        return np.ones_like(x)
+
+
+class ConstantSubclass(od.Constant):
+    pass
+
+
+# Kinds whose name is not their class: a Scenario refuses each.
+MISNAMED_KINDS = [od.Custom(lambda x: 0.1 + 0 * x, label="degroot"), PositiveNamedDegroot(),
+                  NeutralByDuckTyping(), ConstantSubclass((0.5,) * 4)]
+
 # One row per rule on a Scenario's fields: (id, document, field, value,
 # the document's overrides that hold the same value, the path both refuse at).
 RULES = [
@@ -741,6 +766,14 @@ RULES = [
     ("openness_count", dissenter_document(), "kind", od.Constant((0.5,) * 3),
      {"susceptibility": {"kind": "constant", "openness": [0.5] * 3}}, "susceptibility.openness"),
     ("kind_not_a_kind", dissenter_document(), "kind", 7, {"susceptibility": 7}, "susceptibility"),
+    ("kind_custom_named_degroot", DEGROOT, "kind", MISNAMED_KINDS[0],
+     {"susceptibility": "custom"}, "susceptibility"),
+    ("kind_subclass_named_degroot", DEGROOT, "kind", MISNAMED_KINDS[1],
+     {"susceptibility": "positive_named_degroot"}, "susceptibility"),
+    ("kind_duck_typed", dissenter_document(), "kind", MISNAMED_KINDS[2],
+     {"susceptibility": "neutral_by_duck_typing"}, "susceptibility"),
+    ("kind_constant_subclass", dissenter_document(), "kind", MISNAMED_KINDS[3],
+     {"susceptibility": "constant"}, "susceptibility"),
     ("stop_not_a_rule", dissenter_document(), "stop", 5, {"stop": 5}, "stop"),
 ]
 
@@ -772,6 +805,15 @@ class TestOneOwnerPerRule:
         _, summary = od.run_scenario(replaced, stop=od.StopRule(max_steps=3))
         assert summary.steps <= 3
 
+    @pytest.mark.parametrize("name,cls", sorted(_KIND_NAMES.items()))
+    def test_the_kind_table_names_itself(self, name, cls):
+        assert cls().name == name
+        scenario = load(dissenter_document(susceptibility=name))
+        assert type(scenario.kind) is cls
+        reloaded = load(scenario.document)
+        assert type(reloaded.kind) is cls
+        assert reloaded.scenario_id == scenario.scenario_id
+
     def test_a_matrix_kept_as_built_when_its_floor_covers_beta(self):
         scenario = load(dissenter_document())
         assert replace(scenario, seed=8).matrices[0] is scenario.matrices[0]
@@ -796,7 +838,8 @@ PLAUSIBLE = {
     "schedule_kind": st.sampled_from(["static", "periodic", "random"]),
     "matrices": st.sampled_from([(), (QUARTER,), (QUARTER, LOW_FLOOR)]),
     "generated_edge_probability": st.none() | st.floats(0, 1),
-    "kind": st.sampled_from([od.DeGroot(), od.Constant((0.5,) * 4), od.Constant((0.5,) * 5)]),
+    "kind": st.sampled_from([*(cls() for cls in _KIND_NAMES.values()), od.Constant((0.5,) * 4),
+                             od.Constant((0.5,) * 5), *MISNAMED_KINDS]),
     "stop": st.builds(od.StopRule, max_steps=st.integers(1, 10)),
     "stop.max_steps": st.integers(1, 10**6),
     "stop.consensus_epsilon": st.floats(0, 1) | st.just(math.inf),
@@ -829,5 +872,7 @@ def test_a_replace_of_any_value_is_refused_or_reloads_and_runs(tmp_path_factory,
         assert "not JSON compliant" in str(exc)
         assert not path.exists()
         return
-    assert od.load_scenario_file(path).scenario_id == replaced.scenario_id
+    reloaded = od.load_scenario_file(path)
+    assert reloaded.scenario_id == replaced.scenario_id
+    assert type(reloaded.kind) is type(replaced.kind)
     od.run_scenario(replaced, stop=od.StopRule(max_steps=3))
