@@ -45,9 +45,9 @@ def main():
 
     schedule = od.PeriodicSchedule((first, second))
     for p in (1, 2, 4):
-        ok = od.verify_repeated_joint_connectivity(schedule, p=p, q=1, horizon=50)
+        ok = od.verify_repeated_joint_connectivity(schedule, p=p, q=1)
         print(f"window length p={p}: every window strongly connected in union = {ok}")
-    print(f"smallest verifying window: {od.find_window_parameters(schedule, horizon=50)}\n")
+    print(f"smallest verifying window: {od.find_window_parameters(schedule)}\n")
 
     x0 = od.generate_initial(-1.0, 1.0, n, seed=77)
     record = od.simulate(x0, schedule, od.StubbornPositive(),

@@ -8,6 +8,9 @@ writing the artifacts), 2 on I/O failure. Artifact paths are relative to
 trajectory CSVs through ``TrajectoryCsv``s, which move them into place
 only when every run has finished; a run that fails leaves none behind.
 ``oracle`` applies to degroot scenarios on static schedules only.
+``connectivity`` decides a static or periodic schedule for all time from
+one period, and takes ``--horizon``, the last step examined, for random
+schedules only.
 ``--seed``, ``--epsilon`` and ``--max-steps`` replace the scenario's
 fields, so they change its ``scenario_id`` (an unnamed scenario's stem).
 """
@@ -148,11 +151,17 @@ def _cmd_connectivity(args) -> int:
     if args.search and args.q is not None:
         raise _UsageError("--q applies only without --search; "
                           "with it, --p caps the window lengths tried")
-    schedule = build_schedule(_load(args))
+    scenario = _load(args)
+    if (args.horizon is None) == (scenario.schedule_kind == "random"):
+        raise _UsageError("connectivity on a random schedule requires --horizon"
+                          if args.horizon is None else "--horizon applies only to random "
+                          "schedules; a static or periodic one is decided for all time")
+    schedule = build_schedule(scenario)
     if args.search:
         found = find_window_parameters(schedule, args.horizon, max_p=args.p)
         if found is None:
-            print(f"no verifying window parameters up to horizon {args.horizon}")
+            bound = "" if args.horizon is None else f" up to horizon {args.horizon}"
+            print(f"no verifying window parameters{bound}")
             return 1
         print(f"repeatedly jointly strongly connected with p={found[0]}, q={found[1]}")
         return 0
@@ -246,7 +255,9 @@ def build_parser() -> argparse.ArgumentParser:
     _add_scenario(p)
     p.add_argument("--p", type=int, default=None, help="window length")
     p.add_argument("--q", type=int, default=None, help="first window start (>= 1)")
-    p.add_argument("--horizon", type=int, required=True, help="steps to examine")
+    p.add_argument("--horizon", type=int, default=None,
+                   help="last step examined; required for random schedules, "
+                        "a usage error for static and periodic ones")
     p.add_argument("--search", action="store_true",
                    help="search for the smallest verifying (p, q) instead")
     p.set_defaults(handler=_cmd_connectivity)

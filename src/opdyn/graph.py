@@ -366,37 +366,46 @@ def schedule_rjsc_status(schedule: GraphSchedule) -> Optional[bool]:
     return None
 
 
+def _check_horizon(schedule: GraphSchedule, horizon: Optional[int]) -> None:
+    """Raise ``PreconditionError`` unless a horizon is given exactly for a
+    random schedule; any other is decided for all time from one period."""
+    if (horizon is None) == isinstance(schedule, RandomSchedule):
+        raise PreconditionError(
+            "a random schedule is examined up to a horizon; none given" if horizon is None
+            else "a static or periodic schedule is decided for all time; it takes no horizon")
+
+
 def verify_repeated_joint_connectivity(
-    schedule: GraphSchedule, p: int, q: int, horizon: int,
+    schedule: GraphSchedule, p: int, q: int, horizon: Optional[int] = None,
 ) -> bool:
     """Check the window-connectivity hypothesis for declared (p, q).
 
     Windows of length ``p`` start at steps ``q, q+p, q+2p, ...``; the check
     passes when every window's arc-set union is strongly connected. Step
-    indices are the 0-based simulation steps (``horizon`` is the last index
-    examined, inclusive); ``q >= 1`` mirrors the usual 1-based statement of
-    the condition, and the property is about the tail of the sequence, so
-    skipping step 0 loses nothing.
+    indices are the 0-based simulation steps; ``q >= 1`` mirrors the usual
+    1-based statement of the condition, and the property is about the tail
+    of the sequence, so skipping step 0 loses nothing.
 
     For static and periodic schedules the window unions repeat with the
     schedule period, so only the distinct residue classes are examined,
     each over its first ``min(p, period)`` steps (any ``period``
     consecutive steps draw the whole pool), and the answer is exact for
-    all time; for seeded-random schedules every window up to ``horizon``
-    is examined and the answer certifies that range only. A window's union
-    depends only on the set of pool matrices it draws, so each distinct
-    set is checked once per call.
+    all time; they take no ``horizon``. A seeded-random schedule needs
+    one: every window that ends by step ``horizon`` (inclusive, at least
+    ``q + p - 1``) is examined, and the answer certifies that range only.
+    A window's union depends only on the set of pool matrices it draws, so
+    each distinct set is checked once per call.
     """
     if p < 1 or q < 1:
         raise PreconditionError(f"window parameters must satisfy p,q >= 1, got p={p} q={q}")
-    if horizon < q + p - 1:
-        raise PreconditionError(
-            f"horizon {horizon} shorter than the first window ending at {q + p - 1}")
-
-    if isinstance(schedule, (StaticSchedule, PeriodicSchedule)):
+    _check_horizon(schedule, horizon)
+    if horizon is None:
         period = len(schedule.pool)
         count = period // math.gcd(p, period)
         length = min(p, period)  # any `period` consecutive steps draw the whole pool
+    elif horizon < q + p - 1:
+        raise PreconditionError(
+            f"horizon {horizon} shorter than the first window ending at {q + p - 1}")
     else:
         count = (horizon - (q + p - 1)) // p + 1
         length = p
@@ -412,20 +421,27 @@ def verify_repeated_joint_connectivity(
 
 
 def find_window_parameters(
-    schedule: GraphSchedule, horizon: int, max_p: Optional[int] = None,
+    schedule: GraphSchedule, horizon: Optional[int] = None, max_p: Optional[int] = None,
 ) -> Optional[tuple[int, int]]:
     """Exhaustive convenience search for a verifying (p, q), smallest p
-    first, then smallest q, over the windows that end by ``horizon``;
-    quadratic in ``max_p``. Returns None when no pair up to ``max_p``
-    (default: horizon) verifies, at once when the pool's union is not
-    strongly connected; raises ``PreconditionError`` when ``max_p`` < 1."""
+    first, then smallest q <= p; quadratic in ``max_p``. A static or
+    periodic schedule is searched for all time, a random one over the
+    windows that end by ``horizon``, as in
+    :func:`verify_repeated_joint_connectivity`. Returns None when no pair
+    up to ``max_p`` (default: the period, or the horizon) verifies, at
+    once when the pool's union is not strongly connected; raises
+    ``PreconditionError`` on a bad horizon or ``max_p`` < 1."""
+    _check_horizon(schedule, horizon)
     if max_p is not None and max_p < 1:
         raise PreconditionError(f"max_p must be >= 1, got {max_p}")
     if not is_strongly_connected(*schedule.pool):
         return None  # every window's union is part of the pool's, so none connects
-    cap = horizon if max_p is None else min(max_p, horizon)
+    # p = period verifies when the union connects: each window draws the whole pool
+    bound = len(schedule.pool) if horizon is None else horizon
+    cap = bound if max_p is None else min(max_p, bound)
     for p in range(1, cap + 1):
-        for q in range(1, min(p, horizon - p + 1) + 1):  # the first window ends by horizon
+        last_q = p if horizon is None else min(p, horizon - p + 1)  # the first window ends by horizon
+        for q in range(1, last_q + 1):
             if verify_repeated_joint_connectivity(schedule, p, q, horizon):
                 return p, q
     return None

@@ -67,11 +67,10 @@ from .dynamics import (
     StubbornPositive,
     SusceptibilityKind,
     TrajectoryRecord,
-    _check_dims,
     opinion_vector,
     simulate,
 )
-from .errors import PreconditionError, SchemaError, ValidationError, _brief
+from .errors import DomainError, PreconditionError, SchemaError, ShapeError, ValidationError, _brief
 from .graph import (
     GraphSchedule,
     PeriodicSchedule,
@@ -194,17 +193,12 @@ def _parse_matrix(raw, n: int, path: str) -> list:
 
 
 def _parse_x0(raw, n: int, path: str = "x0") -> Union[np.ndarray, tuple[float, float]]:
-    """The opinions as an array, or a generator's (low, high) interval."""
+    """The opinions as an array of n finite numbers, or a generator's (low,
+    high) interval; the Scenario checks their range."""
     if isinstance(raw, list):
         if len(raw) != n:
             raise SchemaError(path, f"expected {n} entries, got {len(raw)}")
-        vals = np.empty(n)
-        for k, v in enumerate(raw):
-            x = _as_number(v, f"{path}[{k}]")
-            if not -1.0 <= x <= 1.0:
-                raise SchemaError(f"{path}[{k}]", f"value {x!r} outside [-1, 1]")
-            vals[k] = x
-        return vals
+        return np.array([_as_number(v, f"{path}[{k}]") for k, v in enumerate(raw)])
     if isinstance(raw, dict):
         _require_keys(raw, {"uniform"}, {"uniform"}, path)
         pair = raw["uniform"]
@@ -269,6 +263,22 @@ def _interval(pair: tuple) -> tuple[float, float]:
     return low, high
 
 
+def _opinions(x0, n: int) -> np.ndarray:
+    """``x0`` as a read-only copy of n opinions, or ``SchemaError`` at
+    ``x0``, or at its first entry that is not a finite number in [-1, 1]."""
+    try:
+        x0 = opinion_vector(x0)
+    except ShapeError as exc:
+        raise SchemaError("x0", str(exc)) from None
+    except DomainError:
+        x0 = np.asarray(x0, dtype=float)
+        k = int(np.argmin(np.abs(x0) <= 1.0))  # the first entry outside, NaN too
+        raise SchemaError(f"x0[{k}]", f"value {float(x0[k])!r} outside [-1, 1]") from None
+    if x0.shape[0] != n:
+        raise SchemaError("x0", f"expected {n} entries, got {x0.shape[0]}")
+    return x0
+
+
 def _agent_count(n) -> None:
     """The ``n`` rule: an integer of at least 2, or ``SchemaError`` at ``n``."""
     if _as_int(n, "n") < 2:
@@ -289,6 +299,8 @@ def _weight_matrix(m, n: int, beta: float, path: str) -> WeightMatrix:
     if not isinstance(m, WeightMatrix) or m.beta < beta:
         try:
             m = WeightMatrix(m.entries if isinstance(m, WeightMatrix) else m, beta)
+        except ShapeError as exc:  # not a square array of finite numbers
+            raise SchemaError(path, str(exc)) from None
         except ValidationError as exc:  # the findings alone, without the headline
             violations = "\n".join(map(str, exc.violations))
             raise SchemaError(path, f"matrix violates weight rules: {violations}") from None
@@ -332,9 +344,7 @@ class Scenario:
         if isinstance(self.x0, tuple):  # a generator's interval, as two doubles
             object.__setattr__(self, "x0", _interval(self.x0))
         else:  # a read-only copy, which the id names
-            x0 = opinion_vector(self.x0)
-            _check_dims(x0, self)
-            object.__setattr__(self, "x0", x0)
+            object.__setattr__(self, "x0", _opinions(self.x0, self.n))
         self._check_schedule()
         kind = self.kind  # exactly a class the document names, so the name is the kind
         if type(kind) is Constant:

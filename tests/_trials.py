@@ -261,18 +261,22 @@ def random_periodic_schedule(n: int, rng: SplitMix64) -> od.PeriodicSchedule:
     return od.PeriodicSchedule(tuple(mats))
 
 
-def verify_by_window(schedule: od.GraphSchedule, p: int, q: int, horizon: int) -> bool:
+def verify_by_window(schedule: od.GraphSchedule, p: int, q: int, horizon=None) -> bool:
     """Reference window check: the same window starts as
     ``verify_repeated_joint_connectivity``, with a fresh union and a fresh
-    Floyd-Warshall closure for every window and nothing remembered
-    between windows."""
+    Floyd-Warshall closure for every window of p steps and nothing
+    remembered between windows. A static or periodic schedule takes no
+    horizon and is checked over one full cycle of window starts; a random
+    one over the windows that end by ``horizon``."""
     if p < 1 or q < 1:
         raise od.PreconditionError(f"window parameters must satisfy p,q >= 1, got p={p} q={q}")
-    if horizon < q + p - 1:
-        raise od.PreconditionError(f"horizon {horizon} shorter than the first window")
     if not isinstance(schedule, od.RandomSchedule):
+        if horizon is not None:
+            raise od.PreconditionError("a static or periodic schedule takes no horizon")
         period = len(schedule.pool)
         count = period // math.gcd(p, period)
+    elif horizon is None or horizon < q + p - 1:
+        raise od.PreconditionError(f"horizon {horizon} shorter than the first window")
     else:
         count = (horizon - (q + p - 1)) // p + 1
     starts = [q + k * p for k in range(count)]

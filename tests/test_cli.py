@@ -1,8 +1,10 @@
 import json
+import os
 import subprocess
 import sys
 import tracemalloc
 from dataclasses import replace
+from pathlib import Path
 
 import pytest
 
@@ -326,8 +328,7 @@ class TestClassifyCommand:
 
 class TestConnectivityCommand:
     def test_verifies_declared_window(self, dissenter_path, capsys):
-        assert main(["connectivity", dissenter_path, "--p", "1", "--q", "1",
-                     "--horizon", "10"]) == 0
+        assert main(["connectivity", dissenter_path, "--p", "1", "--q", "1"]) == 0
         assert "True" in capsys.readouterr().out
 
     def test_failing_window_exits_one(self, tmp_path, capsys):
@@ -337,7 +338,7 @@ class TestConnectivityCommand:
             "schedule": {"kind": "static", "matrix": [[1.0, 0.0], [0.0, 1.0]]},
             "susceptibility": "degroot",
         })
-        assert main(["connectivity", path, "--p", "2", "--q", "1", "--horizon", "10"]) == 1
+        assert main(["connectivity", path, "--p", "2", "--q", "1"]) == 1
 
     def test_search_flag(self, tmp_path, capsys):
         path = write_scenario(tmp_path, {
@@ -349,7 +350,7 @@ class TestConnectivityCommand:
             ]},
             "susceptibility": "degroot",
         })
-        assert main(["connectivity", path, "--search", "--horizon", "10"]) == 0
+        assert main(["connectivity", path, "--search"]) == 0
         assert "p=2, q=1" in capsys.readouterr().out
 
     def test_search_cap_below_one_exits_one(self, tmp_path, capsys):
@@ -362,19 +363,42 @@ class TestConnectivityCommand:
             ]},
             "susceptibility": "degroot",
         })
-        assert main(["connectivity", path, "--search", "--p", "1", "--horizon", "10"]) == 1
-        assert "no verifying window" in capsys.readouterr().out
-        assert main(["connectivity", path, "--search", "--p", "0", "--horizon", "10"]) == 1
+        assert run(capsys, ["connectivity", path, "--search", "--p", "1"]) == (
+            1, "no verifying window parameters\n", "")
+        assert main(["connectivity", path, "--search", "--p", "0"]) == 1
         assert "max_p must be >= 1" in capsys.readouterr().err
 
     def test_requires_window_or_search(self, dissenter_path, capsys):
-        assert main(["connectivity", dissenter_path, "--horizon", "10"]) == 1
+        code, out, err = run(capsys, ["connectivity", dissenter_path])
+        assert (code, out) == (1, "")
+        assert err.startswith("error: connectivity requires --p and --q")
 
     def test_q_with_search_is_a_usage_error(self, dissenter_path, capsys):
-        code, out, err = run(capsys, ["connectivity", dissenter_path, "--search", "--q", "5",
-                                      "--horizon", "10"])
+        code, out, err = run(capsys, ["connectivity", dissenter_path, "--search", "--q", "5"])
         assert (code, out) == (1, "")
         assert err.startswith("error: --q applies only without --search")
+
+    @pytest.mark.parametrize("flags", [["--p", "1", "--q", "1"], ["--search"]])
+    def test_horizon_is_a_usage_error_on_static_and_periodic_schedules(
+            self, dissenter_path, tmp_path, capsys, flags):
+        periodic = write_scenario(tmp_path, {**HALF_RING_POOL, "schedule": {
+            "kind": "periodic", "matrices": HALF_RING_POOL["schedule"]["pool"]}}, "periodic.json")
+        for path in (dissenter_path, periodic):
+            code, out, err = run(capsys, ["connectivity", path, *flags, "--horizon", "10"])
+            assert (code, out) == (1, "")
+            assert err.startswith("error: --horizon applies only to random schedules")
+
+    @pytest.mark.parametrize("flags", [["--p", "2", "--q", "1"], ["--search"]])
+    def test_random_schedule_requires_a_horizon(self, tmp_path, capsys, flags):
+        path = write_scenario(tmp_path, HALF_RING_POOL)
+        code, out, err = run(capsys, ["connectivity", path, *flags])
+        assert (code, out) == (1, "")
+        assert err.startswith("error: connectivity on a random schedule requires --horizon")
+
+    def test_random_search_names_its_horizon(self, tmp_path, capsys):
+        path = write_scenario(tmp_path, HALF_RING_POOL)
+        assert run(capsys, ["connectivity", path, "--search", "--p", "1", "--horizon", "12"]) == (
+            1, "no verifying window parameters up to horizon 12\n", "")
 
 
 class TestCompareCommand:
@@ -607,10 +631,13 @@ class TestExitCodeContract:
         assert main(["launch"]) == 1
 
     def test_installed_entry_point(self, dissenter_path, tmp_path):
+        # the child imports the opdyn this test imported, ahead of any other
+        source = str(Path(opdyn.__file__).resolve().parent.parent)
+        path = os.pathsep.join(filter(None, [source, os.environ.get("PYTHONPATH")]))
         result = subprocess.run(
             [sys.executable, "-m", "opdyn.cli", "simulate", dissenter_path,
              "--out", str(tmp_path / "out")],
-            capture_output=True, text=True)
+            capture_output=True, text=True, env={**os.environ, "PYTHONPATH": path})
         assert result.returncode == 0
         assert "consensus -0.5" in result.stdout
 

@@ -286,30 +286,46 @@ def draw_schedule(data, family):
 class TestRepeatedJointConnectivity:
     def test_static_strongly_connected(self):
         sched = od.StaticSchedule(od.uniform_complete_matrix(3))
-        assert od.verify_repeated_joint_connectivity(sched, 1, 1, 10)
+        assert od.verify_repeated_joint_connectivity(sched, 1, 1)
 
     def test_alternation_needs_window_of_two(self):
         sched = alternating_two_agent_schedule()
-        assert od.verify_repeated_joint_connectivity(sched, 2, 1, 10)
-        assert od.verify_repeated_joint_connectivity(sched, 2, 2, 10)
-        assert not od.verify_repeated_joint_connectivity(sched, 1, 1, 10)
+        assert od.verify_repeated_joint_connectivity(sched, 2, 1)
+        assert od.verify_repeated_joint_connectivity(sched, 2, 2)
+        assert not od.verify_repeated_joint_connectivity(sched, 1, 1)
 
     def test_static_self_arcs_only_fails_every_window(self):
         sched = od.StaticSchedule(od.WeightMatrix(np.eye(3), beta=0.5))
         for p in (1, 2, 5):
-            assert not od.verify_repeated_joint_connectivity(sched, p, 1, 20)
+            assert not od.verify_repeated_joint_connectivity(sched, p, 1)
 
     def test_horizon_must_cover_one_window(self):
-        sched = od.StaticSchedule(od.uniform_complete_matrix(3))
-        with pytest.raises(PreconditionError):
+        sched = od.RandomSchedule((od.uniform_complete_matrix(3),), seed=0)
+        with pytest.raises(PreconditionError, match="shorter than the first window"):
             od.verify_repeated_joint_connectivity(sched, 5, 2, 5)
+        assert od.verify_repeated_joint_connectivity(sched, 5, 2, 6)
+
+    def test_only_a_random_schedule_takes_a_horizon(self):
+        a, b = half_cycle_matrices(4, trial_rng(13, 0))
+        chain = od.WeightMatrix([[1.0, 0.0, 0.0], [0.5, 0.5, 0.0], [0.0, 0.5, 0.5]], beta=0.5)
+        for sched in (od.StaticSchedule(a), od.PeriodicSchedule((a, b)), od.StaticSchedule(chain)):
+            with pytest.raises(PreconditionError, match="takes no horizon"):
+                od.verify_repeated_joint_connectivity(sched, 2, 1, 10)
+            with pytest.raises(PreconditionError, match="takes no horizon"):
+                od.find_window_parameters(sched, 10)  # refused before the union is checked
+        for pool in ((a, b), (chain,)):
+            sched = od.RandomSchedule(pool, seed=1)
+            with pytest.raises(PreconditionError, match="none given"):
+                od.verify_repeated_joint_connectivity(sched, 2, 1)
+            with pytest.raises(PreconditionError, match="none given"):
+                od.find_window_parameters(sched, max_p=2)
 
     def test_window_parameters_must_be_positive(self):
         sched = od.StaticSchedule(od.uniform_complete_matrix(3))
         with pytest.raises(PreconditionError):
-            od.verify_repeated_joint_connectivity(sched, 0, 1, 10)
+            od.verify_repeated_joint_connectivity(sched, 0, 1)
         with pytest.raises(PreconditionError):
-            od.verify_repeated_joint_connectivity(sched, 1, 0, 10)
+            od.verify_repeated_joint_connectivity(sched, 1, 0)
 
     def test_random_schedule_verified_within_horizon(self):
         rng = trial_rng(11, 0)
@@ -323,7 +339,8 @@ class TestRepeatedJointConnectivity:
         kind, schedule = draw_schedule(data, 12)
         p = data.draw(st.integers(1, 4), label="p")
         q = data.draw(st.integers(1, p), label="q")
-        horizon = data.draw(st.integers(1, 40), label="horizon")
+        # only a random schedule is examined up to a horizon; any other, for all time
+        horizon = data.draw(st.integers(1, 40), label="horizon") if kind == "random" else None
         try:
             expected = verify_by_window(schedule, p, q, horizon)
         except PreconditionError:
@@ -336,7 +353,7 @@ class TestRepeatedJointConnectivity:
         # every member, and single-step windows draw each member alone.
         cycle = od.PeriodicSchedule(schedule.pool)
         k = len(cycle.pool)
-        whole, each = verify_by_window(cycle, k, 1, k), verify_by_window(cycle, 1, 1, k)
+        whole, each = verify_by_window(cycle, k, 1), verify_by_window(cycle, 1, 1)
         status = od.schedule_rjsc_status(schedule)
         if kind == "random":
             assert status is (True if each else None if whole else False)
@@ -346,15 +363,23 @@ class TestRepeatedJointConnectivity:
     @settings(max_examples=100, deadline=None)
     @given(st.data())
     def test_search_matches_brute_force(self, data):
-        _, schedule = draw_schedule(data, 18)
-        horizon = data.draw(st.integers(1, 25), label="horizon")
+        kind, schedule = draw_schedule(data, 18)
         max_p = data.draw(st.none() | st.integers(1, 8), label="max_p")
-        cap = horizon if max_p is None else min(max_p, horizon)
-        # smallest p, then smallest q, among the windows that end by the horizon
+        if kind == "random":
+            horizon = data.draw(st.integers(1, 25), label="horizon")
+            cap = horizon if max_p is None else min(max_p, horizon)
+            # smallest p, then smallest q, among the windows that end by the horizon
+            expected = next(((p, q) for p in range(1, cap + 1) for q in range(1, p + 1)
+                             if q + p - 1 <= horizon and verify_by_window(schedule, p, q, horizon)),
+                            None)
+            assert od.find_window_parameters(schedule, horizon, max_p=max_p) == expected
+            return
+        # for all time: windows up to twice the period are tried, past the
+        # search's own bound of one period
+        cap = 2 * len(schedule.pool) if max_p is None else max_p
         expected = next(((p, q) for p in range(1, cap + 1) for q in range(1, p + 1)
-                         if q + p - 1 <= horizon and verify_by_window(schedule, p, q, horizon)),
-                        None)
-        assert od.find_window_parameters(schedule, horizon, max_p=max_p) == expected
+                         if verify_by_window(schedule, p, q)), None)
+        assert od.find_window_parameters(schedule, max_p=max_p) == expected
 
     @pytest.mark.parametrize("kind", ["static", "periodic"])
     def test_a_window_longer_than_the_period_walks_one_period(self, kind):
@@ -370,44 +395,52 @@ class TestRepeatedJointConnectivity:
         period, p = len(schedule.pool), 10**9
         windows = period // math.gcd(p, period)
         # a alone is half a cycle; a and b together are strongly connected
-        assert od.verify_repeated_joint_connectivity(schedule, p, 1, p) is (kind == "periodic")
+        assert od.verify_repeated_joint_connectivity(schedule, p, 1) is (kind == "periodic")
         assert 0 < len(lookups) <= windows * period
 
     def test_repeated_matrix_object_in_pool(self):
         a, b = half_cycle_matrices(5, trial_rng(13, 0))
         sched = od.PeriodicSchedule((a, a, b))
         # windows from step 1: (a, b) then (a, a), which draws a alone
-        assert not od.verify_repeated_joint_connectivity(sched, 2, 1, 10)
-        assert od.verify_repeated_joint_connectivity(sched, 3, 1, 10)
+        assert not od.verify_repeated_joint_connectivity(sched, 2, 1)
+        assert od.verify_repeated_joint_connectivity(sched, 3, 1)
         for p in (1, 2, 3):
             random_sched = od.RandomSchedule((a, a, b), seed=p)
             assert od.verify_repeated_joint_connectivity(random_sched, p, 1, 30) is (
                 verify_by_window(random_sched, p, 1, 30))
 
     def test_search_finds_smallest_window(self):
-        assert od.find_window_parameters(alternating_two_agent_schedule(), 20) == (2, 1)
+        assert od.find_window_parameters(alternating_two_agent_schedule()) == (2, 1)
 
     def test_search_honours_its_cap(self):
         sched = alternating_two_agent_schedule()
-        assert od.find_window_parameters(sched, 20, max_p=1) is None
+        assert od.find_window_parameters(sched, max_p=1) is None
         for cap in (0, -1):
             with pytest.raises(PreconditionError, match="max_p"):
-                od.find_window_parameters(sched, 20, max_p=cap)
+                od.find_window_parameters(sched, max_p=cap)
 
     def test_search_skips_windows_that_end_past_the_horizon(self):
         a, b = half_cycle_matrices(4, trial_rng(13, 0))
-        sched = od.PeriodicSchedule((a, a, b))
-        # (2, 1) draws (a, b), then (a, a); (2, 2)'s first window ends at step 3
+        sched = od.RandomSchedule((a, b), seed=0)
+        assert [sched.matrix_at(t) for t in (1, 2, 3)] == [a, a, b]
+        # (2, 1)'s first window draws (a, a); (2, 2)'s draws (a, b) and ends at step 3
         assert od.find_window_parameters(sched, 2) is None
-        assert od.find_window_parameters(sched, 3) == (3, 1)
+        assert od.find_window_parameters(sched, 3) == (2, 2)
+
+    def test_periodic_search_needs_no_horizon(self):
+        a, b = half_cycle_matrices(4, trial_rng(13, 0))
+        sched = od.PeriodicSchedule((a, a, b))
+        # windows from step 1 of length 2 draw (a, b), then (a, a); any 3 steps draw a and b
+        assert od.find_window_parameters(sched) == (3, 1)
+        assert od.find_window_parameters(sched, max_p=2) is None
 
     def test_search_reports_absence(self):
         sched = od.StaticSchedule(od.WeightMatrix(np.eye(3), beta=0.5))
-        assert od.find_window_parameters(sched, 10) is None
+        assert od.find_window_parameters(sched) is None
 
     def test_search_without_a_connected_union_checks_it_once(self, monkeypatch):
         # no window of a pool whose union is not strongly connected can connect,
-        # so a long horizon costs one check, not one per (p, q)
+        # so a random pool's long horizon costs one check, not one per (p, q)
         chain = od.WeightMatrix([[1.0, 0.0, 0.0], [0.5, 0.5, 0.0], [0.0, 0.5, 0.5]], beta=0.5)
         real, calls = od.graph.is_strongly_connected, []
 
@@ -417,7 +450,7 @@ class TestRepeatedJointConnectivity:
             return real(*matrices)
 
         monkeypatch.setattr(od.graph, "is_strongly_connected", counting)
-        assert od.find_window_parameters(od.StaticSchedule(chain), 10_000) is None
+        assert od.find_window_parameters(od.RandomSchedule((chain,), seed=0), 10_000) is None
         assert len(calls) == 1
 
 

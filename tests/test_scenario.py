@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import opdyn as od
-from opdyn.errors import DomainError, PreconditionError, SchemaError, ShapeError
+from opdyn.errors import PreconditionError, SchemaError
 from opdyn.scenario import _KIND_NAMES
 
 from _trials import bench_workloads
@@ -143,11 +143,14 @@ class TestLoadScenario:
         assert replaced.scenario_id == load(replaced.document).scenario_id
         with pytest.raises(ValueError):
             replaced.x0[0] = 0.9
-        with pytest.raises(DomainError):
-            replace(scenario, x0=np.array([3.0, 0.0, 0.0, 0.0]))
-        for x0 in (np.zeros(5), np.zeros(3), np.zeros((2, 2))):
-            with pytest.raises(ShapeError):
+        for x0, path in ((np.array([3.0, 0.0, 0.0, 0.0]), "x0[0]"),
+                         ([0.0, -1.5, 0.0, 0.0], "x0[1]"),
+                         (np.array([0.0, 0.0, math.nan, 0.0]), "x0[2]"),
+                         *((x0, "x0") for x0 in (np.zeros(5), np.zeros(3), np.zeros((2, 2)),
+                                                 np.zeros(0), 0.5, "0.5", [0.0, "a", 0.0, 0.0]))):
+            with pytest.raises(SchemaError) as caught:
                 replace(scenario, x0=x0)
+            assert caught.value.path == path
         assert replace(scenario, x0=(-0.5, 0.5)).x0 == (-0.5, 0.5)  # a generator's interval
 
     def test_interval_rule_holds_for_documents_and_replace_alike(self):
@@ -759,10 +762,17 @@ RULES = [
      {"schedule": {"kind": "periodic", "matrices": 5}}, "schedule.matrices"),
     ("matrix_of_three_agents", PERIODIC, "matrices", (od.WeightMatrix(THREE_AGENTS, 0.25),),
      {"schedule": {"kind": "periodic", "matrices": [THREE_AGENTS]}}, "schedule.matrices[0]"),
+    ("matrix_not_square", dissenter_document(), "matrices", ([[0.25] * 4] * 3,),
+     {"schedule": {"kind": "static", "matrix": [[0.25] * 4] * 3}}, "schedule.matrix"),
     ("matrix_breaks_weight_rules", dissenter_document(), "matrices", ([[0.6] * 4] * 4,),
      {"schedule": {"kind": "static", "matrix": [[0.6] * 4] * 4}}, "schedule.matrix"),
     ("matrix_below_beta", PERIODIC, "matrices", (QUARTER, od.WeightMatrix(LOW_FLOOR, 0.1)),
      {"schedule": {"kind": "periodic", "matrices": [QUARTER, LOW_FLOOR]}}, "schedule.matrices[1]"),
+    ("x0_above_one", dissenter_document(), "x0", np.array([3.0, 0.0, 0.0, 0.0]),
+     {"x0": [3.0, 0.0, 0.0, 0.0]}, "x0[0]"),
+    ("x0_three_entries", dissenter_document(), "x0", np.zeros(3), {"x0": [0.0] * 3}, "x0"),
+    ("x0_two_dimensional", dissenter_document(), "x0", np.zeros((2, 2)),
+     {"x0": [[0.0, 0.0], [0.0, 0.0]]}, "x0"),
     ("openness_count", dissenter_document(), "kind", od.Constant((0.5,) * 3),
      {"susceptibility": {"kind": "constant", "openness": [0.5] * 3}}, "susceptibility.openness"),
     ("kind_not_a_kind", dissenter_document(), "kind", 7, {"susceptibility": 7}, "susceptibility"),
@@ -821,6 +831,17 @@ class TestOneOwnerPerRule:
         assert replaced.matrices[0] is scenario.matrices[0]
         wrapped = replace(scenario, matrices=(QUARTER,))
         assert isinstance(wrapped.matrices[0], od.WeightMatrix) and wrapped.matrices[0].beta == 0.25
+
+    @pytest.mark.parametrize("matrix,match", [
+        ([[0.25, math.nan, 0.25, 0.25], *QUARTER[1:]], r"entry \[0\]\[1\] is not finite"),
+        ([[0.25, math.inf, 0.25, 0.25], *QUARTER[1:]], r"entry \[0\]\[1\] is not finite"),
+        ("QUARTER", "an array of numbers"),
+    ])
+    def test_a_malformed_matrix_is_refused_at_its_path(self, matrix, match):
+        # a document cannot hold these past its JSON checks; a replace names the matrix
+        with pytest.raises(SchemaError, match=match) as caught:
+            replace(load(PERIODIC), matrices=(QUARTER, matrix))
+        assert caught.value.path == "schedule.matrices[1]"
 
 
 # Any number, NaN and the infinities included, strings, tuples and numpy scalars.
