@@ -97,7 +97,7 @@ def opinion_vector(values) -> np.ndarray:
     bad = np.nonzero((arr < OPINION_MIN) | (arr > OPINION_MAX))[0]
     if bad.size:
         k = int(bad[0])
-        raise DomainError(f"x0[{k}]: value {float(arr[k])!r} outside [-1, 1]")
+        raise DomainError(f"opinions[{k}]: value {float(arr[k])!r} outside [-1, 1]")
     out = arr.copy()
     out.setflags(write=False)
     return out

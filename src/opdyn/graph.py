@@ -20,6 +20,7 @@ stop rule alone.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from typing import NamedTuple, Optional, Sequence, Union
 
@@ -77,7 +78,8 @@ _CSR_MAX_DENSITY = 0.04
 class WeightMatrix:
     """Row-stochastic influence matrix with its declared weight floor.
 
-    Construction raises ``PreconditionError`` unless ``beta > 0``, and
+    Construction raises ``PreconditionError`` unless ``beta`` is a real
+    number (a bool is not) above 0, which it keeps as a float, and
     ``ShapeError`` on an input that is not an array of numbers, a
     non-square one or one with fewer than 2 agents, or naming the row and
     column of its first non-finite entry. Otherwise it checks every clause
@@ -91,11 +93,16 @@ class WeightMatrix:
       * ``zero_diagonal``: each diagonal entry is positive (an agent
         always hears herself).
 
-    So every instance is valid. ``entries`` is kept as a read-only float
-    copy. Construction scans the input once for its nonzeros, in row-major
-    order, and runs the finiteness and floor checks on them alone: NaN,
-    ``inf`` and every entry below the floor are nonzeros. Row sums are
-    the dense ``sum(axis=1)``, numpy's pairwise sum of each whole row.
+    So every instance is valid. ``entries`` is a read-only, C-ordered float
+    array. It is the checked array itself when no caller can write it: the
+    one ``np.asarray`` built from a list or another dtype, or an input that
+    is already read-only, C-contiguous and owns its memory. Any other input
+    (a writable float array the caller still holds, a view, another layout)
+    is copied. Construction scans the input once for its nonzeros, in
+    row-major order, and runs the finiteness and floor checks on them
+    alone: NaN, ``inf`` and every entry below the floor are nonzeros. Row
+    sums are the dense ``sum(axis=1)``, numpy's pairwise sum of each whole
+    row.
 
     ``matvec`` and ``rmatvec`` compute ``W v`` and ``W^T v``. Construction
     decides, once, whether they run on the dense ``entries`` or on a CSR
@@ -110,6 +117,14 @@ class WeightMatrix:
 
     def __post_init__(self):
         beta = self.beta
+        if type(beta) is not float:
+            if isinstance(beta, bool) or not isinstance(beta, numbers.Real):
+                raise PreconditionError(f"beta must be a number, got {_brief(beta)}")
+            try:
+                beta = float(beta)
+            except OverflowError:
+                raise PreconditionError(f"beta {_brief(beta)} is too large for a double") from None
+            object.__setattr__(self, "beta", beta)
         if not beta > 0:  # NaN too
             raise PreconditionError(f"beta must be positive, got {beta}")
         try:
@@ -135,7 +150,7 @@ class WeightMatrix:
         for k in np.flatnonzero(vals < beta).tolist():
             found.append(Violation(
                 "entry_floor", divmod(int(flat[k]), n),
-                f"nonzero entry {float(vals[k])!r} below floor {float(beta)!r}"))
+                f"nonzero entry {float(vals[k])!r} below floor {beta!r}"))
         for i in np.flatnonzero(arr.diagonal() == 0.0).tolist():
             found.append(Violation(
                 "zero_diagonal", (i,), "agent must keep a self-weight"))
@@ -146,8 +161,14 @@ class WeightMatrix:
         if n >= _CSR_MIN_N and flat.size <= _CSR_MAX_DENSITY * n * n:
             csr = _CSR(*np.divmod(flat, n), vals)
         object.__setattr__(self, "_csr", csr)
-        del flat, vals  # freed before the copy, where memory peaks
-        arr = arr.copy()
+        del flat, vals  # freed before any copy, where memory peaks
+        # Kept only where no caller can write it: np.asarray built it from a
+        # list or by a cast, or it is a read-only C array owning its memory.
+        src = self.entries
+        built = arr is not src and isinstance(src, (list, tuple, np.ndarray))
+        if not (arr.flags.c_contiguous and arr.flags.owndata
+                and (built or not arr.flags.writeable)):
+            arr = arr.copy()
         arr.setflags(write=False)
         object.__setattr__(self, "entries", arr)
 
@@ -469,6 +490,8 @@ def random_strongly_connected_matrix(
     of ``random() < edge_probability``, and only their hits are kept, so
     the support is built from its indices without an ``n x n`` mask. Rows
     are normalized by the dense row sums, and only the nonzeros divided.
+    The matrix is built once, marked read-only and kept by the
+    ``WeightMatrix`` as its ``entries``, without a copy.
     """
     if n < 2:
         raise PreconditionError("need at least 2 agents")
@@ -489,4 +512,5 @@ def random_strongly_connected_matrix(
     np.put(entries, support, weights)
     weights /= entries.sum(axis=1)[support // n]  # numpy's pairwise sum of each whole row
     np.put(entries, support, weights)
+    entries.setflags(write=False)
     return WeightMatrix(entries, float(weights.min()))

@@ -70,7 +70,7 @@ class TestOpinionVector:
             x[0] = 0.0
 
     def test_out_of_range_names_index(self):
-        with pytest.raises(DomainError, match=r"x0\[2\]"):
+        with pytest.raises(DomainError, match=r"^opinions\[2\]: value 1.5 outside"):
             od.opinion_vector([0.0, 0.5, 1.5])
 
     def test_rejects_non_finite_and_wrong_rank(self):
@@ -91,7 +91,7 @@ class TestOpinionVector:
     @pytest.mark.parametrize("entry", ENTRIES)
     @pytest.mark.parametrize("x,error,match", [
         (np.zeros((4, 4)), ShapeError, r"1-D and nonempty, got shape \(4, 4\)"),
-        ([3.0, 0.0, 0.0, 0.0], DomainError, r"x0\[0\]: value 3.0 outside"),
+        ([3.0, 0.0, 0.0, 0.0], DomainError, r"^opinions\[0\]: value 3.0 outside"),
         ([0.0, np.nan, 0.0, 0.0], DomainError, "non-finite"),
         ([0.0, 0.5], ShapeError, "^2 opinions against 4 agents$"),
     ], ids=["matrix", "out_of_range", "nan", "count"])

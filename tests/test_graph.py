@@ -1,6 +1,7 @@
 import functools
 import hashlib
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -37,6 +38,11 @@ def ring_matrix(n):
     for i in range(n):
         entries[(i + 1) % n, i] = 0.5
     return od.WeightMatrix(entries, beta=0.5)
+
+
+def read_only(a: np.ndarray) -> np.ndarray:
+    a.setflags(write=False)
+    return a
 
 
 def violations(entries, beta):
@@ -161,6 +167,41 @@ class TestValidateWeightMatrix:
         w = od.uniform_complete_matrix(3)
         with pytest.raises(ValueError):
             w.entries[0, 0] = 0.9
+
+    # Whether ``entries`` is the input's memory: kept where no caller can
+    # write it, copied to C order otherwise.
+    OWNERSHIP = {
+        "list": (lambda: [[0.5, 0.5], [0.25, 0.75]], False),
+        "int_array": (lambda: np.eye(2, dtype=np.int64), False),
+        "writable_float": (lambda: np.full((2, 2), 0.5), False),
+        "read_only_c": (lambda: read_only(np.full((2, 2), 0.5)), True),
+        "read_only_fortran": (lambda: read_only(np.asfortranarray([[0.5, 0.5], [0.25, 0.75]])), False),
+        "read_only_view": (lambda: read_only(np.full((2, 2), 0.5)[:, :]), False),
+    }
+
+    @pytest.mark.parametrize("case", OWNERSHIP)
+    def test_entries_adopt_only_an_array_no_caller_can_write(self, case):
+        make, shared = self.OWNERSHIP[case]
+        given = make()
+        w = od.WeightMatrix(given, beta=0.25)
+        assert np.array_equal(w.entries, np.asarray(given, dtype=float))
+        assert np.shares_memory(w.entries, given) == shared
+        assert w.entries.flags.c_contiguous and not w.entries.flags.writeable
+        if case in ("writable_float", "read_only_view"):  # the caller writes its array
+            (given if given.flags.writeable else given.base)[0, 0] = 0.9
+            assert w.entries[0, 0] == 0.5
+
+    @pytest.mark.parametrize("beta", ["0.5", None, [0.5], True, np.bool_(True), 10**400],
+                             ids=["string", "none", "list", "bool", "numpy_bool", "huge_int"])
+    def test_beta_must_be_a_real_number(self, beta):
+        with pytest.raises(PreconditionError, match="^beta "):
+            od.WeightMatrix(np.eye(2), beta=beta)
+
+    @pytest.mark.parametrize("beta", [np.float32(0.5), 1, np.float64(0.5)],
+                             ids=["float32", "int", "float64"])
+    def test_beta_is_kept_as_a_float(self, beta):
+        w = od.WeightMatrix(np.eye(2), beta=beta)
+        assert type(w.beta) is float and w.beta == float(beta)
 
 
 class TestStrongConnectivity:
@@ -535,6 +576,19 @@ class TestRandomMatrixGenerator:
     def test_floor_is_smallest_nonzero_weight(self):
         w = od.random_strongly_connected_matrix(5, trial_rng(15, 0), 0.3)
         assert w.beta == w.entries[w.entries > 0].min()
+
+    @pytest.mark.parametrize("seed", [1, 2])
+    def test_peak_memory_is_one_matrix(self, seed):
+        """The generator builds its n x n array once and the WeightMatrix
+        keeps it: no second dense copy at any point."""
+        n = 1000
+        tracemalloc.start()
+        try:
+            od.random_strongly_connected_matrix(n, SplitMix64(seed), 0.003)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.25 * n * n * 8
 
     @pytest.mark.parametrize("n,p,seed,entries_sha256,beta_hex,final_state", GENERATOR_PINS)
     def test_output_is_pinned(self, n, p, seed, entries_sha256, beta_hex, final_state):
