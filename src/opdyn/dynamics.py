@@ -440,7 +440,8 @@ class _FormatTables(NamedTuple):
     last_digit: np.ndarray  # [q, c]: 4q + the place (1-4) of c's last nonzero digit; 0 if c == 0
     mask_hi: np.ndarray     # [d]: keeps the first d of 16 digit bytes: in the first word,
     mask_lo: np.ndarray     # and in the second
-    prefix: np.ndarray      # [((class * 10 + first digit) * 2 + more digits) * 2 + negative]
+    prefix: np.ndarray      # [((class * 10 + first digit) * 2 + more digits) * 2 + negative],
+                            # text in the high bytes, next to the digits
     suffix: np.ndarray      # [max(-k - 4, 0) * 2 + last column]
 
 
@@ -485,7 +486,7 @@ def _format_tables() -> _FormatTables:
         digits4=digits4, last_digit=np.where(last > 0, last + 4 * np.arange(4)[:, None], 0),
         mask_hi=np.array([(1 << 8 * min(d, 8)) - 1 for d in range(17)], np.uint64),
         mask_lo=np.array([(1 << 8 * max(d - 8, 0)) - 1 for d in range(17)], np.uint64),
-        prefix=np.array([_word(x) for x in prefix], np.uint64),
+        prefix=np.array([_word(x.rjust(8, "\0")) for x in prefix], np.uint64),
         suffix=np.array([_word(x) for x in suffix], np.uint64))
 
 
@@ -535,13 +536,14 @@ def _format_block(block: np.ndarray) -> bytes:
     Each field becomes four uint64 words of zero-padded ASCII, laid out as
     ``%.17g`` does: 17 digits rounded, trailing zeros dropped, fixed
     notation for decimal exponents -4 to 16 and ``d.ddde-XX`` below. The
-    words are a prefix (sign, ``0.`` and zeros, first digit, point), the
-    other 16 digits masked to those shown, and the exponent with the
-    separator; dropping the zero bytes leaves the text. An integer below
-    1e17 prints the same under ``%d``. A block with any field outside the
-    fast range (see ``_MIN_EXP``; NaN and infinities too) or near a
-    rounding tie goes whole through ``_percent_rows``, decided before the
-    words are built.
+    words are a prefix (sign, ``0.`` and zeros, first digit, point) in its
+    high bytes, the other 16 digits masked to those shown, and the exponent
+    with the separator; dropping the zero bytes leaves the text, and a
+    field with all 17 digits is one run of it, which the drop passes
+    faster. An integer below 1e17 prints the same under ``%d``. A block
+    with any field outside the fast range (see ``_MIN_EXP``; NaN and
+    infinities too) or near a rounding tie goes whole through
+    ``_percent_rows``, decided before the words are built.
     """
     tables = _format_tables()
     m, width = block.shape

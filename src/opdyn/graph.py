@@ -65,13 +65,91 @@ class _CSR(NamedTuple):
     vals: np.ndarray
 
 
-# Storage is chosen once per matrix: a CSR copy is kept when the matrix has
-# at least _CSR_MIN_N agents and at most _CSR_MAX_DENSITY * n**2 nonzeros.
+# Storage is chosen once per matrix: the CSR form is kept, and no dense
+# array, when the matrix has at least _CSR_MIN_N agents and at most
+# _CSR_MAX_DENSITY * n**2 nonzeros (``_stores_csr``).
 # In single-thread matvec timings (README, "Reproducibility") the dense
 # product won or tied below _CSR_MIN_N at every density, and CSR never lost
 # inside these bounds.
 _CSR_MIN_N = 400
 _CSR_MAX_DENSITY = 0.04
+
+# _row_sums fills at most this many dense entries at a time (256 KiB).
+_ROW_SUM_BLOCK = 1 << 15
+
+
+def _stores_csr(n: int, nonzeros: int) -> bool:
+    """The storage rule: whether an n-agent matrix with this many nonzeros keeps CSR alone."""
+    return n >= _CSR_MIN_N and nonzeros <= _CSR_MAX_DENSITY * n * n
+
+
+def _beta(beta) -> float:
+    """``beta`` as a float, or ``PreconditionError`` unless it is a real
+    number (a bool is not) above 0."""
+    if type(beta) is not float:
+        if isinstance(beta, bool) or not isinstance(beta, numbers.Real):
+            raise PreconditionError(f"beta must be a number, got {_brief(beta)}")
+        try:
+            beta = float(beta)
+        except OverflowError:
+            raise PreconditionError(f"beta {_brief(beta)} is too large for a double") from None
+    if not beta > 0:  # NaN too
+        raise PreconditionError(f"beta must be positive, got {beta}")
+    return beta
+
+
+def _row_sums(n: int, flat: np.ndarray, vals: np.ndarray) -> np.ndarray:
+    """``sum(axis=1)`` of the n x n matrix holding ``vals`` at the strictly
+    increasing row-major indices ``flat`` and 0 elsewhere, bit for bit,
+    without that matrix. Whole rows, at most ``_ROW_SUM_BLOCK`` entries of
+    them at a time, are filled into one zeroed dense block and summed there:
+    numpy's pairwise sum of a contiguous row does not depend on the rows
+    around it."""
+    rows = max(1, _ROW_SUM_BLOCK // n)
+    block = np.zeros((rows, n))
+    sums = np.empty(n)
+    ends = np.searchsorted(flat, np.arange(rows, n + rows, rows) * n).tolist()
+    lo = 0
+    for start, hi in zip(range(0, n, rows), ends):
+        at = flat[lo:hi] - start * n
+        np.put(block, at, vals[lo:hi])
+        count = min(rows, n - start)
+        np.sum(block[:count], axis=1, out=sums[start:start + count])
+        np.put(block, at, 0.0)
+        lo = hi
+    return sums
+
+
+def _check_finite(n: int, flat: np.ndarray, vals: np.ndarray) -> None:
+    """``ShapeError`` naming the first non-finite of the nonzeros ``vals``
+    at the row-major indices ``flat`` of an n x n matrix, if any."""
+    finite = np.isfinite(vals)
+    if not finite.all():
+        k = int(np.argmin(finite))
+        i, j = divmod(int(flat[k]), n)
+        raise ShapeError(f"matrix entry [{i}][{j}] is not finite: {float(vals[k])!r}")
+
+
+def _check_rules(n: int, flat: np.ndarray, vals: np.ndarray, beta: float,
+                 row_sums: np.ndarray, zero_diagonal: np.ndarray) -> None:
+    """``ValidationError`` with every violated weight rule of the n x n
+    matrix with finite nonzeros ``vals`` at the row-major indices ``flat``,
+    given its dense ``sum(axis=1)`` and the mark of each agent whose
+    diagonal entry is zero, if any."""
+    found: list[Violation] = []
+    for i in np.flatnonzero(np.abs(row_sums - 1.0) > ROW_SUM_TOL).tolist():
+        found.append(Violation(
+            "row_sum", (i,), f"row sums to {float(row_sums[i])!r}, expected 1"))
+    for k in np.flatnonzero(vals < beta).tolist():
+        found.append(Violation(
+            "entry_floor", divmod(int(flat[k]), n),
+            f"nonzero entry {float(vals[k])!r} below floor {beta!r}"))
+    for i in np.flatnonzero(zero_diagonal).tolist():
+        found.append(Violation(
+            "zero_diagonal", (i,), "agent must keep a self-weight"))
+    if found:
+        raise ValidationError(
+            "invalid weight matrix:\n" + "\n".join(map(str, found)), violations=found)
 
 
 @dataclass(frozen=True, eq=False)
@@ -93,40 +171,37 @@ class WeightMatrix:
       * ``zero_diagonal``: each diagonal entry is positive (an agent
         always hears herself).
 
-    So every instance is valid. ``entries`` is a read-only, C-ordered float
-    array. It is the checked array itself when no caller can write it: the
-    one ``np.asarray`` built from a list or another dtype, or an input that
-    is already read-only, C-contiguous and owns its memory. Any other input
-    (a writable float array the caller still holds, a view, another layout)
-    is copied. Construction scans the input once for its nonzeros, in
-    row-major order, and runs the finiteness and floor checks on them
-    alone: NaN, ``inf`` and every entry below the floor are nonzeros. Row
-    sums are the dense ``sum(axis=1)``, numpy's pairwise sum of each whole
-    row.
+    So every instance is valid. Construction scans the input once for its
+    nonzeros, in row-major order, and runs the finiteness and floor checks
+    on them alone: NaN, ``inf`` and every entry below the floor are
+    nonzeros. Row sums are the dense ``sum(axis=1)``, numpy's pairwise sum
+    of each whole row.
 
-    ``matvec`` and ``rmatvec`` compute ``W v`` and ``W^T v``. Construction
-    decides, once, whether they run on the dense ``entries`` or on a CSR
-    copy made from the same scan; a large sparse matrix gets the CSR copy,
-    whose sums run left to right over the nonzeros and so agree with the
-    dense products to within rounding. :func:`is_strongly_connected` runs
-    on the same products.
+    A matrix holds one form of its weights, chosen once by its agent count
+    ``n`` and its number of nonzeros. A small or dense one keeps the dense
+    ``entries``, a read-only, C-ordered float array: the checked array
+    itself when no caller can write it (the one ``np.asarray`` built from a
+    list or another dtype, or an input that is already read-only,
+    C-contiguous and owns its memory), otherwise a copy. A large sparse one
+    (at least 400 agents, at most ``0.04 n^2`` nonzeros) keeps only a CSR
+    copy of its nonzeros, O(nnz) memory, and drops the input; its
+    ``entries``, the same read-only array with the same bytes, is built on
+    first request and kept. (An input holding a negative zero, which the
+    nonzeros cannot rebuild, is kept as ``entries`` as well.)
+
+    ``matvec`` and ``rmatvec`` compute ``W v`` and ``W^T v`` from the form
+    the matrix holds, and never build ``entries``; the CSR products' sums
+    run left to right over the nonzeros and so agree with the dense
+    products to within rounding. :func:`is_strongly_connected` runs on the
+    same products.
     """
 
     entries: np.ndarray
     beta: float
 
     def __post_init__(self):
-        beta = self.beta
-        if type(beta) is not float:
-            if isinstance(beta, bool) or not isinstance(beta, numbers.Real):
-                raise PreconditionError(f"beta must be a number, got {_brief(beta)}")
-            try:
-                beta = float(beta)
-            except OverflowError:
-                raise PreconditionError(f"beta {_brief(beta)} is too large for a double") from None
-            object.__setattr__(self, "beta", beta)
-        if not beta > 0:  # NaN too
-            raise PreconditionError(f"beta must be positive, got {beta}")
+        if type(self.beta) is not float or not self.beta > 0:
+            object.__setattr__(self, "beta", _beta(self.beta))
         try:
             arr = np.asarray(self.entries, dtype=float)
         except (TypeError, ValueError):  # a string, a ragged list
@@ -136,32 +211,18 @@ class WeightMatrix:
         if arr.shape[0] < 2:
             raise ShapeError(f"matrix needs at least 2 agents, got {arr.shape[0]}")
         n = arr.shape[0]
+        object.__setattr__(self, "n", n)
         flat = np.flatnonzero(arr != 0.0)  # the support, row-major whatever the layout
         vals = np.take(arr, flat)
-        finite = np.isfinite(vals)
-        if not finite.all():
-            i, j = divmod(int(flat[np.argmin(finite)]), n)
-            raise ShapeError(f"matrix entry [{i}][{j}] is not finite: {float(arr[i, j])!r}")
-        found: list[Violation] = []
-        row_sums = arr.sum(axis=1)
-        for i in np.flatnonzero(np.abs(row_sums - 1.0) > ROW_SUM_TOL).tolist():
-            found.append(Violation(
-                "row_sum", (i,), f"row sums to {float(row_sums[i])!r}, expected 1"))
-        for k in np.flatnonzero(vals < beta).tolist():
-            found.append(Violation(
-                "entry_floor", divmod(int(flat[k]), n),
-                f"nonzero entry {float(vals[k])!r} below floor {beta!r}"))
-        for i in np.flatnonzero(arr.diagonal() == 0.0).tolist():
-            found.append(Violation(
-                "zero_diagonal", (i,), "agent must keep a self-weight"))
-        if found:
-            raise ValidationError(
-                "invalid weight matrix:\n" + "\n".join(map(str, found)), violations=found)
-        csr = None
-        if n >= _CSR_MIN_N and flat.size <= _CSR_MAX_DENSITY * n * n:
-            csr = _CSR(*np.divmod(flat, n), vals)
+        _check_finite(n, flat, vals)
+        _check_rules(n, flat, vals, self.beta, arr.sum(axis=1), arr.diagonal() == 0.0)
+        csr = _CSR(*np.divmod(flat, n), vals) if _stores_csr(n, flat.size) else None
         object.__setattr__(self, "_csr", csr)
         del flat, vals  # freed before any copy, where memory peaks
+        # Every nonzero is positive now, so a sign bit marks a negative zero.
+        if csr is not None and not np.signbit(arr).any():
+            object.__delattr__(self, "entries")  # __getattr__ rebuilds it on request
+            return
         # Kept only where no caller can write it: np.asarray built it from a
         # list or by a cast, or it is a read-only C array owning its memory.
         src = self.entries
@@ -172,9 +233,36 @@ class WeightMatrix:
         arr.setflags(write=False)
         object.__setattr__(self, "entries", arr)
 
-    @property
-    def n(self) -> int:
-        return self.entries.shape[0]
+    @classmethod
+    def _from_support(cls, n: int, flat: np.ndarray, vals: np.ndarray, beta: float) -> WeightMatrix:
+        """The n x n matrix (n >= 2) holding ``vals`` at the strictly
+        increasing row-major indices ``flat`` and 0 elsewhere, checked as
+        the constructor checks that dense array: the same errors, and the
+        same violations in the same order with the same messages. It is
+        stored as CSR alone, whatever its size, and no n x n array is made:
+        row sums come from ``_row_sums``. Every value must be nonzero, as
+        the constructor's support is; a zero fails the floor."""
+        self = cls.__new__(cls)
+        object.__setattr__(self, "beta", _beta(beta))
+        object.__setattr__(self, "n", n)
+        zero_diagonal = np.ones(n, dtype=bool)
+        zero_diagonal[flat[flat % (n + 1) == 0] // (n + 1)] = False  # entry (i, i) is i * (n + 1)
+        _check_finite(n, flat, vals)
+        _check_rules(n, flat, vals, self.beta, _row_sums(n, flat, vals), zero_diagonal)
+        object.__setattr__(self, "_csr", _CSR(*np.divmod(flat, n), vals))
+        return self
+
+    def __getattr__(self, name: str):
+        # Reached only for an attribute missing from the instance: for
+        # ``entries`` of a CSR matrix, the dense array, built once and kept.
+        if name != "entries":
+            raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
+        rows, cols, vals = self._csr
+        arr = np.zeros((self.n, self.n))
+        arr[rows, cols] = vals
+        arr.setflags(write=False)
+        object.__setattr__(self, "entries", arr)
+        return arr
 
     def matvec(self, v: np.ndarray) -> np.ndarray:
         """``W v`` as a new array."""
@@ -488,10 +576,16 @@ def random_strongly_connected_matrix(
     per support entry in row-major order (the weights). The arc draws are
     compared with ``edge_probability`` as integer words, with the outcome
     of ``random() < edge_probability``, and only their hits are kept, so
-    the support is built from its indices without an ``n x n`` mask. Rows
-    are normalized by the dense row sums, and only the nonzeros divided.
-    The matrix is built once, marked read-only and kept by the
-    ``WeightMatrix`` as its ``entries``, without a copy.
+    the support is built from its indices without an ``n x n`` mask.
+
+    Rows are normalized by the dense row sums, numpy's pairwise sum of each
+    whole row, and only the nonzeros divided. Where the storage rule of
+    :class:`WeightMatrix` keeps the dense form, the matrix is built once,
+    marked read-only and kept as the ``entries``, without a copy. Where it
+    keeps CSR, no ``n x n`` array is made: the row sums are summed over a
+    bounded block of dense rows at a time, with the same bits, and the
+    sorted support and its weights are checked and kept as the CSR form,
+    so the generator's memory is O(nnz).
     """
     if n < 2:
         raise PreconditionError("need at least 2 agents")
@@ -508,9 +602,12 @@ def random_strongly_connected_matrix(
     np.not_equal(support[1:], support[:-1], out=first[1:])
     support = support[first]
     weights = 1.0 + rng.random_block(support.size)  # uniform(1, 2), row-major
+    if _stores_csr(n, support.size):
+        weights /= _row_sums(n, support, weights)[support // n]
+        return WeightMatrix._from_support(n, support, weights, float(weights.min()))
     entries = np.zeros((n, n))
     np.put(entries, support, weights)
-    weights /= entries.sum(axis=1)[support // n]  # numpy's pairwise sum of each whole row
+    weights /= entries.sum(axis=1)[support // n]
     np.put(entries, support, weights)
     entries.setflags(write=False)
     return WeightMatrix(entries, float(weights.min()))

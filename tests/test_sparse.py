@@ -8,7 +8,11 @@ dense ones. These tests pin that order, hold that path to the dense
 sizes to the dense path bit for bit.
 """
 
+import gc
 import hashlib
+import json
+import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -16,7 +20,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import opdyn as od
+from opdyn import analysis, graph
 from opdyn.cli import main
+from opdyn.errors import ShapeError, ValidationError
 from opdyn.rng import SplitMix64
 
 from _trials import ALL_KINDS, bench_workloads, gap_form_step, random_valid_matrix, trial_rng
@@ -110,6 +116,173 @@ class TestDensePathKept:
                 v = scale * (2.0 * rng.random_block(n) - 1.0)
                 assert np.array_equal(w.matvec(v), w.entries @ v)
                 assert np.array_equal(w.rmatvec(v), w.entries.T @ v)
+
+
+def reference_generator_entries(n: int, rng: SplitMix64, p: float) -> np.ndarray:
+    """The generator's matrix built the dense way, on one n x n array: the
+    same draws, and rows normalized by that array's ``sum(axis=1)``."""
+    order = list(range(n))
+    rng.shuffle(order)
+    entries = np.zeros((n, n))
+    entries[np.arange(n), np.arange(n)] = 1.0
+    entries[order[1:] + order[:1], order] = 1.0  # order[k] -> order[k + 1]
+    i, r = np.divmod(rng._hits(n * (n - 1), p), n - 1)
+    entries[i, r + (r >= i)] = 1.0
+    support = np.flatnonzero(entries)
+    np.put(entries, support, 1.0 + rng.random_block(support.size))
+    entries /= entries.sum(axis=1)[:, None]
+    return entries
+
+
+def csr_bytes(w: od.WeightMatrix) -> list:
+    return [(a.dtype, a.tobytes()) for a in w._csr]
+
+
+def outcome(make):
+    """What a door gives: its CSR form and floor, or its error and findings."""
+    try:
+        w = make()
+    except (ShapeError, ValidationError) as exc:
+        return type(exc), str(exc), getattr(exc, "violations", None)
+    return csr_bytes(w), w.beta.hex()
+
+
+class TestOneFormOfWeights:
+    """A large sparse matrix holds its CSR form alone; ``entries`` is built on request."""
+
+    # (n, p, csr): 0.04 n^2 nonzeros is 6,400 at n = 400; p = 0.03 gives about
+    # 5,600 with the diagonal and the cycle, p = 0.045 about 8,000.
+    STORAGE = [(399, 0.01, False), (400, 0.01, True), (400, 0.03, True),
+               (400, 0.045, False), (401, 0.03, True), (401, 0.045, False)]
+
+    @pytest.mark.parametrize("n,p,csr", STORAGE)
+    def test_generated_matrix_is_the_dense_doors(self, n, p, csr):
+        for seed in range(3):
+            drawn, rng = SplitMix64(seed), SplitMix64(seed)
+            w = od.random_strongly_connected_matrix(n, drawn, p)
+            entries = reference_generator_entries(n, rng, p)
+            dense_door = od.WeightMatrix(entries, float(entries[entries > 0.0].min()))
+            assert drawn._state == rng._state
+            assert (w._csr is not None) == (dense_door._csr is not None) == csr
+            assert w.beta.hex() == dense_door.beta.hex()
+            if csr:
+                assert csr_bytes(w) == csr_bytes(dense_door)
+                assert "entries" not in vars(w) and "entries" not in vars(dense_door)
+            assert w.entries.tobytes() == dense_door.entries.tobytes() == entries.tobytes()
+            assert w.entries is w.entries  # built once, then kept
+            assert w.entries.flags.c_contiguous and not w.entries.flags.writeable
+
+    # Each corrupts the support and weights of a valid 400-agent CSR matrix.
+    CORRUPTIONS = {
+        "clean": lambda flat, vals, n: (flat, vals),
+        "row_sum": lambda flat, vals, n: (flat, np.where(flat // n == 7, vals * 1.5, vals)),
+        "entry_floor": lambda flat, vals, n: (flat, np.where(np.arange(flat.size) == 11, 1e-9, vals)),
+        "zero_diagonal": lambda flat, vals, n: (flat[flat != 5 * (n + 1)], vals[flat != 5 * (n + 1)]),
+        "negative": lambda flat, vals, n: (flat, np.where(np.arange(flat.size) == 3, -vals, vals)),
+        "nan": lambda flat, vals, n: (flat, np.where(np.arange(flat.size) >= 40, np.nan, vals)),
+        "inf": lambda flat, vals, n: (flat, np.where(np.arange(flat.size) == 9, np.inf, vals)),
+    }
+
+    @pytest.mark.parametrize("corruption", CORRUPTIONS)
+    def test_private_door_reports_what_the_dense_door_reports(self, corruption):
+        n = 400
+        valid = od.random_strongly_connected_matrix(n, SplitMix64(8), 0.01)
+        rows, cols, vals = valid._csr
+        flat, vals = self.CORRUPTIONS[corruption](rows * n + cols, vals.copy(), n)
+        dense = np.zeros((n, n))
+        np.put(dense, flat, vals)
+        private = outcome(lambda: od.WeightMatrix._from_support(n, flat, vals, valid.beta))
+        assert private == outcome(lambda: od.WeightMatrix(dense, valid.beta))
+        assert (private[0] is ShapeError) == (corruption in ("nan", "inf"))
+
+    @pytest.mark.parametrize("n,block", [(2, None), (9, None), (400, None), (1000, None),
+                                         (37, 5 * 37), (37, 5 * 37 + 36), (300, 299), (129, 1)])
+    def test_row_sums_are_the_dense_ones_bit_for_bit(self, n, block, monkeypatch):
+        if block is not None:  # rows per block, and a partial last block
+            monkeypatch.setattr(graph, "_ROW_SUM_BLOCK", block)
+        rng = np.random.default_rng(n)
+        # wide magnitudes, so the order of the sum shows; each row its own density
+        dense = rng.uniform(-1.0, 1.0, (n, n)) * 10.0 ** rng.integers(-8, 9, (n, n))
+        dense[rng.random((n, n)) < rng.random((n, 1))] = 0.0
+        dense[rng.integers(n)] = 0.0  # an empty row
+        flat = np.flatnonzero(dense)
+        sums = graph._row_sums(n, flat, np.take(dense, flat))
+        assert sums.tobytes() == dense.sum(axis=1).tobytes()
+
+    def test_generator_memory_is_o_nnz(self):
+        n = 1000
+        od.random_strongly_connected_matrix(n, SplitMix64(1), 0.003)  # first-use costs
+        tracemalloc.start()
+        try:
+            w = od.random_strongly_connected_matrix(n, SplitMix64(1), 0.003)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert w._csr is not None and "entries" not in vars(w)
+        assert peak <= 0.3 * 8 * n * n
+
+    def test_csr_matrix_keeps_no_reference_to_its_input(self):
+        entries = reference_generator_entries(500, SplitMix64(4), 0.005)
+        expected = entries.tobytes()
+        beta = float(entries[entries > 0.0].min())
+        entries.setflags(write=False)  # an array a dense matrix would adopt
+        given = weakref.ref(entries)
+        w = od.WeightMatrix(entries, beta)
+        del entries
+        gc.collect()
+        assert given() is None
+        assert w._csr is not None and w.entries.tobytes() == expected
+
+    def test_negative_zero_is_kept(self):
+        entries = reference_generator_entries(400, SplitMix64(5), 0.01)
+        entries[0, np.flatnonzero(entries[0] == 0.0)[0]] = -0.0
+        w = od.WeightMatrix(entries, float(entries[entries > 0.0].min()))
+        assert w._csr is not None and w.entries.tobytes() == entries.tobytes()
+
+    def test_run_path_builds_no_dense_array(self):
+        scenario = od.load_scenario(json.dumps({
+            "schema": 1, "n": 1000, "x0": {"uniform": [0.05, 0.5]},
+            "schedule": {"kind": "static", "generated": {"edge_probability": 0.003}},
+            "susceptibility": "degroot", "stop": {"consensus_epsilon": 1e-12}, "seed": 3}))
+        schedule = od.build_schedule(scenario)
+        x0 = od.initial_opinions(scenario)
+        record = od.simulate(x0, schedule, od.DeGroot(), scenario.stop)
+        assert record.stop_reason == "consensus"
+        assert od.schedule_rjsc_status(schedule) is True
+        c = od.stationary_weights(schedule.matrix)
+        assert abs(record.final_state[0] - c @ x0) <= 1e-8
+        assert "entries" not in vars(schedule.matrix)
+
+    def test_dense_callers_build_entries(self, tmp_path):
+        n = 400
+        entries = reference_generator_entries(n, SplitMix64(6), 0.01)
+        beta = float(entries[entries > 0.0].min())
+        w = od.WeightMatrix(entries, beta)
+        assert w._csr is not None and "entries" not in vars(w)
+        x = np.linspace(-1.0, 1.0, n)
+        kind = od.StubbornNeutral()
+        f = kind.values(x)
+        expected = f[:, None] * entries
+        expected[np.arange(n), np.arange(n)] += 1.0 - f
+        assert od.system_matrix(x, w, kind).tobytes() == expected.tobytes()
+
+        doc = {"schema": 1, "n": n, "beta": beta, "x0": x.tolist(),
+               "schedule": {"kind": "static", "matrix": entries.tolist()},
+               "susceptibility": "degroot"}
+        scenario = od.load_scenario(json.dumps(doc))
+        assert scenario.matrices[0]._csr is not None and "entries" not in vars(scenario.matrices[0])
+        od.write_scenario(scenario, tmp_path / "doc.json")
+        again = od.load_scenario_file(tmp_path / "doc.json")
+        assert again.scenario_id == scenario.scenario_id
+        assert again.matrices[0].entries.tobytes() == entries.tobytes()
+
+    def test_slowly_mixing_ring_falls_back_to_the_dense_solve(self, monkeypatch):
+        w = od.random_strongly_connected_matrix(650, SplitMix64(650), 0.0)
+        assert w._csr is not None and "entries" not in vars(w)
+        monkeypatch.setattr(analysis, "STATIONARY_MAX_ITERATIONS", 100)  # the ring needs more
+        c = od.stationary_weights(w)
+        assert "entries" in vars(w)  # the dense solve built it
+        assert np.abs(w.rmatvec(c) - c).max() <= 1e-12
 
 
 # The benchmark's cli_session document (n = 30) at two seeds, and the sha256
