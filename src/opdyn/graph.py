@@ -152,7 +152,7 @@ def _check_rules(n: int, flat: np.ndarray, vals: np.ndarray, beta: float,
             "invalid weight matrix:\n" + "\n".join(map(str, found)), violations=found)
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, repr=False)
 class WeightMatrix:
     """Row-stochastic influence matrix with its declared weight floor.
 
@@ -193,7 +193,8 @@ class WeightMatrix:
     the matrix holds, and never build ``entries``; the CSR products' sums
     run left to right over the nonzeros and so agree with the dense
     products to within rounding. :func:`is_strongly_connected` runs on the
-    same products.
+    same products. The repr names ``n``, ``beta`` and the form, and builds
+    no ``entries`` either.
     """
 
     entries: np.ndarray
@@ -251,6 +252,21 @@ class WeightMatrix:
         _check_rules(n, flat, vals, self.beta, _row_sums(n, flat, vals), zero_diagonal)
         object.__setattr__(self, "_csr", _CSR(*np.divmod(flat, n), vals))
         return self
+
+    def _at_floor(self, beta: float) -> WeightMatrix:
+        """This matrix checked again at floor ``beta``, with the errors
+        ``WeightMatrix(self.entries, beta)`` gives. A matrix that holds its
+        CSR form alone is checked from its nonzeros, O(nnz), and builds no
+        ``entries``."""
+        if "entries" in vars(self):
+            return WeightMatrix(self.entries, beta)
+        rows, cols, vals = self._csr
+        return WeightMatrix._from_support(self.n, rows * self.n + cols, vals, beta)
+
+    def __repr__(self) -> str:
+        # the dataclass repr would print entries, and so build a CSR matrix's dense array
+        form = "dense" if self._csr is None else "csr"
+        return f"{type(self).__name__}(n={self.n}, beta={self.beta!r}, form={form!r})"
 
     def __getattr__(self, name: str):
         # Reached only for an attribute missing from the instance: for

@@ -295,10 +295,11 @@ def _schedule_fields(kind) -> set:
 def _weight_matrix(m, n: int, beta: float, path: str) -> WeightMatrix:
     """``m`` as an n-agent ``WeightMatrix`` valid for ``beta``, or
     ``SchemaError`` at ``path``. An array-like is wrapped, and a
-    ``WeightMatrix`` with a lower floor than ``beta`` checked again."""
+    ``WeightMatrix`` with a lower floor than ``beta`` checked again, in the
+    form it holds."""
     if not isinstance(m, WeightMatrix) or m.beta < beta:
         try:
-            m = WeightMatrix(m.entries if isinstance(m, WeightMatrix) else m, beta)
+            m = m._at_floor(beta) if isinstance(m, WeightMatrix) else WeightMatrix(m, beta)
         except ShapeError as exc:  # not a square array of finite numbers
             raise SchemaError(path, str(exc)) from None
         except ValidationError as exc:  # the findings alone, without the headline

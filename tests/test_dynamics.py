@@ -7,6 +7,7 @@ import sys
 import tempfile
 import tracemalloc
 from contextlib import nullcontext
+from unittest import mock
 from dataclasses import replace
 from pathlib import Path
 
@@ -22,7 +23,8 @@ from opdyn.errors import (
     ShapeError,
     ValidationError,
 )
-from opdyn.dynamics import _LIST_EXTREMES_MAX_N, _extremes
+from opdyn import dynamics
+from opdyn.dynamics import _LIST_EXTREMES_MAX_N, _LIST_KERNEL_MAX_N, _extremes, _list_clamp
 from opdyn.rng import SplitMix64
 
 from _trials import (
@@ -304,6 +306,17 @@ class TestExtremes:
         assert bits(mn) == bits(float(np.minimum.reduce(u)))
         assert bits(mx) == bits(float(np.maximum.reduce(u)))
 
+    @settings(max_examples=500, deadline=None)
+    @given(st.lists(EXTREME_VALUE, min_size=1, max_size=_LIST_KERNEL_MAX_N),
+           st.lists(st.one_of(st.sampled_from((0.0, -0.0, 5e-324, -1.0, 1.0)), UNIT),
+                    min_size=2, max_size=2).map(sorted))
+    def test_list_clamp_bits_are_numpys(self, values, bounds):
+        lo, hi = bounds
+        u = np.array(values)
+        np.minimum(u, hi, out=u)
+        np.maximum(u, lo, out=u)
+        assert [bits(v) for v in _list_clamp(values, lo, hi)] == [bits(v) for v in u.tolist()]
+
     # A stubborn-neutral run from both zeros, recorded when the loop took
     # every extreme with ndarray.min and max: sha256 of the record's mins,
     # maxs and states, and of its CSV. Its first min is -0.0 and its first
@@ -441,7 +454,7 @@ class TestSimulate:
     @settings(max_examples=400, deadline=None)
     @given(st.data())
     def test_matches_reference_loop_bit_for_bit(self, data):
-        n = data.draw(st.integers(2, 8))
+        n = data.draw(st.integers(2, 2 * _LIST_KERNEL_MAX_N))
         rng = SplitMix64(data.draw(st.integers(0, 2**64 - 1)))
         x0 = palette_opinions(data, n)
         kind = data.draw(st.one_of(
@@ -495,6 +508,73 @@ class TestSimulate:
                 assert np.array_equal(a, b)
             else:
                 assert a.shape == b.shape and a.tobytes() == b.tobytes()
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.data())
+    def test_list_and_array_states_give_the_same_bits(self, data):
+        # no exemption for a zero's sign: the two forms must agree on every bit
+        n = data.draw(st.integers(2, _LIST_KERNEL_MAX_N))
+        rng = SplitMix64(data.draw(st.integers(0, 2**64 - 1)))
+        x0 = palette_opinions(data, n)
+        kind = data.draw(st.one_of(
+            st.sampled_from(ALL_KINDS),
+            st.lists(st.floats(0.0, 1.0), min_size=n, max_size=n)
+            .map(lambda openness: od.Constant(tuple(openness)))))
+        density = data.draw(st.sampled_from((0.4, 0.15)))
+        form = data.draw(st.sampled_from(("static", "periodic", "random")))
+        if form == "static":
+            schedule = od.StaticSchedule(random_valid_matrix(n, rng, density))
+        elif form == "periodic":
+            schedule = random_periodic_schedule(n, rng)
+        else:
+            pool = tuple(random_valid_matrix(n, rng, density) for _ in range(3))
+            schedule = od.RandomSchedule(pool, seed=rng.randrange(2**32))
+        stop = od.StopRule(max_steps=data.draw(st.integers(1, 300)),
+                           consensus_epsilon=data.draw(st.sampled_from((NEVER, 1e-9, 1e-3))))
+        lists = od.simulate(x0, schedule, kind, stop)
+        with mock.patch.object(dynamics, "_LIST_KERNEL_MAX_N", 0):
+            arrays = od.simulate(x0, schedule, kind, stop)
+        event(f"{lists.stop_reason}, clamped: {lists.clamp_steps > 0}")
+        assert (lists.stop_reason, lists.steps, lists.clamp_steps) == \
+            (arrays.stop_reason, arrays.steps, arrays.clamp_steps)
+        for name in ("mins", "maxs", "final_state", "states"):
+            got, want = getattr(lists, name), getattr(arrays, name)
+            assert got.dtype == want.dtype and got.shape == want.shape
+            assert got.tobytes() == want.tobytes(), name
+        assert lists.final_state.flags.writeable
+
+    class StubbornNeutralSubclass(od.StubbornNeutral):
+        pass
+
+    @pytest.mark.parametrize("n,kind,lists", [
+        (2, od.DeGroot(), True),
+        (_LIST_KERNEL_MAX_N, od.StubbornNeutral(), True),
+        (_LIST_KERNEL_MAX_N, od.Constant((0.5,) * _LIST_KERNEL_MAX_N), True),
+        (_LIST_KERNEL_MAX_N + 1, od.StubbornNeutral(), False),
+        (4, StubbornNeutralSubclass(), False),
+        (4, od.Custom(lambda x: x * x), False),
+    ])
+    def test_list_state_only_for_built_in_kinds_of_few_agents(self, n, kind, lists):
+        schedule = od.StaticSchedule(random_valid_matrix(n, SplitMix64(n), 0.4))
+        with mock.patch.object(dynamics, "_list_kernel", wraps=dynamics._list_kernel) as spy:
+            record = od.simulate(np.linspace(-0.5, 0.5, n), schedule, kind, od.StopRule(max_steps=3))
+        assert spy.called == lists
+        assert record.steps == 3 and type(record.final_state) is np.ndarray
+
+    # sha256 over every record of the benchmark's ensemble documents at seed
+    # 1 (run_scenario with keep_states=False): stop reason, steps and clamp
+    # steps, then the bytes of mins, maxs and the final state, document by
+    # document. Recorded before the list-state kernel existed.
+    ENSEMBLE_SEED_1_SHA256 = "8fe277a5003b2caf4008e254df0349876e1c8732a25b474cdd1d7350f414d709"
+
+    def test_ensemble_records_are_pinned(self):
+        digest = hashlib.sha256()
+        for document in bench_workloads().DOCUMENTS["ensemble"](1):
+            record, _ = od.run_scenario(od.load_scenario(document), keep_states=False)
+            digest.update(f"{record.stop_reason},{record.steps},{record.clamp_steps};".encode())
+            for values in (record.mins, record.maxs, record.final_state):
+                digest.update(values.tobytes())
+        assert digest.hexdigest() == self.ENSEMBLE_SEED_1_SHA256
 
     def test_dimension_guards(self):
         w = od.uniform_complete_matrix(3)

@@ -22,7 +22,7 @@ from hypothesis import strategies as st
 import opdyn as od
 from opdyn import analysis, graph
 from opdyn.cli import main
-from opdyn.errors import ShapeError, ValidationError
+from opdyn.errors import SchemaError, ShapeError, ValidationError
 from opdyn.rng import SplitMix64
 
 from _trials import ALL_KINDS, bench_workloads, gap_form_step, random_valid_matrix, trial_rng
@@ -238,6 +238,47 @@ class TestOneFormOfWeights:
         entries[0, np.flatnonzero(entries[0] == 0.0)[0]] = -0.0
         w = od.WeightMatrix(entries, float(entries[entries > 0.0].min()))
         assert w._csr is not None and w.entries.tobytes() == entries.tobytes()
+
+    def test_repr_names_the_form_and_builds_no_dense_array(self):
+        dense = od.uniform_complete_matrix(4)
+        assert repr(dense) == "WeightMatrix(n=4, beta=0.25, form='dense')"
+        w = od.random_strongly_connected_matrix(1000, SplitMix64(1), 0.003)
+        assert repr(w) == f"WeightMatrix(n=1000, beta={w.beta!r}, form='csr')"
+        assert "entries" not in vars(w)
+
+    @staticmethod
+    def static_scenario(matrix, beta: float) -> od.Scenario:
+        return od.Scenario(n=matrix.n if isinstance(matrix, od.WeightMatrix) else len(matrix),
+                           beta=beta, seed=1, name=None, x0=(0.1, 0.5), schedule_kind="static",
+                           matrices=(matrix,), generated_edge_probability=None,
+                           kind=od.DeGroot(), stop=od.StopRule())
+
+    @staticmethod
+    def below_floor(seed: int) -> od.WeightMatrix:
+        """A generated 400-agent CSR matrix declared at half its floor."""
+        w = od.random_strongly_connected_matrix(400, SplitMix64(seed), 0.01)
+        rows, cols, vals = w._csr
+        return od.WeightMatrix._from_support(400, rows * 400 + cols, vals, w.beta / 2)
+
+    def test_scenario_rechecks_a_csr_matrix_without_its_dense_array(self):
+        m = self.below_floor(9)
+        beta = float(m._csr.vals.min())
+        scenario = self.static_scenario(m, beta)
+        assert "entries" not in vars(m)
+        (kept,) = scenario.matrices
+        assert kept.beta == beta and "entries" not in vars(kept)
+        assert csr_bytes(kept) == csr_bytes(m)
+
+    def test_scenario_recheck_of_a_csr_matrix_fails_as_the_dense_one_does(self):
+        m = self.below_floor(10)
+        beta = float(np.partition(m._csr.vals, 2)[2])  # two entries fall below it
+        with pytest.raises(SchemaError) as csr:
+            self.static_scenario(m, beta)
+        assert "entries" not in vars(m)
+        with pytest.raises(SchemaError) as dense:
+            self.static_scenario(np.array(self.below_floor(10).entries), beta)
+        assert str(csr.value) == str(dense.value)
+        assert "below floor" in str(csr.value)
 
     def test_run_path_builds_no_dense_array(self):
         scenario = od.load_scenario(json.dumps({
