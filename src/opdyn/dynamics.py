@@ -58,8 +58,11 @@ Susceptibility kinds:
 Each kind's ``values(x)`` gives the susceptibilities ``f(x)``, vectorized,
 in [0, 1] for opinions in [-1, 1]: the built-in kinds map into it exactly
 (rounding is monotone) and ``Custom`` clips. The result may be read-only.
-The built-in kinds also have ``_list_update(xs, qs, ds)``, the list
-form's update, written next to ``values`` in its order of operations.
+A built-in kind writes its f once, and the list state, the array state
+and a batch of states share it: a stubborn kind's is one expression that
+a Python float and an array of any shape evaluate alike, DeGroot's and
+``Constant``'s do not depend on the state (``Constant``'s openness is
+per agent, on an array's last axis).
 """
 
 from __future__ import annotations
@@ -127,11 +130,9 @@ def opinion_vector(values) -> np.ndarray:
 class DeGroot:
     name = "degroot"
 
-    def values(self, x: np.ndarray) -> np.ndarray:
+    @staticmethod
+    def values(x):
         return np.ones_like(x)
-
-    def _list_update(self, xs: list, qs: list, ds: list) -> list:
-        return [v + (q - e) for v, q, e in zip(xs, qs, ds)]  # times 1.0 is exact
 
 
 @dataclass(frozen=True)
@@ -154,46 +155,44 @@ class Constant:
         object.__setattr__(self, "_values", arr)
 
     def values(self, x: np.ndarray) -> np.ndarray:
-        if len(self.openness) != x.shape[0]:
+        """The openness, one per agent on ``x``'s last axis."""
+        if len(self.openness) != x.shape[-1]:
             raise ShapeError(
-                f"openness has {len(self.openness)} agents, opinions have {x.shape[0]}")
+                f"openness has {len(self.openness)} agents, opinions have {x.shape[-1]}")
         return self._values
-
-    def _list_update(self, xs: list, qs: list, ds: list) -> list:
-        return [v + f * (q - e) for v, f, q, e in zip(xs, self.openness, qs, ds)]
 
 
 @dataclass(frozen=True)
 class StubbornPositive:
     name = "stubborn_positive"
 
-    def values(self, x: np.ndarray) -> np.ndarray:
+    @staticmethod
+    def values(x):
         return 0.5 * (1.0 - x)
-
-    def _list_update(self, xs: list, qs: list, ds: list) -> list:
-        return [v + 0.5 * (1.0 - v) * (q - e) for v, q, e in zip(xs, qs, ds)]
 
 
 @dataclass(frozen=True)
 class StubbornNeutral:
     name = "stubborn_neutral"
 
-    def values(self, x: np.ndarray) -> np.ndarray:
+    @staticmethod
+    def values(x):
         return x * x
-
-    def _list_update(self, xs: list, qs: list, ds: list) -> list:
-        return [v + v * v * (q - e) for v, q, e in zip(xs, qs, ds)]
 
 
 @dataclass(frozen=True)
 class StubbornExtremist:
     name = "stubborn_extremist"
 
-    def values(self, x: np.ndarray) -> np.ndarray:
+    @staticmethod
+    def values(x):
         return 1.0 - x * x
 
-    def _list_update(self, xs: list, qs: list, ds: list) -> list:
-        return [v + (1.0 - v * v) * (q - e) for v, q, e in zip(xs, qs, ds)]
+
+# The built-in kinds, which scenario documents name and ``simulate`` may run
+# on a list state. A subclass may change ``values``, so a kind is built in
+# only if its class is one of these exactly.
+_BUILT_IN_KINDS = (DeGroot, Constant, StubbornPositive, StubbornNeutral, StubbornExtremist)
 
 
 _PROBE_GRID = np.linspace(OPINION_MIN, OPINION_MAX, 2001)  # 1e-3 spacing
@@ -350,11 +349,6 @@ def step(x, matrix: WeightMatrix, kind: SusceptibilityKind) -> np.ndarray:
 # gains most and the constant one least.
 _LIST_KERNEL_MAX_N = 12
 
-# The kinds with a ``_list_update``; a subclass may change ``values``, so a
-# kind's class must be one of these exactly.
-_LIST_KINDS = (DeGroot, Constant, StubbornPositive, StubbornNeutral, StubbornExtremist)
-
-
 def _list_clamp(vals: list, lo: float, hi: float) -> list:
     """``vals`` clamped to ``[lo, hi]`` (``lo <= hi``), the bits of
     ``_advance``'s ``np.minimum`` then ``np.maximum``. Between nonzero
@@ -371,21 +365,27 @@ def _list_clamp(vals: list, lo: float, hi: float) -> list:
 def _list_kernel(schedule: GraphSchedule, kind: SusceptibilityKind):
     """``advance(xs, t, lo, hi)``: ``_advance(x, schedule.matrix_at(t),
     kind, lo, hi)`` on a list of Python floats, bit for bit, for a kind of
-    a ``_LIST_KINDS`` class. It returns ``(us, min us, max us, clamped)``,
-    ``us`` a new list.
+    a ``_BUILT_IN_KINDS`` class. It returns ``(us, min us, max us,
+    clamped)``, ``us`` a new list.
 
-    The shift ``d = x - x_1`` and the kind's ``_list_update`` are
+    The update is ``v + f * (q - e)``, with the kind's one ``values``: a
+    state-dependent kind's f is the same expression on a float as on an
+    array, called per value; DeGroot's and ``Constant``'s f is taken once
+    per run, per agent (DeGroot's ``v + 1.0 * (q - e)`` has the bits of
+    ``v + (q - e)``). The shift ``d = x - x_1`` and the update are
     ``_advance``'s elementwise operations in its order, and Python rounds
-    each IEEE operation as numpy does, so ``v + f * (q - e)`` has the bits
-    of ``u -= d; u *= f; u += x``. The product is the call ``matvec``
-    makes, on ``np.array(d)``, and the extremes and the clamp have numpy's
-    bits (``_list_extremes``, ``_list_clamp``). Each pool member's product
-    is bound once, the dense array's ``dot`` or the CSR ``matvec``: a
-    static or periodic schedule's step ``t`` takes the pool's
-    ``t % period``-th, and a random one's looks ``matrix_at(t)`` up by
-    identity.
+    each IEEE operation as numpy does, so the update has the bits of
+    ``u -= d; u *= f; u += x``. The product is the call ``matvec`` makes,
+    on ``np.array(d)``, and the extremes and the clamp have numpy's bits
+    (``_list_extremes``, ``_list_clamp``). Each pool member's product is
+    bound once, the dense array's ``dot`` or the CSR ``matvec``: a static
+    or periodic schedule's step ``t`` takes the pool's ``t % period``-th,
+    and a random one's looks ``matrix_at(t)`` up by identity.
     """
-    update = kind._list_update
+    f = kind.values
+    fixed = None  # f per agent, for a kind whose f does not depend on the state
+    if type(kind) in (DeGroot, Constant):
+        fixed = f(np.zeros(schedule.n)).tolist()
     array = np.array
     pool = schedule.pool
     products = [m.entries.dot if m._csr is None else m.matvec for m in pool]
@@ -398,7 +398,11 @@ def _list_kernel(schedule: GraphSchedule, kind: SusceptibilityKind):
         first = xs[0]
         ds = [v - first for v in xs]
         product = products[t % period] if period else by_id[id(matrix_at(t))]
-        us = update(xs, product(array(ds)).tolist(), ds)
+        qs = product(array(ds)).tolist()
+        if fixed is None:
+            us = [v + f(v) * (q - e) for v, q, e in zip(xs, qs, ds)]
+        else:
+            us = [v + g * (q - e) for v, g, q, e in zip(xs, fixed, qs, ds)]
         mn, mx = _list_extremes(us)
         if mn < lo or mx > hi:
             return _list_clamp(us, lo, hi), min(max(mn, lo), hi), max(min(mx, hi), lo), True
@@ -778,7 +782,7 @@ def simulate(
     per step more with ``keep_states``.
 
     The kernel is chosen once per run: a list of Python floats
-    (``_list_kernel``) for a kind of a ``_LIST_KINDS`` class on at most
+    (``_list_kernel``) for a kind of a ``_BUILT_IN_KINDS`` class on at most
     ``_LIST_KERNEL_MAX_N`` agents, else ``_advance`` on arrays. Both give
     the same bits.
     """
@@ -813,7 +817,7 @@ def simulate(
 
     t = clamp_steps = 0
     mn, mx = _extremes(x)
-    if n <= _LIST_KERNEL_MAX_N and type(kind) in _LIST_KINDS:
+    if n <= _LIST_KERNEL_MAX_N and type(kind) in _BUILT_IN_KINDS:
         advance = _list_kernel(schedule, kind)
         x = x.tolist()
     else:

@@ -58,13 +58,11 @@ from .analysis import (
     estimate_rate,
 )
 from .dynamics import (
+    _BUILT_IN_KINDS,
     BlockWriter,
     Constant,
     DeGroot,
     StopRule,
-    StubbornExtremist,
-    StubbornNeutral,
-    StubbornPositive,
     SusceptibilityKind,
     TrajectoryRecord,
     opinion_vector,
@@ -89,12 +87,9 @@ _X0_STREAM = 0
 _SCHEDULE_STREAM = 1
 _MATRIX_STREAM = 2
 
-_KIND_NAMES = {
-    "degroot": DeGroot,
-    "stubborn_positive": StubbornPositive,
-    "stubborn_neutral": StubbornNeutral,
-    "stubborn_extremist": StubbornExtremist,
-}
+# The built-in kinds a document names by a bare string; "constant" takes an
+# object with its openness.
+_KIND_NAMES = {cls.name: cls for cls in _BUILT_IN_KINDS if cls is not Constant}
 
 # The matrix fields each schedule kind takes, besides "kind".
 _SCHEDULE_FIELDS = {
@@ -348,12 +343,11 @@ class Scenario:
             object.__setattr__(self, "x0", _opinions(self.x0, self.n))
         self._check_schedule()
         kind = self.kind  # exactly a class the document names, so the name is the kind
-        if type(kind) is Constant:
-            if len(kind.openness) != self.n:
-                raise SchemaError("susceptibility.openness",
-                                  f"expected {self.n} values, got {len(kind.openness)}")
-        elif type(kind) not in _KIND_NAMES.values():
+        if type(kind) not in _BUILT_IN_KINDS:
             raise SchemaError("susceptibility", f"expected a kind a document names, got {_brief(kind)}")
+        if type(kind) is Constant and len(kind.openness) != self.n:
+            raise SchemaError("susceptibility.openness",
+                              f"expected {self.n} values, got {len(kind.openness)}")
         if not isinstance(self.stop, StopRule):
             raise SchemaError("stop", f"expected a StopRule, got {_brief(self.stop)}")
 

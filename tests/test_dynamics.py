@@ -7,6 +7,7 @@ import sys
 import tempfile
 import tracemalloc
 from contextlib import nullcontext
+from fractions import Fraction
 from unittest import mock
 from dataclasses import replace
 from pathlib import Path
@@ -134,6 +135,62 @@ class TestSusceptibility:
         for kind in ALL_KINDS:
             f = kind.values(grid)
             assert f.min() >= 0.0 and f.max() <= 1.0
+
+    # Each built-in kind's f as the IEEE operations it is written with, each
+    # one exact in Fraction and rounded once to a double (float() of a
+    # Fraction rounds to nearest, ties to even, subnormals included). Every
+    # zero these give is +0.0, as IEEE gives for x * x and for 1.0 - 1.0.
+    EXACT_F = {
+        od.DeGroot: lambda x: 1.0,
+        od.StubbornPositive: lambda x: float(Fraction(1, 2) * Fraction(float(1 - Fraction(x)))),
+        od.StubbornNeutral: lambda x: float(Fraction(x) * Fraction(x)),
+        od.StubbornExtremist: lambda x: float(1 - Fraction(float(Fraction(x) * Fraction(x)))),
+    }
+
+    @staticmethod
+    def f_grid() -> list:
+        """Signed zeros and ones, one ulp inside +-1, subnormals, values
+        around 1.5e-162 (where x * x underflows to 0), doubles of every
+        binary exponent and uniform doubles in [-1, 1]."""
+        rng = np.random.default_rng(20171)
+        tiny = [5e-324, 3 * 5e-324, 2.0 ** -1030, math.nextafter(2.0 ** -1022, 0.0), 2.0 ** -1022]
+        squares = [2.0 ** -538, 2.0 ** -537, 1.4e-162, 1.49e-162, 1.5e-162, 1.6e-162,
+                   2.2e-162, 1e-161, 1.5e-154, 1.5e-154 * 1.001]
+        every_exponent = (rng.uniform(1.0, 2.0, 1075) * 2.0 ** -np.arange(1, 1076)).tolist()
+        grid = ([0.0, 1.0, math.nextafter(1.0, 0.0), 0.5, 2.0 ** -53]
+                + tiny + squares + every_exponent + rng.uniform(0.0, 1.0, 4000).tolist())
+        return grid + [-v for v in grid] + rng.uniform(-1.0, 1.0, 4000).tolist()
+
+    @pytest.mark.parametrize("cls", list(EXACT_F), ids=lambda cls: cls.name)
+    def test_f_is_each_operation_rounded_once(self, cls):
+        # The list and the array states share one f, so their parity cannot
+        # catch a reordered f; this holds the bits of each f to its own form.
+        grid = self.f_grid()
+        expected = np.array([self.EXACT_F[cls](v) for v in grid]).tobytes()
+        assert np.array([float(cls.values(v)) for v in grid]).tobytes() == expected
+        assert cls().values(np.array(grid)).tobytes() == expected
+
+    @pytest.mark.parametrize("kind", [*ALL_KINDS, od.Constant((0.0, 0.25, 0.7, 1.0, 0.3))],
+                             ids=lambda kind: kind.name)
+    def test_each_row_of_a_batch_updates_as_one_state(self, kind):
+        rng = np.random.default_rng(5)
+        x = rng.uniform(-1.0, 1.0, (3, 5))
+        d = x - x[:, :1]
+        q = rng.uniform(-1.0, 1.0, (3, 5))
+        u = q - d
+        u *= kind.values(x)
+        u += x
+        for row in range(3):
+            one = q[row] - d[row]
+            one *= kind.values(x[row])
+            one += x[row]
+            assert u[row].tobytes() == one.tobytes()
+
+    def test_constant_reads_agents_on_the_last_axis(self):
+        with pytest.raises(ShapeError, match="^openness has 2 agents, opinions have 3$"):
+            od.Constant((0.2, 0.9)).values(np.zeros((2, 3)))
+        with pytest.raises(ShapeError, match="^openness has 2 agents, opinions have 3$"):
+            od.Constant((0.2, 0.9)).values(np.zeros(3))
 
     def test_custom_probe_accepts_valid(self):
         kind = od.Custom(lambda x: 0.5 * (1.0 + x * x), label="half_plus")
