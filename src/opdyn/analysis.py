@@ -132,7 +132,9 @@ def classify_limit(x0, kind: SusceptibilityKind, rjsc: bool) -> LimitClassificat
     0; a one-signed population keeps its sign, reaching the extreme only
     from a unanimous extreme start; mixed signs without a zero depend on
     the graph as well as the values, so no prediction is made. Kinds with
-    no limit theory classify as UNKNOWN.
+    no limit theory classify as UNKNOWN, and so does a subclass of the
+    paper's kinds, which may change f: a kind is one of them only by exact
+    class, as in ``_BUILT_IN_KINDS``.
     """
     x = opinion_vector(x0)
     lo = float(x.min())
@@ -143,7 +145,7 @@ def classify_limit(x0, kind: SusceptibilityKind, rjsc: bool) -> LimitClassificat
     if not rjsc:
         return LimitClassification(Outcome.UNKNOWN, "connectivity_not_established")
 
-    if isinstance(kind, StubbornPositive):
+    if type(kind) is StubbornPositive:
         if hi == 1.0:
             return _exact_point(1.0, "stubborn_positive/agent_pinned_at_one")
         return LimitClassification(
@@ -151,7 +153,7 @@ def classify_limit(x0, kind: SusceptibilityKind, rjsc: bool) -> LimitClassificat
             "stubborn_positive/all_strictly_below_one",
             interval=(-1.0, 1.0))
 
-    if isinstance(kind, StubbornNeutral):
+    if type(kind) is StubbornNeutral:
         if np.any(x == 0.0):
             return _exact_point(0.0, "stubborn_neutral/zero_pinning")
         if lo > 0.0:

@@ -21,10 +21,10 @@ decide that, and drive the loop's stop tests:
   * the clamp makes "opinions stay in [-1, 1], the min never falls, the
     max never rises" hold by construction, whatever order the BLAS sums in.
 
-The product ``W d`` is ``WeightMatrix.matvec``: the dense array's, or,
-for a matrix of at least 400 agents with at most 0.04 n**2 nonzeros, a
-compressed-sparse-row product over the nonzeros alone, chosen once when
-the matrix is built. The CSR product sums in another order, so runs on
+The product ``W d`` is ``WeightMatrix.matvec``, bound when the matrix is
+built: the dense array's, or, for a matrix of at least 400 agents with at
+most 0.04 n**2 nonzeros, a compressed-sparse-row product over the
+nonzeros alone. The CSR product sums in another order, so runs on
 such a matrix agree with the dense product only to within rounding
 (measured at most 4.4e-16 per entry of ``W d``); the shift and the
 clamp keep every guarantee above either way.
@@ -83,6 +83,7 @@ from .errors import (
     PreconditionError,
     ShapeError,
     ValidationError,
+    _as_float,
     _brief,
 )
 from .graph import GraphSchedule, PeriodicSchedule, StaticSchedule, WeightMatrix
@@ -137,13 +138,15 @@ class DeGroot:
 
 @dataclass(frozen=True)
 class Constant:
-    """Fixed per-agent openness, the state-independent special case."""
+    """Fixed per-agent openness, the state-independent special case: real
+    numbers (a bool is not) in [0, 1], kept as floats."""
 
     openness: tuple[float, ...]
     name = "constant"
 
     def __post_init__(self):
-        vals = tuple(float(v) for v in self.openness)
+        vals = tuple(_as_float(v, f"openness[{k}]", ValidationError)
+                     for k, v in enumerate(self.openness))
         if not vals:
             raise ValidationError("constant susceptibility needs at least one agent")
         for k, v in enumerate(vals):
@@ -375,29 +378,25 @@ def _list_kernel(schedule: GraphSchedule, kind: SusceptibilityKind):
     ``v + (q - e)``). The shift ``d = x - x_1`` and the update are
     ``_advance``'s elementwise operations in its order, and Python rounds
     each IEEE operation as numpy does, so the update has the bits of
-    ``u -= d; u *= f; u += x``. The product is the call ``matvec`` makes,
-    on ``np.array(d)``, and the extremes and the clamp have numpy's bits
-    (``_list_extremes``, ``_list_clamp``). Each pool member's product is
-    bound once, the dense array's ``dot`` or the CSR ``matvec``: a static
-    or periodic schedule's step ``t`` takes the pool's ``t % period``-th,
-    and a random one's looks ``matrix_at(t)`` up by identity.
+    ``u -= d; u *= f; u += x``. The product is ``_advance``'s, the
+    matrix's ``matvec`` on ``np.array(d)``: step ``t`` of a static or
+    periodic schedule takes the pool's ``t % period``-th member's, and of a
+    random one ``matrix_at(t)``'s. The extremes and the clamp have numpy's
+    bits (``_list_extremes``, ``_list_clamp``).
     """
     f = kind.values
     fixed = None  # f per agent, for a kind whose f does not depend on the state
     if type(kind) in (DeGroot, Constant):
         fixed = f(np.zeros(schedule.n)).tolist()
-    array = np.array
-    pool = schedule.pool
-    products = [m.entries.dot if m._csr is None else m.matvec for m in pool]
-    if isinstance(schedule, (StaticSchedule, PeriodicSchedule)):
-        period = len(pool)  # matrix_at(t) is pool[t % period]
-    else:
-        period, matrix_at, by_id = 0, schedule.matrix_at, dict(zip(map(id, pool), products))
+    array, matrix_at = np.array, schedule.matrix_at
+    products = [m.matvec for m in schedule.pool]
+    # matrix_at(t) is pool[t % period]; a random schedule has no period
+    period = len(products) if isinstance(schedule, (StaticSchedule, PeriodicSchedule)) else 0
 
     def advance(xs: list, t: int, lo: float, hi: float):
         first = xs[0]
         ds = [v - first for v in xs]
-        product = products[t % period] if period else by_id[id(matrix_at(t))]
+        product = products[t % period] if period else matrix_at(t).matvec
         qs = product(array(ds)).tolist()
         if fixed is None:
             us = [v + f(v) * (q - e) for v, q, e in zip(xs, qs, ds)]
@@ -440,14 +439,8 @@ class StopRule:
             object.__setattr__(self, "max_steps", int(self.max_steps))
         for name in ("consensus_epsilon", "target", "target_epsilon"):
             value = getattr(self, name)
-            if type(value) is float or (value is None and name != "consensus_epsilon"):
-                continue
-            if isinstance(value, bool) or not isinstance(value, numbers.Real):
-                raise ValidationError(f"{name} must be a number, got {_brief(value)}")
-            try:
-                object.__setattr__(self, name, float(value))
-            except OverflowError:
-                raise ValidationError(f"{name} {_brief(value)} is too large for a double") from None
+            if value is not None or name == "consensus_epsilon":
+                object.__setattr__(self, name, _as_float(value, name, ValidationError))
         if self.max_steps < 1:
             raise ValidationError(f"max_steps must be >= 1, got {self.max_steps}")
         if not self.consensus_epsilon > 0.0:

@@ -5,12 +5,24 @@ from invariant violations (a well-formed matrix with a bad row sum) so
 callers can react differently to each.
 """
 
+import numbers
 import reprlib
 
 
 def _brief(value) -> str:
     """``reprlib.repr(value)`` cut to 80 characters: a value in a message, whatever its size."""
     return reprlib.repr(value)[:80]
+
+
+def _as_float(value, name: str, error: type) -> float:
+    """``value`` as a float, or ``error`` naming ``name`` unless it is a
+    real number (a bool is not) within a double's range."""
+    if type(value) is not float and (isinstance(value, bool) or not isinstance(value, numbers.Real)):
+        raise error(f"{name} must be a number, got {_brief(value)}")
+    try:
+        return float(value)
+    except OverflowError:
+        raise error(f"{name} {_brief(value)} is too large for a double") from None
 
 
 class OpdynError(Exception):

@@ -20,13 +20,13 @@ stop rule alone.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass
+from functools import partial
 from typing import NamedTuple, Optional, Sequence, Union
 
 import numpy as np
 
-from .errors import PreconditionError, ShapeError, ValidationError, _brief
+from .errors import PreconditionError, ShapeError, ValidationError, _as_float, _brief
 from .rng import SplitMix64, _indexed_choices
 
 ROW_SUM_TOL = 1e-12
@@ -78,6 +78,13 @@ _CSR_MAX_DENSITY = 0.04
 _ROW_SUM_BLOCK = 1 << 15
 
 
+def _csr_product(into: np.ndarray, by: np.ndarray, vals: np.ndarray, n: int,
+                 v: np.ndarray) -> np.ndarray:
+    """Entry ``i`` sums ``vals[k] * v[by[k]]`` over the k with ``into[k] == i``,
+    left to right: ``W v`` for ``into, by = rows, cols``, ``W^T v`` swapped."""
+    return np.bincount(into, vals * v[by], minlength=n)
+
+
 def _stores_csr(n: int, nonzeros: int) -> bool:
     """The storage rule: whether an n-agent matrix with this many nonzeros keeps CSR alone."""
     return n >= _CSR_MIN_N and nonzeros <= _CSR_MAX_DENSITY * n * n
@@ -86,13 +93,7 @@ def _stores_csr(n: int, nonzeros: int) -> bool:
 def _beta(beta) -> float:
     """``beta`` as a float, or ``PreconditionError`` unless it is a real
     number (a bool is not) above 0."""
-    if type(beta) is not float:
-        if isinstance(beta, bool) or not isinstance(beta, numbers.Real):
-            raise PreconditionError(f"beta must be a number, got {_brief(beta)}")
-        try:
-            beta = float(beta)
-        except OverflowError:
-            raise PreconditionError(f"beta {_brief(beta)} is too large for a double") from None
+    beta = _as_float(beta, "beta", PreconditionError)
     if not beta > 0:  # NaN too
         raise PreconditionError(f"beta must be positive, got {beta}")
     return beta
@@ -179,18 +180,17 @@ class WeightMatrix:
 
     A matrix holds one form of its weights, chosen once by its agent count
     ``n`` and its number of nonzeros. A small or dense one keeps the dense
-    ``entries``, a read-only, C-ordered float array: the checked array
-    itself when no caller can write it (the one ``np.asarray`` built from a
-    list or another dtype, or an input that is already read-only,
-    C-contiguous and owns its memory), otherwise a copy. A large sparse one
-    (at least 400 agents, at most ``0.04 n^2`` nonzeros) keeps only a CSR
-    copy of its nonzeros, O(nnz) memory, and drops the input; its
-    ``entries``, the same read-only array with the same bytes, is built on
-    first request and kept. (An input holding a negative zero, which the
+    ``entries``, its own read-only, C-ordered copy of the input. A large
+    sparse one (at least 400 agents, at most ``0.04 n^2`` nonzeros) keeps
+    only a CSR copy of its nonzeros, O(nnz) memory, and drops the input;
+    its ``entries``, the same read-only array with the same bytes, is built
+    on first request and kept. (An input holding a negative zero, which the
     nonzeros cannot rebuild, is kept as ``entries`` as well.)
 
-    ``matvec`` and ``rmatvec`` compute ``W v`` and ``W^T v`` from the form
-    the matrix holds, and never build ``entries``; the CSR products' sums
+    ``matvec`` and ``rmatvec``, which compute ``W v`` and ``W^T v`` as new
+    arrays, are bound once at construction to the form the matrix holds:
+    ``entries.dot`` and ``entries.T.dot``, or the CSR products whenever the
+    CSR form is kept, which never build ``entries``. The CSR products' sums
     run left to right over the nonzeros and so agree with the dense
     products to within rounding. :func:`is_strongly_connected` runs on the
     same products. The repr names ``n``, ``beta`` and the form, and builds
@@ -218,21 +218,27 @@ class WeightMatrix:
         _check_finite(n, flat, vals)
         _check_rules(n, flat, vals, self.beta, arr.sum(axis=1), arr.diagonal() == 0.0)
         csr = _CSR(*np.divmod(flat, n), vals) if _stores_csr(n, flat.size) else None
-        object.__setattr__(self, "_csr", csr)
         del flat, vals  # freed before any copy, where memory peaks
         # Every nonzero is positive now, so a sign bit marks a negative zero.
         if csr is not None and not np.signbit(arr).any():
             object.__delattr__(self, "entries")  # __getattr__ rebuilds it on request
-            return
-        # Kept only where no caller can write it: np.asarray built it from a
-        # list or by a cast, or it is a read-only C array owning its memory.
-        src = self.entries
-        built = arr is not src and isinstance(src, (list, tuple, np.ndarray))
-        if not (arr.flags.c_contiguous and arr.flags.owndata
-                and (built or not arr.flags.writeable)):
+        else:
             arr = arr.copy()
-        arr.setflags(write=False)
-        object.__setattr__(self, "entries", arr)
+            arr.setflags(write=False)
+            object.__setattr__(self, "entries", arr)
+        self._bind(csr)
+
+    def _bind(self, csr: Optional[_CSR]) -> None:
+        """Keeps ``csr`` and binds ``matvec`` and ``rmatvec`` to it, or,
+        when it is None, to the dense ``entries``."""
+        object.__setattr__(self, "_csr", csr)
+        if csr is None:
+            matvec, rmatvec = self.entries.dot, self.entries.T.dot
+        else:
+            matvec = partial(_csr_product, csr.rows, csr.cols, csr.vals, self.n)
+            rmatvec = partial(_csr_product, csr.cols, csr.rows, csr.vals, self.n)
+        object.__setattr__(self, "matvec", matvec)
+        object.__setattr__(self, "rmatvec", rmatvec)
 
     @classmethod
     def _from_support(cls, n: int, flat: np.ndarray, vals: np.ndarray, beta: float) -> WeightMatrix:
@@ -250,7 +256,7 @@ class WeightMatrix:
         zero_diagonal[flat[flat % (n + 1) == 0] // (n + 1)] = False  # entry (i, i) is i * (n + 1)
         _check_finite(n, flat, vals)
         _check_rules(n, flat, vals, self.beta, _row_sums(n, flat, vals), zero_diagonal)
-        object.__setattr__(self, "_csr", _CSR(*np.divmod(flat, n), vals))
+        self._bind(_CSR(*np.divmod(flat, n), vals))
         return self
 
     def _at_floor(self, beta: float) -> WeightMatrix:
@@ -279,20 +285,6 @@ class WeightMatrix:
         arr.setflags(write=False)
         object.__setattr__(self, "entries", arr)
         return arr
-
-    def matvec(self, v: np.ndarray) -> np.ndarray:
-        """``W v`` as a new array."""
-        csr = self._csr
-        if csr is None:
-            return self.entries.dot(v)
-        return np.bincount(csr.rows, csr.vals * v[csr.cols], minlength=self.n)
-
-    def rmatvec(self, v: np.ndarray) -> np.ndarray:
-        """``W^T v`` as a new array."""
-        csr = self._csr
-        if csr is None:
-            return self.entries.T.dot(v)
-        return np.bincount(csr.cols, csr.vals * v[csr.rows], minlength=self.n)
 
 
 def uniform_complete_matrix(n: int) -> WeightMatrix:
@@ -596,8 +588,8 @@ def random_strongly_connected_matrix(
 
     Rows are normalized by the dense row sums, numpy's pairwise sum of each
     whole row, and only the nonzeros divided. Where the storage rule of
-    :class:`WeightMatrix` keeps the dense form, the matrix is built once,
-    marked read-only and kept as the ``entries``, without a copy. Where it
+    :class:`WeightMatrix` keeps the dense form, the matrix is built once
+    and checked by the constructor, which keeps its own copy. Where it
     keeps CSR, no ``n x n`` array is made: the row sums are summed over a
     bounded block of dense rows at a time, with the same bits, and the
     sorted support and its weights are checked and kept as the CSR form,
@@ -625,5 +617,4 @@ def random_strongly_connected_matrix(
     np.put(entries, support, weights)
     weights /= entries.sum(axis=1)[support // n]
     np.put(entries, support, weights)
-    entries.setflags(write=False)
     return WeightMatrix(entries, float(weights.min()))

@@ -39,10 +39,12 @@ with the ``SchemaError`` path a document with that value gets.
 
 from __future__ import annotations
 
+import contextlib
 import enum
 import hashlib
 import json
 import numbers
+import os
 from dataclasses import asdict, dataclass, fields, replace
 from functools import cached_property
 from typing import Mapping, Optional, Union
@@ -478,9 +480,20 @@ def load_scenario_file(path) -> Scenario:
 
 
 def _write_json(document: dict, path) -> None:
+    """``document`` as JSON at ``path``, written whole: to the temporary
+    sibling ``<path>.<pid>.tmp``, then moved into place with ``os.replace``,
+    as ``TrajectoryCsv`` does. A write that fails removes it and leaves
+    ``path`` as it was."""
     text = json.dumps(document, indent=2, allow_nan=False)  # NaN raises before the file opens
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write(text + "\n")
+    tmp = f"{os.fspath(path)}.{os.getpid()}.tmp"
+    try:
+        with open(tmp, "w", encoding="utf-8", newline="") as fh:
+            fh.write(text + "\n")
+        os.replace(tmp, path)
+    except BaseException:
+        with contextlib.suppress(OSError):
+            os.remove(tmp)
+        raise
 
 
 def write_scenario(scenario: Scenario, path) -> None:

@@ -106,6 +106,22 @@ class TestClassifyLimit:
         for kind in (od.DeGroot(), od.Constant((0.5, 0.5)), od.StubbornExtremist()):
             assert od.classify_limit([0.2, -0.4], kind, rjsc=True).outcome is Outcome.UNKNOWN
 
+    class AlwaysOpen(od.StubbornPositive):
+        """A subclass whose f is 1: DeGroot under the paper's kind's class."""
+        name = "always_open"
+
+        @staticmethod
+        def values(x):
+            return np.ones_like(x)
+
+    def test_a_subclass_gets_no_rule_of_its_base(self):
+        x0 = [1.0, -0.5, 0.0]
+        result = od.classify_limit(x0, self.AlwaysOpen(), rjsc=True)
+        assert (result.outcome, result.basis) == (Outcome.UNKNOWN, "no_limit_rule/always_open")
+        record = od.simulate(x0, od.StaticSchedule(od.uniform_complete_matrix(3)),
+                             self.AlwaysOpen(), od.StopRule(max_steps=100))
+        assert np.abs(record.final_state - 1.0 / 6.0).max() <= 1e-15
+
 
 class TestClassificationNeverContradictsSimulation:
     """Randomized consistency between the classifier and simulation.

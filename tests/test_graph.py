@@ -168,13 +168,13 @@ class TestValidateWeightMatrix:
         with pytest.raises(ValueError):
             w.entries[0, 0] = 0.9
 
-    # Whether ``entries`` is the input's memory: kept where no caller can
-    # write it, copied to C order otherwise.
+    # Whether ``entries`` is the input's memory: never, since the
+    # constructor keeps its own C-ordered copy.
     OWNERSHIP = {
         "list": (lambda: [[0.5, 0.5], [0.25, 0.75]], False),
         "int_array": (lambda: np.eye(2, dtype=np.int64), False),
         "writable_float": (lambda: np.full((2, 2), 0.5), False),
-        "read_only_c": (lambda: read_only(np.full((2, 2), 0.5)), True),
+        "read_only_c": (lambda: read_only(np.full((2, 2), 0.5)), False),
         "read_only_fortran": (lambda: read_only(np.asfortranarray([[0.5, 0.5], [0.25, 0.75]])), False),
         "read_only_view": (lambda: read_only(np.full((2, 2), 0.5)[:, :]), False),
     }

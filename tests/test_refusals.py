@@ -1,6 +1,8 @@
 """Library calls outside their stated preconditions raise the documented
 error, one row per refusal."""
 
+from fractions import Fraction
+
 import numpy as np
 import pytest
 
@@ -26,6 +28,16 @@ REFUSALS = [
      PreconditionError, "edge_probability"),
     ("constant_no_agent", lambda: od.Constant(()),
      ValidationError, "at least one agent"),
+    ("constant_bool_openness", lambda: od.Constant((True, 0.5, 0.5)),
+     ValidationError, r"^openness\[0\] must be a number, got True$"),
+    ("constant_numpy_bool_openness", lambda: od.Constant((0.5, np.bool_(True))),
+     ValidationError, r"^openness\[1\] must be a number, got "),
+    ("constant_string_openness", lambda: od.Constant((0.5, "0.5", 0.5)),
+     ValidationError, r"^openness\[1\] must be a number, got '0.5'$"),
+    ("constant_complex_openness", lambda: od.Constant((0.5, 0.5j)),
+     ValidationError, r"^openness\[1\] must be a number, got 0.5j$"),
+    ("constant_huge_openness", lambda: od.Constant((0.5, 10**400)),
+     ValidationError, r"^openness\[1\] \S+ is too large for a double$"),
     ("custom_not_elementwise", lambda: od.Custom(lambda x: x.sum()),
      ValidationError, "elementwise"),
     ("custom_non_finite", lambda: od.Custom(lambda x: np.where(x > 0.5, np.nan, 0.5)),
@@ -76,3 +88,9 @@ def test_a_stop_rule_keeps_an_int_and_floats():
     assert [type(v) for v in (rule.max_steps, rule.consensus_epsilon, rule.target,
                               rule.target_epsilon)] == [int, float, float, float]
     assert rule == od.StopRule(max_steps=5, consensus_epsilon=0.5, target=-1.0, target_epsilon=1.0)
+
+
+def test_a_constant_keeps_floats():
+    kind = od.Constant((1, np.float32(0.5), Fraction(1, 4), np.int64(0)))
+    assert kind.openness == (1.0, 0.5, 0.25, 0.0)
+    assert {type(v) for v in kind.openness} == {float}

@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import opdyn as od
+from opdyn import scenario as scenario_module
 from opdyn.errors import PreconditionError, SchemaError
 from opdyn.scenario import _KIND_NAMES
 
@@ -515,6 +516,32 @@ class TestRoundTrip:
         od.write_scenario(scenario, path)
         again = od.load_scenario_file(path)
         assert again.matrices[0].entries[0, 0] == third
+
+    @pytest.mark.parametrize("write", ["scenario", "summary"])
+    def test_a_failed_write_leaves_the_old_file_whole(self, tmp_path, monkeypatch, write):
+        scenario = load(dissenter_document())
+        summary = od.run_scenario(scenario)[1]
+        path = tmp_path / "out.json"
+        path.write_text("old")
+
+        def failing_open(*args, **kwargs):  # each write stops after 3 bytes
+            fh = open(*args, **kwargs)
+            real_write = fh.write
+
+            def write_three(text):
+                real_write(text[:3])
+                raise OSError(28, "No space left on device")
+            fh.write = write_three
+            return fh
+
+        monkeypatch.setattr(scenario_module, "open", failing_open, raising=False)
+        with pytest.raises(OSError, match="No space left"):
+            if write == "scenario":
+                od.write_scenario(scenario, path)
+            else:
+                od.write_summary(summary, path)
+        assert path.read_text() == "old"
+        assert [p.name for p in tmp_path.iterdir()] == ["out.json"]
 
     def test_an_infinite_number_is_not_written(self, tmp_path):
         # JSON has no Infinity: the writer refuses before the file exists

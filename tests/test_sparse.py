@@ -4,8 +4,9 @@ A ``WeightMatrix`` with at least ``_CSR_MIN_N`` agents and density at most
 ``_CSR_MAX_DENSITY`` keeps a CSR copy, and its products sum each row (or
 column) from left to right over the nonzeros, another order than the
 dense ones. These tests pin that order, hold that path to the dense
-``entries @`` form and the gap form within rounding, and hold the small
-sizes to the dense path bit for bit.
+``entries @`` form and the gap form within rounding, hold the small
+sizes to the dense path bit for bit, and hold every door's ``matvec`` and
+``rmatvec`` to the products of the form the matrix holds.
 """
 
 import gc
@@ -13,6 +14,7 @@ import hashlib
 import json
 import tracemalloc
 import weakref
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -20,7 +22,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import opdyn as od
-from opdyn import analysis, graph
+from opdyn import analysis, dynamics, graph
 from opdyn.cli import main
 from opdyn.errors import SchemaError, ShapeError, ValidationError
 from opdyn.rng import SplitMix64
@@ -116,6 +118,81 @@ class TestDensePathKept:
                 v = scale * (2.0 * rng.random_block(n) - 1.0)
                 assert np.array_equal(w.matvec(v), w.entries @ v)
                 assert np.array_equal(w.rmatvec(v), w.entries.T @ v)
+
+
+def support_door(w: od.WeightMatrix) -> od.WeightMatrix:
+    """``w`` rebuilt through ``_from_support``, which keeps CSR at any size."""
+    flat = np.flatnonzero(w.entries)
+    return od.WeightMatrix._from_support(w.n, flat, np.take(w.entries, flat), w.beta)
+
+
+def held_products(w: od.WeightMatrix, v: np.ndarray) -> tuple:
+    """``W v`` and ``W^T v`` as the form ``w`` holds computes them."""
+    if w._csr is None:
+        return w.entries.dot(v), w.entries.T.dot(v)
+    rows, cols, vals = w._csr
+    return (np.bincount(rows, vals * v[cols], minlength=w.n),
+            np.bincount(cols, vals * v[rows], minlength=w.n))
+
+
+def negative_zero_matrix() -> od.WeightMatrix:
+    entries = reference_generator_entries(400, SplitMix64(5), 0.01)
+    entries[0, np.flatnonzero(entries[0] == 0.0)[0]] = -0.0
+    return od.WeightMatrix(entries, float(entries[entries > 0.0].min()))
+
+
+class TestProductsBoundAtConstruction:
+    """Whichever door builds a matrix, ``matvec`` and ``rmatvec`` are the
+    products of the form it holds, bit for bit."""
+
+    DOORS = {  # door: (make, holds CSR)
+        "dense_from_list": (lambda: od.WeightMatrix(
+            random_valid_matrix(6, trial_rng(46, 0)).entries.tolist(), 0.01), False),
+        "dense_from_array": (lambda: od.WeightMatrix(
+            random_valid_matrix(30, trial_rng(46, 1)).entries, 0.01), False),
+        "from_support": (lambda: support_door(random_valid_matrix(7, trial_rng(46, 2))), True),
+        "generator_dense": (lambda: od.random_strongly_connected_matrix(
+            399, trial_rng(46, 3), 0.01), False),
+        "generator_csr": (lambda: od.random_strongly_connected_matrix(
+            500, trial_rng(46, 4), 0.005), True),
+        "at_floor_dense": (lambda: random_valid_matrix(8, trial_rng(46, 5))._at_floor(0.01), False),
+        "at_floor_csr": (lambda: od.random_strongly_connected_matrix(
+            400, trial_rng(46, 6), 0.01)._at_floor(1e-3), True),
+        "negative_zero": (negative_zero_matrix, True),
+    }
+
+    @pytest.mark.parametrize("door", DOORS)
+    def test_products_are_the_held_forms(self, door):
+        make, csr = self.DOORS[door]
+        w = make()
+        assert (w._csr is not None) == csr
+        rng = trial_rng(47, w.n)
+        for v in (np.zeros(w.n), -np.zeros(w.n),
+                  *(scale * (2.0 * rng.random_block(w.n) - 1.0)
+                    for scale in (1.0, 1.0, 1e-300, 1e300))):
+            fresh = "entries" not in vars(w)
+            got = w.matvec(v), w.rmatvec(v)
+            assert fresh == ("entries" not in vars(w))  # a product builds no entries
+            for have, want in zip(got, held_products(w, v)):
+                assert have.dtype == want.dtype and have.tobytes() == want.tobytes()
+
+    def test_list_and_array_states_agree_on_a_pool_held_as_csr(self):
+        for trial in range(24):
+            rng = trial_rng(48, trial)
+            n = 2 + rng.randrange(dynamics._LIST_KERNEL_MAX_N - 1)
+            pool = tuple(support_door(random_valid_matrix(n, rng, 0.5)) for _ in range(3))
+            assert all(m._csr is not None for m in pool)
+            schedule = od.RandomSchedule(pool, seed=rng.randrange(2**32))
+            kind = (*ALL_KINDS, od.Constant(tuple(rng.random() for _ in range(n))))[trial % 5]
+            x0 = np.array([rng.uniform(-1.0, 1.0) for _ in range(n)])
+            stop = od.StopRule(max_steps=200, consensus_epsilon=1e-12)
+            lists = od.simulate(x0, schedule, kind, stop)
+            with mock.patch.object(dynamics, "_LIST_KERNEL_MAX_N", 0):
+                arrays = od.simulate(x0, schedule, kind, stop)
+            assert (lists.stop_reason, lists.steps, lists.clamp_steps) == \
+                (arrays.stop_reason, arrays.steps, arrays.clamp_steps)
+            for name in ("mins", "maxs", "final_state", "states"):
+                assert getattr(lists, name).tobytes() == getattr(arrays, name).tobytes(), name
 
 
 def reference_generator_entries(n: int, rng: SplitMix64, p: float) -> np.ndarray:
@@ -225,7 +302,7 @@ class TestOneFormOfWeights:
         entries = reference_generator_entries(500, SplitMix64(4), 0.005)
         expected = entries.tobytes()
         beta = float(entries[entries > 0.0].min())
-        entries.setflags(write=False)  # an array a dense matrix would adopt
+        entries.setflags(write=False)  # read-only, C-ordered and owning its memory
         given = weakref.ref(entries)
         w = od.WeightMatrix(entries, beta)
         del entries
